@@ -11,13 +11,19 @@
 //   * FullVisGraphBuild: the classical global O(V^2 |O|) construction of
 //     Section 2.4 (what the paper avoids entirely).
 //   * DijkstraScanWarm: a single scan over a fully cached graph.
+//   * SightLineWalk: the grid-walk visibility predicate in isolation.
 
 #include <benchmark/benchmark.h>
+
+#include <cmath>
+#include <numbers>
+#include <vector>
 
 #include "common/rng.h"
 #include "datagen/datasets.h"
 #include "vis/dijkstra.h"
 #include "vis/full_vis_graph.h"
+#include "vis/obstacle_set.h"
 #include "vis/vis_graph.h"
 
 namespace conn {
@@ -127,6 +133,43 @@ void BM_DijkstraScanArena(benchmark::State& state) {
 }
 BENCHMARK(BM_DijkstraScanArena)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
+
+// The visibility predicate under AddObstacle: ObstacleSet::Visible over a
+// query-sized local obstacle set (~130 obstacles in a 2500-unit window of
+// the 64-cell grid's 10000-unit domain, as one query's retrieval leaves
+// them) with sight lines of 100-2000 units from inside the window, i.e.
+// the grid walk plus the exact tests on the candidates it yields.
+// `vis_tests` counts those exact tests per sight line.
+void BM_SightLineWalk(benchmark::State& state) {
+  vis::ObstacleSet set(geom::Rect({0, 0}, {10000, 10000}), 64);
+  Rng rng(5);
+  for (uint32_t i = 0; i < 130; ++i) {
+    const geom::Vec2 lo{rng.Uniform(4000, 6300), rng.Uniform(4000, 6300)};
+    set.Add(geom::Rect(lo, {lo.x + rng.Uniform(5, 200),
+                            lo.y + rng.Uniform(5, 60)}),
+            i);
+  }
+  std::vector<geom::Segment> lines(1024);
+  for (geom::Segment& s : lines) {
+    const geom::Vec2 a{rng.Uniform(4000, 6500), rng.Uniform(4000, 6500)};
+    const double len = rng.Uniform(100, 2000);
+    const double angle = rng.Uniform(0, 2 * std::numbers::pi);
+    s = geom::Segment(a,
+                      a + geom::Vec2{std::cos(angle), std::sin(angle)} * len);
+  }
+  uint64_t tests = 0;
+  size_t visible = 0;
+  for (auto _ : state) {
+    for (const geom::Segment& s : lines) {
+      visible += set.Visible(s.a, s.b, &tests);
+    }
+  }
+  benchmark::DoNotOptimize(visible);
+  const double walks = static_cast<double>(state.iterations()) * lines.size();
+  state.SetItemsProcessed(static_cast<int64_t>(walks));
+  state.counters["vis_tests"] = static_cast<double>(tests) / walks;
+}
+BENCHMARK(BM_SightLineWalk)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace conn

@@ -42,11 +42,11 @@ struct ConnOptions {
   bool use_tick_warm_start = true;
 
   /// Differential tick repair on top of the cross-tick warm path: carried
-  /// workspaces switch to patch-only adjacency maintenance (obstacle
-  /// insertion defers per-vertex visibility work until a scan actually
-  /// touches the vertex) and keep a per-shard settlement log of coverage
-  /// capsules — one entry per completed retrieval asserting "every
-  /// obstacle within radius r of segment s is already in this graph".  A
+  /// workspaces keep a per-shard settlement log of coverage capsules — one
+  /// entry per completed retrieval asserting "every obstacle within radius
+  /// r of segment s is already in this graph" — and survive reshards by
+  /// cover overlap.  Their visibility graphs keep eager adjacency, like
+  /// every other graph (see core::QueryWorkspace for the measurement).  A
   /// later query (the same client's next tick, or a clustered sibling's)
   /// whose Theorem-2 search range a capsule covers skips the obstacle
   /// stream entirely; only boundary points whose range escapes coverage

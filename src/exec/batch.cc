@@ -203,9 +203,9 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
           : kSpacingFloorFactor *
                 ObstacleSpacing(obstacles_ != nullptr ? *obstacles_ : *data_);
   const bool warm_gate = opts_.query.use_tick_warm_start;
-  // Shard workspaces built under the repair gate run deferred adjacency
-  // (patch-only) and keep a live settlement log; per-query fallback graphs
-  // stay eager — a short-lived fresh graph gains nothing from deferral.
+  // Shard workspaces built under the repair gate keep a live settlement
+  // log and may be adopted across reshards; their adjacency stays eager,
+  // like the per-query fallback graphs.
   const bool repair_gate = warm_gate && opts_.query.use_differential_repair;
 
   Mutex stats_mu;

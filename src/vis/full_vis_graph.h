@@ -14,6 +14,7 @@
 
 #include <vector>
 
+#include "common/check.h"
 #include "geom/box.h"
 #include "vis/vis_graph.h"
 
@@ -39,6 +40,13 @@ class FullVisGraph {
 
   /// Brute-force sight-line test against every obstacle.
   bool Visible(geom::Vec2 a, geom::Vec2 b) const;
+
+  /// Materialized adjacency of \p v (the oracle local graphs are checked
+  /// against).  Requires Build().
+  const std::vector<VisEdge>& Neighbors(VertexId v) const {
+    CONN_CHECK_MSG(built_, "Neighbors before Build()");
+    return adj_[v];
+  }
 
   /// Single-source shortest-path distances to every vertex (+infinity for
   /// unreachable).  Requires Build().

@@ -91,29 +91,10 @@ void GridIndex::EmitCell(int cx, int cy, std::vector<uint32_t>* out) const {
 
 void GridIndex::CandidatesAlongSegment(const geom::Segment& s,
                                        std::vector<uint32_t>* out) const {
-  BeginQuery();
-  // Conservative DDA: walk the segment in steps of half the smaller cell
-  // extent and emit a 1-cell neighborhood around every visited cell.  This
-  // over-approximates the exact Amanatides-Woo traversal slightly but can
-  // never miss a cell the segment passes through.
-  const double len = s.Length();
-  const double step = 0.5 * std::min(cell_w_, cell_h_);
-  const int steps = std::max(1, static_cast<int>(std::ceil(len / step)));
-  int last_cx = -2, last_cy = -2;
-  for (int i = 0; i <= steps; ++i) {
-    const geom::Vec2 p = s.At(len * i / steps);
-    const int cx = ClampCellX(p.x), cy = ClampCellY(p.y);
-    if (cx == last_cx && cy == last_cy) continue;
-    last_cx = cx;
-    last_cy = cy;
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        const int x = cx + dx, y = cy + dy;
-        if (x < 0 || x >= n_ || y < 0 || y >= n_) continue;
-        EmitCell(x, y, out);
-      }
-    }
-  }
+  VisitAlongSegment(s, [out](uint32_t item) {
+    out->push_back(item);
+    return true;
+  });
 }
 
 void GridIndex::CandidatesInRect(const geom::Rect& r,

@@ -1,7 +1,8 @@
 // Uniform grid over the workspace for the *local* obstacle subset held by a
 // visibility graph.  Supports the two hot queries of the visibility
-// machinery: "which obstacles could block this sight-line segment?" (DDA
-// cell walk) and "which obstacles could cover this rectangle / point?".
+// machinery: "which obstacles could block this sight-line segment?" (an
+// exact column-by-column walk over the cells the segment crosses) and
+// "which obstacles could cover this rectangle / point?".
 //
 // The grid returns candidate item indices (deduplicated via an epoch stamp);
 // exact geometry tests are the caller's job.
@@ -10,8 +11,9 @@
 #define CONN_VIS_GRID_INDEX_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "geom/box.h"
@@ -44,41 +46,67 @@ class GridIndex {
   size_t item_count() const { return item_count_; }
 
   /// Appends (deduplicated) candidate items whose cells the segment passes
-  /// through.  Any item intersecting the segment is guaranteed included.
+  /// through, in VisitAlongSegment order.  Any item intersecting the
+  /// segment is guaranteed included.
   void CandidatesAlongSegment(const geom::Segment& s,
                               std::vector<uint32_t>* out) const;
 
-  /// Streaming variant: visits candidates in walk order from s.a toward
+  /// Visits (deduplicated) candidate items in walk order from s.a toward
   /// s.b and stops as soon as \p visit returns false.  Returns false iff
   /// the walk was stopped early.  This is the hot path of the visibility
   /// predicate — a blocked sight-line exits at its first blocker instead
   /// of paying for the full segment length.
+  ///
+  /// The walk is an exact, conservative cell traversal: column by column
+  /// in the direction of travel, and within each column only the rows the
+  /// segment's y-range inside that column covers (rows also in the
+  /// direction of travel).  Both ranges are padded by kWalkPad of a cell
+  /// and clamped the way Insert clamps, so every point of the segment lies
+  /// in a visited cell even under rounding; the border columns and rows
+  /// extend to +-infinity because out-of-domain items live there.
   template <typename Visitor>
   bool VisitAlongSegment(const geom::Segment& s, Visitor&& visit) const {
     BeginQuery();
-    const double len = s.Length();
-    const double step = 0.5 * std::min(cell_w_, cell_h_);
-    const int steps = std::max(1, static_cast<int>(std::ceil(len / step)));
-    int last_cx = -2, last_cy = -2;
-    for (int i = 0; i <= steps; ++i) {
-      const geom::Vec2 p = s.At(len * i / steps);
-      const int cx = ClampCellX(p.x), cy = ClampCellY(p.y);
-      if (cx == last_cx && cy == last_cy) continue;
-      last_cx = cx;
-      last_cy = cy;
-      for (int dy = -1; dy <= 1; ++dy) {
-        for (int dx = -1; dx <= 1; ++dx) {
-          const int x = cx + dx, y = cy + dy;
-          if (x < 0 || x >= n_ || y < 0 || y >= n_) continue;
-          for (uint32_t item : CellAt(x, y)) {
-            if (stamp_[item] == epoch_) continue;
-            stamp_[item] = epoch_;
-            if (!visit(item)) return false;
-          }
+    const geom::Vec2 d = s.Delta();
+    const double pad_x = kWalkPad * cell_w_, pad_y = kWalkPad * cell_h_;
+    const int row_step = d.y < 0.0 ? -1 : 1;
+    // Rows of column cx from the entry height y_in to the exit height y_out.
+    auto visit_column = [&](int cx, double y_in, double y_out) {
+      const int last = ClampCellY(y_out + row_step * pad_y);
+      for (int cy = ClampCellY(y_in - row_step * pad_y);; cy += row_step) {
+        for (uint32_t item : CellAt(cx, cy)) {
+          if (stamp_[item] == epoch_) continue;
+          stamp_[item] = epoch_;
+          if (!visit(item)) return false;
         }
+        if (cy == last) return true;
       }
+    };
+    if (d.x == 0.0) {  // vertical or zero-length: the column(s) at s.a.x
+      const int last = ClampCellX(s.a.x + pad_x);
+      for (int cx = ClampCellX(s.a.x - pad_x); cx <= last; ++cx) {
+        if (!visit_column(cx, s.a.y, s.b.y)) return false;
+      }
+      return true;
     }
-    return true;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const int col_step = d.x < 0.0 ? -1 : 1;
+    const int last = ClampCellX(s.b.x + col_step * pad_x);
+    for (int cx = ClampCellX(s.a.x - col_step * pad_x);; cx += col_step) {
+      // The segment's parameter range inside the padded column slab.
+      const double x_lo =
+          cx == 0 ? -kInf : domain_.lo.x + cx * cell_w_ - pad_x;
+      const double x_hi =
+          cx == n_ - 1 ? kInf : domain_.lo.x + (cx + 1) * cell_w_ + pad_x;
+      double t_in = (x_lo - s.a.x) / d.x, t_out = (x_hi - s.a.x) / d.x;
+      if (col_step < 0) std::swap(t_in, t_out);
+      t_in = std::clamp(t_in, 0.0, 1.0);
+      t_out = std::clamp(t_out, 0.0, 1.0);
+      if (!visit_column(cx, s.a.y + t_in * d.y, s.a.y + t_out * d.y)) {
+        return false;
+      }
+      if (cx == last) return true;
+    }
   }
 
   /// Appends (deduplicated) candidate items whose cells overlap \p r.
@@ -129,6 +157,12 @@ class GridIndex {
   }
 
  private:
+  /// Padding of the sight-line walk's column and row ranges, as a fraction
+  /// of a cell: far below a cell, and far above the rounding of one
+  /// column-boundary computation (about 1e-16 of the segment's length) for
+  /// any segment shorter than a million cells.
+  static constexpr double kWalkPad = 1e-9;
+
   int ClampCellX(double x) const;
   int ClampCellY(double y) const;
   const std::vector<uint32_t>& CellAt(int cx, int cy) const {

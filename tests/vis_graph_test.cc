@@ -3,6 +3,7 @@
 // shortest paths around obstacles, and unreachable pockets.
 
 #include <cmath>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -141,6 +142,47 @@ TEST_P(LocalVsFullGraph, SameShortestDistances) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LocalVsFullGraph,
                          ::testing::Range<uint64_t>(1, 13));
+
+// After every insertion the incrementally maintained local graph must hold
+// exactly the complete graph's edges over the same obstacles: the grid walk
+// under Visible() skips cells, never a blocker.  Half the coordinates snap
+// to the obstacle grid's cell boundaries (64 cells of 15.625 over kDomain),
+// so sight lines run along cell edges and obstacles touch at edges.
+class LocalEdgeSetVsFull : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(LocalEdgeSetVsFull, NeighborSetsMatchAfterEveryInsertion) {
+  Rng rng(GetParam());
+  constexpr double kCell = 1000.0 / 64;
+  const bool snap_all = GetParam() % 2 == 0;
+  auto coord = [&](double lo, double hi) {
+    const double v = rng.Uniform(lo, hi);
+    return snap_all || rng.UniformU64(2) == 0 ? std::round(v / kCell) * kCell
+                                              : v;
+  };
+  std::vector<geom::Rect> rects;
+  VisGraph local(kDomain);
+  for (uint32_t i = 0; i < 24; ++i) {
+    const geom::Vec2 lo{coord(0, 900), coord(0, 900)};
+    const geom::Vec2 hi{lo.x + kCell * (1 + rng.UniformU64(6)),
+                        lo.y + kCell * (1 + rng.UniformU64(4))};
+    rects.push_back(geom::Rect(lo, hi));
+    local.AddObstacle(rects.back(), i);
+
+    FullVisGraph full(rects);
+    full.Build();
+    ASSERT_EQ(local.VertexCount(), full.VertexCount());
+    for (VertexId v = 0; v < local.VertexCount(); ++v) {
+      ASSERT_EQ(local.VertexPos(v), full.VertexPos(v));
+      std::set<VertexId> got, want;
+      for (const VisEdge& e : local.Neighbors(v)) got.insert(e.to);
+      for (const VisEdge& e : full.Neighbors(v)) want.insert(e.to);
+      EXPECT_EQ(got, want) << "vertex " << v << " after obstacle " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LocalEdgeSetVsFull,
+                         ::testing::Range<uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace vis

@@ -22,9 +22,13 @@ are matched by name and their counters split in two classes:
 Benchmarks or files present on one side only are reported and skipped:
 the gate never blocks adding a new harness or a new benchmark, only
 changing what an existing one computes.
+
+When anything failed, the last line tallies the failures per counter
+(e.g. `failures by counter: vis_tests=125`).
 """
 
 import argparse
+import collections
 import json
 import pathlib
 import sys
@@ -68,7 +72,9 @@ def index_benchmarks(path):
 
 
 def compare_file(base_path, fresh_path, qps_slack):
-    """Returns (failures, warnings) for one baseline/fresh file pair."""
+    """Returns (failures, warnings) for one baseline/fresh file pair.
+
+    Each failure is a (counter, message) pair."""
     failures = []
     warnings = []
     base = index_benchmarks(base_path)
@@ -85,11 +91,12 @@ def compare_file(base_path, fresh_path, qps_slack):
             if counter not in b:
                 continue  # the baseline harness never reported it
             if counter not in f:
-                failures.append(f"{base_path.name}: {name}: counter "
-                                f"'{counter}' vanished from the fresh run")
+                failures.append((counter, f"{base_path.name}: {name}: counter "
+                                 f"'{counter}' vanished from the fresh run"))
             elif f[counter] != b[counter]:
-                failures.append(f"{base_path.name}: {name}: {counter} = "
-                                f"{f[counter]:g}, baseline {b[counter]:g}")
+                failures.append((counter, f"{base_path.name}: {name}: "
+                                 f"{counter} = {f[counter]:g}, baseline "
+                                 f"{b[counter]:g}"))
 
         if "qps" in b and "qps" in f and b["qps"] > 0:
             floor = b["qps"] * (1.0 - qps_slack)
@@ -138,13 +145,19 @@ def main():
 
     for line in warnings:
         print(f"WARNING: {line}")
-    for line in failures:
+    for _, line in failures:
         print(f"FAIL: {line}")
     if compared == 0:
         print("FAIL: no baseline file had a fresh counterpart")
         return 1
     print(f"bench_compare: {compared} file(s) compared, "
           f"{len(failures)} failure(s), {len(warnings)} warning(s)")
+    if failures:
+        # One line naming the counters that moved (a baseline regeneration
+        # shows at a glance whether only the expected ones did).
+        tally = collections.Counter(counter for counter, _ in failures)
+        print("failures by counter: " +
+              ", ".join(f"{c}={n}" for c, n in sorted(tally.items())))
     return 1 if failures else 0
 
 
