@@ -4,7 +4,9 @@
 // graph is cheap to grow and to re-query as IOR streams obstacles in.  This
 // binary isolates that claim:
 //   * Incremental (shipped): one graph, adjacency cached and patched in
-//     place across insertions; queries interleave with growth.
+//     place across insertions; queries interleave with growth.  The prune
+//     visits only lists whose reach box meets the new rectangle, and the
+//     corner sweep tries the last blocker first.
 //   * RebuildEachQuery: a fresh graph is constructed from the obstacles
 //     retrieved so far at every query checkpoint — the cost profile of NOT
 //     reusing the local graph across data points.

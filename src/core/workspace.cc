@@ -13,12 +13,11 @@ QueryWorkspace::QueryWorkspace(const rtree::RStarTree* data_tree,
           internal::WorkspaceBounds(data_tree, obstacle_tree, query_cover)),
       vg_(domain_, /*stats=*/nullptr),
       differential_repair_(differential_repair) {
-  // Repair-mode workspaces keep eager adjacency: measured on bench_ticks,
-  // vis::VisGraph's deferred (patch-only) mode trades the per-insertion
-  // corner sweeps for per-touch patches at roughly break-even pair count,
-  // and its bookkeeping overhead loses ~15% warm qps at smoke scale.  The
-  // repair win comes from the settlement log and the reshard adoption
-  // path, both orthogonal to adjacency maintenance.
+  // Repair-mode workspaces use the same eager adjacency as every other
+  // graph.  A deferred (patch-only) vis::VisGraph mode was built for them,
+  // measured at ~15% fewer warm qps on bench_ticks at smoke scale, and
+  // deleted: the repair win comes from the settlement log and the reshard
+  // adoption path, both orthogonal to adjacency maintenance.
 }
 
 }  // namespace core

@@ -19,9 +19,9 @@ VertexId VisGraph::AddVertexInternal(geom::Vec2 p) {
     vertices_[id] = p;
     adj_[id].clear();
     adj_computed_[id] = false;
+    reach_[id] = geom::Rect::FromPoint(p);
     corner_[id] = CornerInfo{};
     alive_[id] = true;
-    adj_obstacle_mark_[id] = 0;
     vertex_grid_.InsertPoint(id, p);
     return id;
   }
@@ -29,17 +29,17 @@ VertexId VisGraph::AddVertexInternal(geom::Vec2 p) {
   vertices_.push_back(p);
   adj_.emplace_back();
   adj_computed_.push_back(false);
+  reach_.push_back(geom::Rect::FromPoint(p));
   corner_.emplace_back();
   alive_.push_back(true);
-  adj_obstacle_mark_.push_back(0);
   vertex_grid_.InsertPoint(id, p);
   return id;
 }
 
-void VisGraph::SetDeferredAdjacency(bool deferred) {
-  CONN_CHECK_MSG(obstacles_.size() == 0,
-                 "adjacency mode must be chosen before the first obstacle");
-  deferred_ = deferred;
+void VisGraph::PushReciprocal(VertexId u, VertexId v, double length) {
+  if (!adj_computed_[u]) return;
+  adj_[u].push_back({v, length});
+  reach_[u] = reach_[u].ExpandedToCover(vertices_[v]);
 }
 
 VertexId VisGraph::AddFixedVertex(geom::Vec2 p) {
@@ -49,9 +49,7 @@ VertexId VisGraph::AddFixedVertex(geom::Vec2 p) {
   // in every already-computed list, or cached-adjacency Dijkstra walks
   // could never reach it.
   RecomputeAdjacency(id);
-  for (const VisEdge& e : adj_[id]) {
-    if (adj_computed_[e.to]) adj_[e.to].push_back({id, e.length});
-  }
+  for (const VisEdge& e : adj_[id]) PushReciprocal(e.to, id, e.length);
   return id;
 }
 
@@ -62,25 +60,12 @@ void VisGraph::RemoveFixedVertices(const std::vector<VertexId>& ids) {
     CONN_CHECK_MSG(!corner_[v].is_corner,
                    "obstacle corners are persistent; only fixed vertices "
                    "can be removed");
-    if (adj_computed_[v] && !deferred_) {
-      // Symmetry invariant: the computed lists holding an edge to v are
-      // exactly v's own neighbors with computed lists.  (Deferred mode
-      // cannot use this fast path: a stale computed list may retain an
-      // edge to v that a patch has already pruned from v's own list, and
-      // the full scan below is the only complete candidate set.)
-      for (const VisEdge& e : adj_[v]) {
-        if (!adj_computed_[e.to]) continue;
-        std::erase_if(adj_[e.to],
-                      [v](const VisEdge& r) { return r.to == v; });
-      }
-    } else {
-      // Complete candidate set: scan every computed list.  In deferred
-      // mode this is the only removal that leaves no stale edge behind —
-      // a dangling reference to a recycled slot would corrupt later scans.
-      for (VertexId u = 0; u < vertices_.size(); ++u) {
-        if (!adj_computed_[u]) continue;
-        std::erase_if(adj_[u], [v](const VisEdge& r) { return r.to == v; });
-      }
+    // Symmetry invariant: the computed lists holding an edge to v are
+    // exactly v's own neighbors with computed lists (a fixed vertex's own
+    // list is computed when it is added).
+    for (const VisEdge& e : adj_[v]) {
+      if (!adj_computed_[e.to]) continue;
+      std::erase_if(adj_[e.to], [v](const VisEdge& r) { return r.to == v; });
     }
     adj_[v].clear();
     adj_computed_[v] = false;
@@ -99,46 +84,36 @@ bool VisGraph::AddObstacle(const geom::Rect& rect, rtree::ObjectId id) {
   obstacles_.Add(rect, id);
   ++epoch_;  // visible-region caches must revalidate
 
-  if (!deferred_) {
-    // (a) Prune cached edges the new rectangle now blocks.  Only edges
-    // whose bounding box meets the rectangle can be affected (cheap
-    // pre-filter).
-    for (VertexId v = 0; v < vertices_.size(); ++v) {
-      if (!adj_computed_[v]) continue;
-      const geom::Vec2 vpos = vertices_[v];
-      std::erase_if(adj_[v], [&](const VisEdge& e) {
-        const geom::Vec2 upos = vertices_[e.to];
-        if (!geom::Rect::FromCorners(vpos, upos).Intersects(rect)) {
-          return false;
-        }
-        if (stats_ != nullptr) ++stats_->visibility_tests;
-        return geom::SegmentCrossesInterior(geom::Segment(vpos, upos), rect);
-      });
-    }
+  // (a) Prune cached edges the new rectangle now blocks.  Only edges
+  // whose bounding box meets the rectangle can be affected (cheap
+  // pre-filter); a list whose reach box misses the rectangle holds none.
+  for (VertexId v = 0; v < vertices_.size(); ++v) {
+    if (!adj_computed_[v] || !reach_[v].Intersects(rect)) continue;
+    const geom::Vec2 vpos = vertices_[v];
+    std::erase_if(adj_[v], [&](const VisEdge& e) {
+      const geom::Vec2 upos = vertices_[e.to];
+      if (!geom::Rect::FromCorners(vpos, upos).Intersects(rect)) {
+        return false;
+      }
+      if (stats_ != nullptr) ++stats_->visibility_tests;
+      return geom::SegmentCrossesInterior(geom::Segment(vpos, upos), rect);
+    });
   }
 
-  // (b) Add the four corners.  Eager mode computes their adjacency now and
-  // patches the reciprocal edges into already-computed lists so every
-  // cached list stays complete with respect to the grown graph; deferred
-  // mode leaves them lazy — Neighbors() brings any touched list current
-  // against the recorded rectangle and corners instead.
+  // (b) Add the four corners, compute their adjacency now and patch the
+  // reciprocal edges into already-computed lists so every cached list
+  // stays complete with respect to the grown graph.
   // Corners() yields (lo,lo), (hi,lo), (hi,hi), (lo,hi); inward axis signs
   // point from each corner into the rectangle.
   static constexpr geom::Vec2 kInward[4] = {
       {+1.0, +1.0}, {-1.0, +1.0}, {-1.0, -1.0}, {+1.0, -1.0}};
   const auto corners = rect.Corners();
-  std::array<VertexId, 4> corner_ids;
   for (int ci = 0; ci < 4; ++ci) {
     const VertexId c = AddVertexInternal(corners[ci]);
     corner_[c] = CornerInfo{true, kInward[ci]};
-    corner_ids[ci] = c;
-    if (deferred_) continue;
     RecomputeAdjacency(c);
-    for (const VisEdge& e : adj_[c]) {
-      if (adj_computed_[e.to]) adj_[e.to].push_back({c, e.length});
-    }
+    for (const VisEdge& e : adj_[c]) PushReciprocal(e.to, c, e.length);
   }
-  obstacle_corners_.push_back(corner_ids);
 
   if (stats_ != nullptr) {
     ++stats_->obstacles_evaluated;
@@ -156,6 +131,9 @@ void VisGraph::RecomputeAdjacency(VertexId v) {
   std::vector<VisEdge>& edges = adj_[v];
   edges.clear();
   const geom::Vec2 pos = vertices_[v];
+  geom::Rect reach = geom::Rect::FromPoint(pos);
+  uint64_t* const counter = stats_ ? &stats_->visibility_tests : nullptr;
+  uint32_t hint = ObstacleSet::kNoBlocker;  // the last blocker found
   for (VertexId u = 0; u < vertices_.size(); ++u) {
     if (u == v || !alive_[u]) continue;
     const geom::Vec2 other = vertices_[u];
@@ -167,53 +145,20 @@ void VisGraph::RecomputeAdjacency(VertexId v) {
         DirectionEntersCorner(u, pos - other)) {
       continue;
     }
-    if (Visible(pos, other)) edges.push_back({u, len});
+    const uint32_t blocker = obstacles_.Blocker(pos, other, hint, counter);
+    if (blocker != ObstacleSet::kNoBlocker) {
+      hint = blocker;
+      continue;
+    }
+    edges.push_back({u, len});
+    reach = reach.ExpandedToCover(other);
   }
   adj_computed_[v] = true;
-  adj_obstacle_mark_[v] = static_cast<uint32_t>(obstacles_.size());
-}
-
-void VisGraph::PatchAdjacency(VertexId v) {
-  const geom::Vec2 pos = vertices_[v];
-  const uint32_t from = adj_obstacle_mark_[v];
-  const uint32_t to = static_cast<uint32_t>(obstacles_.size());
-  // (a) Prune the cached edges the obstacles inserted since the watermark
-  // now block — the exact erase the eager path would have run at each
-  // insertion (same bbox pre-filter, same interior-crossing predicate).
-  for (uint32_t k = from; k < to; ++k) {
-    const geom::Rect& rect = obstacles_.rect(k);
-    std::erase_if(adj_[v], [&](const VisEdge& e) {
-      const geom::Vec2 upos = vertices_[e.to];
-      if (!geom::Rect::FromCorners(pos, upos).Intersects(rect)) return false;
-      if (stats_ != nullptr) ++stats_->visibility_tests;
-      return geom::SegmentCrossesInterior(geom::Segment(pos, upos), rect);
-    });
-  }
-  // (b) Append edges to the new obstacles' corners where visible.  Tested
-  // against the *full* current obstacle set, matching what eager insertion
-  // (corner sweep + subsequent prunes) would have left in place.
-  for (uint32_t k = from; k < to; ++k) {
-    for (const VertexId c : obstacle_corners_[k]) {
-      if (c == v || !alive_[c]) continue;
-      const geom::Vec2 other = vertices_[c];
-      const double len = geom::Dist(pos, other);
-      if (len <= geom::kEpsDist) continue;  // coincident vertices: skip
-      if (DirectionEntersCorner(v, other - pos) ||
-          DirectionEntersCorner(c, pos - other)) {
-        continue;
-      }
-      if (Visible(pos, other)) adj_[v].push_back({c, len});
-    }
-  }
-  adj_obstacle_mark_[v] = to;
+  reach_[v] = reach;
 }
 
 const std::vector<VisEdge>& VisGraph::Neighbors(VertexId v) {
-  if (!adj_computed_[v]) {
-    RecomputeAdjacency(v);
-  } else if (deferred_ && adj_obstacle_mark_[v] < obstacles_.size()) {
-    PatchAdjacency(v);
-  }
+  if (!adj_computed_[v]) RecomputeAdjacency(v);
   return adj_[v];
 }
 

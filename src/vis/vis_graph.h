@@ -26,23 +26,17 @@
 // (recompute-everything-per-insertion) is the ablation baseline measured
 // in bench/micro_visgraph.
 //
-// SetDeferredAdjacency(true) switches obstacle insertion to *patch-only*
-// maintenance for long-lived carried graphs (the differential tick-repair
-// path): AddObstacle records the rectangle and its four lazy corners in
-// O(1) and Neighbors(v) brings a vertex's cached list current on touch,
-// patching only over the obstacles inserted since the list was last valid
-// (a per-vertex watermark).  A (vertex x obstacle) visibility pair is paid
-// at most once — and only if the vertex is ever touched again, which on a
-// moving-frontier workload most are not.  Results are identical to eager
-// maintenance: Dijkstra settlement order never depends on adjacency-list
-// order (the scan heap tie-breaks on (dist, vertex)), and the patch
-// applies the exact SegmentCrossesInterior predicate eager pruning uses,
-// so the edge *set* a scan observes at any touch is the same.
+// Both steps of an insertion skip work that cannot change their result.
+// (a) only visits lists whose reach box — a rectangle covering the vertex
+// and every vertex in its list, grown on every append and never shrunk —
+// meets the new rectangle; any other list holds no edge the bbox
+// pre-filter would pass.  (b) tests the blocker of the previous candidate
+// first (ObstacleSet::Blocker): consecutive candidates are usually corners
+// of one rectangle, hidden behind the same obstacle.
 
 #ifndef CONN_VIS_VIS_GRAPH_H_
 #define CONN_VIS_VIS_GRAPH_H_
 
-#include <array>
 #include <cstdint>
 #include <unordered_set>
 #include <vector>
@@ -135,12 +129,6 @@ class VisGraph {
   /// Eagerly materializes adjacency for all live vertices.
   void MaterializeAllAdjacency();
 
-  /// Patch-only adjacency maintenance (see file comment).  Must be chosen
-  /// before the first obstacle is inserted; fixed vertices stay eager in
-  /// both modes.  Edge sets observed by scans are identical either way.
-  void SetDeferredAdjacency(bool deferred);
-  bool deferred_adjacency() const { return deferred_; }
-
  private:
   /// Per-vertex corner metadata for the O(1) own-rectangle rejection: an
   /// edge that leaves a corner pointing strictly into its rectangle's open
@@ -158,7 +146,8 @@ class VisGraph {
   }
 
   void RecomputeAdjacency(VertexId v);
-  void PatchAdjacency(VertexId v);
+  /// Appends the reciprocal edge u -> v to u's cached list, if it has one.
+  void PushReciprocal(VertexId u, VertexId v, double length);
   VertexId AddVertexInternal(geom::Vec2 p);
 
   friend class DijkstraScan;  // uses DirectionEntersCorner when seeding
@@ -166,16 +155,12 @@ class VisGraph {
   std::vector<geom::Vec2> vertices_;
   std::vector<std::vector<VisEdge>> adj_;
   std::vector<bool> adj_computed_;
+  /// Covers vertices_[v] and every vertex in adj_[v] (a superset once
+  /// edges are erased): the prune skips lists whose box misses the rect.
+  std::vector<geom::Rect> reach_;
   std::vector<CornerInfo> corner_;
   std::vector<bool> alive_;
   std::vector<VertexId> free_slots_;  // recycled fixed-vertex slots
-  bool deferred_ = false;
-  /// Deferred mode: obstacles() size when adj_[v] was last brought
-  /// current; a computed list is patched over [mark, size) on touch.
-  std::vector<uint32_t> adj_obstacle_mark_;
-  /// Deferred mode: the four corner vertex ids of each inserted obstacle,
-  /// indexed like obstacles() — the patch's edge-append candidates.
-  std::vector<std::array<VertexId, 4>> obstacle_corners_;
   uint64_t epoch_ = 1;
   GridIndex vertex_grid_;
   ObstacleSet obstacles_;

@@ -1,7 +1,8 @@
 // Unit tests for the uniform grid over local obstacles: candidate queries
 // must be supersets of the exact answers (conservativeness) and deduplicated,
-// and the sight-line walk must visit exactly the crossed cells, in order,
-// without ever changing what ObstacleSet::Visible answers.
+// the sight-line walk must visit exactly the crossed cells, in order,
+// without ever changing what ObstacleSet::Visible answers, and a blocker
+// hint must never change what ObstacleSet::Blocker answers.
 
 #include <algorithm>
 #include <cmath>
@@ -220,9 +221,70 @@ TEST(GridWalkTest, VerticalAndZeroLengthSegments) {
             (std::vector<uint32_t>{90}));
 }
 
+// The ObstacleSet::Blocker contract on one sight line, given the brute-force
+// answer: no hint finds a blocker exactly when the line is blocked, any
+// returned index really crosses the line, a blocking hint costs exactly one
+// test, and a non-blocking or invalid hint changes neither the answer nor
+// the walk (the hint is skipped there, never tested twice).
+void ExpectBlockerContract(const ObstacleSet& set,
+                           const std::vector<geom::Rect>& rects,
+                           geom::Vec2 a, geom::Vec2 b, bool visible) {
+  const geom::Segment sight(a, b);
+  SCOPED_TRACE(::testing::Message() << "sight line (" << a.x << ", " << a.y
+                                    << ") -> (" << b.x << ", " << b.y << ")");
+  uint64_t tests = 0;
+  const uint32_t blocker = set.Blocker(a, b, ObstacleSet::kNoBlocker, &tests);
+  ASSERT_EQ(blocker == ObstacleSet::kNoBlocker, visible);
+
+  // The walk tests candidates in CandidatesAlongSegment order and stops at
+  // the first that blocks.
+  std::vector<uint32_t> walk;
+  set.CandidatesAlongSegment(sight, &walk);
+  size_t stop = walk.size();
+  for (size_t i = 0; i < walk.size(); ++i) {
+    if (geom::SegmentCrossesInterior(sight, rects[walk[i]])) {
+      stop = i;
+      break;
+    }
+  }
+  EXPECT_EQ(tests, visible ? walk.size() : stop + 1);
+  if (!visible) {
+    ASSERT_LT(stop, walk.size());
+    EXPECT_EQ(blocker, walk[stop]) << "the first blocker on the walk";
+    EXPECT_TRUE(geom::SegmentCrossesInterior(sight, rects[blocker]));
+    uint64_t hinted_tests = 0;
+    EXPECT_EQ(set.Blocker(a, b, blocker, &hinted_tests), blocker);
+    EXPECT_EQ(hinted_tests, 1u);
+  }
+
+  // An invalid hint is no hint.
+  uint64_t invalid_tests = 0;
+  EXPECT_EQ(set.Blocker(a, b, static_cast<uint32_t>(set.size()),
+                        &invalid_tests),
+            blocker);
+  EXPECT_EQ(invalid_tests, tests);
+
+  // A non-blocking hint: one extra test, minus the walk's own test of it
+  // when the walk reaches it before stopping.
+  for (uint32_t hint : {walk.empty() ? 0u : walk.front(),
+                        static_cast<uint32_t>(set.size() / 2)}) {
+    if (hint >= set.size() ||
+        geom::SegmentCrossesInterior(sight, rects[hint])) {
+      continue;
+    }
+    const bool walked = std::find(walk.begin(), walk.begin() + stop, hint) !=
+                        walk.begin() + stop;
+    uint64_t hinted_tests = 0;
+    EXPECT_EQ(set.Blocker(a, b, hint, &hinted_tests), blocker)
+        << "hint " << hint;
+    EXPECT_EQ(hinted_tests, tests + 1 - (walked ? 1 : 0)) << "hint " << hint;
+  }
+}
+
 // Brute force (the FullVisGraph::Visible loop) against the grid-walk
-// predicate over every ordered pair of \p points.  Returns the number of
-// blocked pairs so callers can assert the scene is not vacuous.
+// predicate over every ordered pair of \p points, and the Blocker contract
+// on each pair.  Returns the number of blocked pairs so callers can assert
+// the scene is not vacuous.
 size_t ExpectVisibleMatchesOracle(const ObstacleSet& set,
                                   const std::vector<geom::Rect>& rects,
                                   const std::vector<geom::Vec2>& points) {
@@ -235,6 +297,7 @@ size_t ExpectVisibleMatchesOracle(const ObstacleSet& set,
       EXPECT_EQ(set.Visible(a, b), expected)
           << "sight line (" << a.x << ", " << a.y << ") -> (" << b.x << ", "
           << b.y << ")";
+      ExpectBlockerContract(set, rects, a, b, expected);
     }
   }
   return blocked;
@@ -313,9 +376,11 @@ TEST(GridWalkVisibilityTest, AdversarialScenesMatchBruteForce) {
     for (const geom::Vec2& d : dirs) {
       for (const double len : {37.0, 250.0, 1300.0}) {
         const geom::Vec2 b = a + d * len;
-        EXPECT_EQ(set.Visible(a, b), oracle.Visible(a, b))
+        const bool expected = oracle.Visible(a, b);
+        EXPECT_EQ(set.Visible(a, b), expected)
             << "sight line (" << a.x << ", " << a.y << ") -> (" << b.x
             << ", " << b.y << ")";
+        ExpectBlockerContract(set, rects, a, b, expected);
       }
     }
   }

@@ -140,99 +140,6 @@ TEST_P(IncrementalEquivalence, ScanLogReplayMatchesNext) {
   EXPECT_FALSE(via_log.EnsureSettled(seen.size()));
 }
 
-TEST_P(IncrementalEquivalence, DeferredGraphEqualsEagerGraph) {
-  // Deferred (patch-only) adjacency: insertions record the obstacle and
-  // its lazy corners in O(1); stale cached lists are patched over the
-  // [mark, size) obstacle suffix on next touch.  Every observable —
-  // distances, edge sets, reachability — must match the eager graph,
-  // with fixed vertices added and removed mid-stream (query sessions)
-  // and scans interleaved so stale cached lists exist when later
-  // obstacles arrive.
-  Rng rng(GetParam() ^ 0xDEF);
-  const auto rects = RandomRects(&rng, 25);
-
-  VisGraph eager(kDomain);
-  VisGraph deferred(kDomain);
-  deferred.SetDeferredAdjacency(true);
-  const VertexId t_e = eager.AddFixedVertex({950, 950});
-  const VertexId t_d = deferred.AddFixedVertex({950, 950});
-  ASSERT_EQ(t_e, t_d);
-
-  for (size_t i = 0; i < rects.size(); ++i) {
-    eager.AddObstacle(rects[i], i);
-    deferred.AddObstacle(rects[i], i);
-    if (i % 4 == 1) {
-      // A transient query session: fixed target added, scanned against
-      // (caching adjacency in both graphs), then removed — the deferred
-      // graph's removal must purge the vertex from stale lists too.
-      const geom::Vec2 pos{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
-      const VertexId q_e = eager.AddFixedVertex(pos);
-      const VertexId q_d = deferred.AddFixedVertex(pos);
-      const geom::Vec2 src{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
-      DijkstraScan a(&eager, src);
-      DijkstraScan b(&deferred, src);
-      a.SettleTargets({q_e});
-      b.SettleTargets({q_d});
-      eager.RemoveFixedVertices({q_e});
-      deferred.RemoveFixedVertices({q_d});
-    }
-  }
-
-  ASSERT_EQ(eager.VertexCount(), deferred.VertexCount());
-  for (int probe = 0; probe < 6; ++probe) {
-    const geom::Vec2 src{rng.Uniform(0, 1000), rng.Uniform(0, 1000)};
-    DijkstraScan a(&eager, src);
-    DijkstraScan b(&deferred, src);
-    a.SettleTargets({t_e});
-    b.SettleTargets({t_d});
-    VertexId v;
-    double d;
-    int32_t pred;
-    while (a.Next(&v, &d, &pred)) {
-    }
-    while (b.Next(&v, &d, &pred)) {
-    }
-    for (VertexId u = 0; u < eager.VertexCount(); ++u) {
-      const double da = a.DistOf(u);
-      const double db = b.DistOf(u);
-      if (std::isinf(da) || std::isinf(db)) {
-        EXPECT_EQ(std::isinf(da), std::isinf(db)) << "vertex " << u;
-      } else {
-        EXPECT_NEAR(da, db, 1e-9) << "vertex " << u;
-      }
-    }
-  }
-}
-
-TEST_P(IncrementalEquivalence, DeferredNeighborsAreSymmetricAndVisible) {
-  Rng rng(GetParam() ^ 0xD0D0);
-  const auto rects = RandomRects(&rng, 20);
-  VisGraph g(kDomain);
-  g.SetDeferredAdjacency(true);
-  g.AddFixedVertex({500, 500});
-  for (size_t i = 0; i < rects.size(); ++i) {
-    g.AddObstacle(rects[i], i);
-    // Touch a random vertex's adjacency mid-build so later insertions
-    // leave stale cached lists behind for the patch path.
-    g.Neighbors(static_cast<VertexId>(rng.UniformU64(g.VertexCount())));
-  }
-  g.MaterializeAllAdjacency();
-
-  for (VertexId v = 0; v < g.VertexCount(); ++v) {
-    for (const VisEdge& e : g.Neighbors(v)) {
-      EXPECT_TRUE(g.Visible(g.VertexPos(v), g.VertexPos(e.to)))
-          << v << "->" << e.to;
-      EXPECT_NEAR(e.length, geom::Dist(g.VertexPos(v), g.VertexPos(e.to)),
-                  1e-9);
-      bool reciprocal = false;
-      for (const VisEdge& r : g.Neighbors(e.to)) {
-        if (r.to == v) reciprocal = true;
-      }
-      EXPECT_TRUE(reciprocal) << v << "<->" << e.to;
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalence,
                          ::testing::Range<uint64_t>(1, 11));
 

@@ -3,7 +3,10 @@
 // shortest paths around obstacles, and unreachable pockets.
 
 #include <cmath>
+#include <map>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -182,6 +185,105 @@ TEST_P(LocalEdgeSetVsFull, NeighborSetsMatchAfterEveryInsertion) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LocalEdgeSetVsFull,
+                         ::testing::Range<uint64_t>(1, 9));
+
+// Reach boxes under fixed-vertex churn.  Between insertions, query sessions
+// add fixed vertices (their reciprocal edges grow older lists' reach
+// boxes), scan and close again (the erased edges leave those boxes stale,
+// and the freed slots are recycled by later corners and fixed vertices); a
+// few fixed vertices stay for good.  After every insertion, and inside
+// every session, each live vertex's neighbours must be those of a graph
+// built from scratch over the same obstacles and live fixed vertices.
+// Coordinates snap to cell boundaries as in LocalEdgeSetVsFull.
+class ReachBoxChurnVsFresh : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ReachBoxChurnVsFresh, NeighborSetsMatchFreshGraph) {
+  Rng rng(GetParam() ^ 0x8EAC);
+  constexpr double kCell = 1000.0 / 64;
+  const bool snap_all = GetParam() % 2 == 0;
+  auto coord = [&](double lo, double hi) {
+    const double v = rng.Uniform(lo, hi);
+    return snap_all || rng.UniformU64(2) == 0 ? std::round(v / kCell) * kCell
+                                              : v;
+  };
+  // A vertex is named across graphs by its owner (obstacle index, or
+  // -1 - k for the k-th live fixed vertex) and its position.
+  using Key = std::tuple<int, double, double>;
+  auto key_of = [](const VisGraph& g, VertexId v, int owner) {
+    return Key{owner, g.VertexPos(v).x, g.VertexPos(v).y};
+  };
+  std::vector<geom::Rect> rects;
+  std::vector<geom::Vec2> fixed;  // live fixed vertices in owner order
+  std::map<VertexId, Key> key;    // every live vertex of the grown graph
+  VisGraph local(kDomain);
+
+  auto expect_matches_fresh = [&](const std::string& when) {
+    VisGraph fresh(kDomain);
+    for (uint32_t j = 0; j < rects.size(); ++j) fresh.AddObstacle(rects[j], j);
+    for (const geom::Vec2& p : fixed) fresh.AddFixedVertex(p);
+    ASSERT_EQ(fresh.VertexCount(), key.size()) << when;
+    std::vector<Key> fresh_key;
+    std::map<Key, VertexId> fresh_id;
+    for (VertexId v = 0; v < fresh.VertexCount(); ++v) {
+      const int owner = v < 4 * rects.size()
+                            ? static_cast<int>(v / 4)
+                            : -1 - static_cast<int>(v - 4 * rects.size());
+      fresh_key.push_back(key_of(fresh, v, owner));
+      fresh_id[fresh_key.back()] = v;
+    }
+    for (const auto& [v, k] : key) {
+      ASSERT_TRUE(local.IsAlive(v)) << when;
+      ASSERT_EQ(fresh_id.count(k), 1u) << "vertex " << v << " " << when;
+      std::set<Key> got, want;
+      for (const VisEdge& e : local.Neighbors(v)) got.insert(key.at(e.to));
+      for (const VisEdge& e : fresh.Neighbors(fresh_id[k])) {
+        want.insert(fresh_key[e.to]);
+      }
+      EXPECT_EQ(got, want) << "vertex " << v << " " << when;
+    }
+  };
+
+  for (uint32_t i = 0; i < 24; ++i) {
+    const geom::Vec2 lo{coord(0, 900), coord(0, 900)};
+    const geom::Vec2 hi{lo.x + kCell * (1 + rng.UniformU64(6)),
+                        lo.y + kCell * (1 + rng.UniformU64(4))};
+    rects.push_back(geom::Rect(lo, hi));
+    local.AddObstacle(rects.back(), i);
+    // The four new corners are the live slots without a key yet.
+    for (VertexId v = 0; v < local.VertexCount(); ++v) {
+      if (local.IsAlive(v) && !key.count(v)) {
+        key[v] = key_of(local, v, static_cast<int>(i));
+      }
+    }
+    ASSERT_EQ(key.size(), 4 * rects.size() + fixed.size());
+    expect_matches_fresh("after obstacle " + std::to_string(i));
+
+    if (i % 6 == 2) {  // a fixed vertex that stays
+      const VertexId v = local.AddFixedVertex({coord(0, 1000), coord(0, 1000)});
+      key[v] = key_of(local, v, -1 - static_cast<int>(fixed.size()));
+      fixed.push_back(local.VertexPos(v));
+    }
+    for (uint64_t round = rng.UniformU64(3); round > 0; --round) {
+      QuerySession session(&local);
+      std::vector<VertexId> targets;
+      for (uint64_t n = 1 + rng.UniformU64(3); n > 0; --n) {
+        targets.push_back(
+            session.AddFixedVertex({coord(0, 1000), coord(0, 1000)}));
+        key[targets.back()] = key_of(local, targets.back(),
+                                     -1 - static_cast<int>(fixed.size()));
+        fixed.push_back(local.VertexPos(targets.back()));
+      }
+      DijkstraScan scan(&local, {rng.Uniform(0, 1000), rng.Uniform(0, 1000)});
+      scan.SettleTargets(targets);
+      expect_matches_fresh("in a session after obstacle " +
+                           std::to_string(i));
+      for (const VertexId v : targets) key.erase(v);
+      fixed.resize(fixed.size() - targets.size());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReachBoxChurnVsFresh,
                          ::testing::Range<uint64_t>(1, 9));
 
 }  // namespace
