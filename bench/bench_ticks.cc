@@ -1,19 +1,27 @@
 // Moving-query subscription service: wave-over-wave tick-loop COkNN.
 //
-// A clustered fleet of clients subscribes with routes; every tick advances
-// each client one step and re-evaluates its COkNN.  Two variants:
+// A fleet of clients subscribes with routes; every tick advances each
+// client one step and re-evaluates its COkNN.  Three variants:
 //
-//   BM_TicksWarm   — incremental loop: carried per-shard workspaces, the
-//                    cross-shard obstacle store, and the stationary-segment
-//                    memo all engaged (use_tick_warm_start on).
-//   BM_TicksFresh  — the reference: same service and sharding machinery,
-//                    but every tick evaluated from scratch (gate off).
+//   BM_TicksWarm      — clustered fleet, incremental loop: carried
+//                       per-shard workspaces, differential repair and the
+//                       stationary-segment memo all engaged
+//                       (use_tick_warm_start on), sharing forced.
+//   BM_TicksFresh     — the reference: same service and sharding
+//                       machinery, but every tick evaluated from scratch
+//                       (gate off).
+//   BM_TicksDispersed — uniform fleet, warm gate on, default locality
+//                       guard: the guard declines the dispersed shards, so
+//                       their queries run as independent fresh queries
+//                       spread over the worker pool.
 //
-// The equivalence suite proves the two produce bit-identical answers, so
-// the counters here are a pure performance statement.  Counters: qps
-// (client updates/sec across all ticks), p50_ms/p99_ms (per-query CPU
-// latency over the last iteration's updates), and the reuse counters
-// tick_warm / tick_frontier / store_hits.
+// The equivalence suite proves warm and fresh produce bit-identical
+// answers, so the counters here are a pure performance statement.
+// Counters: qps (client updates/sec across all ticks), p50_ms/p99_ms
+// (per-query CPU latency over the last iteration's updates), the reuse
+// counters tick_warm / tick_frontier / store_hits (always 0), and the
+// per-iteration work counters NOE / SVG / shards (shards summed over
+// ticks).
 //
 // Setting $CONN_TICK_ARRIVAL_QPS additionally registers the open-loop
 // variants (BM_TicksOpenLoop*): issuer threads driving independent
@@ -43,9 +51,11 @@ size_t FleetClients() { return std::max<size_t>(16, BenchQueries() * 4); }
 
 constexpr uint64_t kTicks = 8;
 
-std::vector<exec::RouteSpec> TickFleet(size_t n, uint64_t seed) {
-  datagen::FleetOptions fopts;  // clustered depots, dyadic speeds
-  fopts.depots = std::max<size_t>(2, n / 8);
+std::vector<exec::RouteSpec> TickFleet(size_t n, uint64_t seed,
+                                       datagen::FleetPattern pattern) {
+  datagen::FleetOptions fopts;  // dyadic speeds
+  fopts.pattern = pattern;
+  fopts.depots = std::max<size_t>(2, n / 8);  // clustered only
   std::vector<exec::RouteSpec> routes;
   for (datagen::FleetRoute& r :
        datagen::MakeFleetRoutes(n, datagen::Workspace(), fopts, seed)) {
@@ -76,6 +86,13 @@ exec::SubscriptionOptions TickOptions(bool warm) {
   return opts;
 }
 
+/// The warm loop under the default locality guard (BM_TicksDispersed).
+exec::SubscriptionOptions DispersedTickOptions() {
+  exec::SubscriptionOptions opts = TickOptions(/*warm=*/true);
+  opts.batch.share_locality_factor = exec::BatchOptions{}.share_locality_factor;
+  return opts;
+}
+
 std::string TickLabel(const Dataset& ds) {
   // The effective hint depth is the autotuner's final answer for this
   // workload (pool_tuning.h); it stays at the cap with async off.
@@ -84,16 +101,19 @@ std::string TickLabel(const Dataset& ds) {
          std::to_string(ds.tp->pager().effective_hint_depth());
 }
 
-void RunTickBench(benchmark::State& state, bool warm) {
+void RunTickBench(benchmark::State& state,
+                  const exec::SubscriptionOptions& opts,
+                  datagen::FleetPattern pattern) {
   const Dataset& ds = GetDataset(datagen::PointDistribution::kUniform,
                                  ScaledCa(), ScaledLa());
   ApplyBenchAsyncIo(ds);
-  const std::vector<exec::RouteSpec> routes = TickFleet(FleetClients(), 4242);
-  const exec::SubscriptionOptions opts = TickOptions(warm);
+  const std::vector<exec::RouteSpec> routes =
+      TickFleet(FleetClients(), 4242, pattern);
 
   QueryStats totals;
   std::vector<double> lat;
   size_t updates = 0;
+  size_t shards = 0;
   size_t parked = 0;
   size_t adopted = 0;
   size_t mq_p99 = 0;
@@ -108,6 +128,7 @@ void RunTickBench(benchmark::State& state, bool warm) {
     totals = QueryStats{};
     lat.clear();
     updates = 0;
+    shards = 0;
     parked = 0;
     adopted = 0;
     mq_p99 = 0;
@@ -116,6 +137,7 @@ void RunTickBench(benchmark::State& state, bool warm) {
       benchmark::DoNotOptimize(result.updates.data());
       elapsed += result.stats.wall_seconds;
       totals += result.stats.per_query_totals;
+      shards += result.stats.shard_count;
       parked += result.stats.shards_parked;
       adopted += result.stats.workspaces_adopted;
       mq_p99 = std::max(mq_p99, result.stats.miss_queue_depth_p99);
@@ -141,6 +163,9 @@ void RunTickBench(benchmark::State& state, bool warm) {
   state.counters["frontier_shares"] =
       static_cast<double>(totals.frontier_shares);
   state.counters["adopted"] = static_cast<double>(adopted);
+  state.counters["NOE"] = static_cast<double>(totals.obstacles_evaluated);
+  state.counters["SVG"] = static_cast<double>(totals.vis_graph_vertices);
+  state.counters["shards"] = static_cast<double>(shards);
   // Async miss pipeline ($CONN_ASYNC_IO) — all zero when it's off.
   state.counters["parked"] = static_cast<double>(parked);
   state.counters["mq_p99"] = static_cast<double>(mq_p99);
@@ -151,14 +176,21 @@ void RunTickBench(benchmark::State& state, bool warm) {
 }
 
 void BM_TicksWarm(benchmark::State& state) {
-  RunTickBench(state, /*warm=*/true);
+  RunTickBench(state, TickOptions(/*warm=*/true),
+               datagen::FleetPattern::kClustered);
 }
 BENCHMARK(BM_TicksWarm)->Unit(benchmark::kMillisecond);
 
 void BM_TicksFresh(benchmark::State& state) {
-  RunTickBench(state, /*warm=*/false);
+  RunTickBench(state, TickOptions(/*warm=*/false),
+               datagen::FleetPattern::kClustered);
 }
 BENCHMARK(BM_TicksFresh)->Unit(benchmark::kMillisecond);
+
+void BM_TicksDispersed(benchmark::State& state) {
+  RunTickBench(state, DispersedTickOptions(), datagen::FleetPattern::kUniform);
+}
+BENCHMARK(BM_TicksDispersed)->Unit(benchmark::kMillisecond);
 
 // --- open-loop driver ($CONN_TICK_ARRIVAL_QPS) ----------------------------
 //
@@ -189,7 +221,8 @@ void RunOpenLoopBench(benchmark::State& state, bool warm) {
   const Dataset& ds = GetDataset(datagen::PointDistribution::kUniform,
                                  ScaledCa(), ScaledLa());
   ApplyBenchAsyncIo(ds);
-  const std::vector<exec::RouteSpec> routes = TickFleet(FleetClients(), 4242);
+  const std::vector<exec::RouteSpec> routes =
+      TickFleet(FleetClients(), 4242, datagen::FleetPattern::kClustered);
   const exec::SubscriptionOptions opts = TickOptions(warm);
 
   std::vector<double> sojourn;

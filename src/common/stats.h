@@ -44,7 +44,9 @@ struct QueryStats {
   uint64_t tick_warm_starts = 0;
   /// Dijkstra scans run on a tick-carried (warm) arena.
   uint64_t tick_frontier_reuse = 0;
-  /// Obstacles pre-seeded from the cross-shard store.
+  /// Always 0.  Counted obstacles pre-seeded from a cross-shard obstacle
+  /// store, which cost more than it saved and was removed; kept so the
+  /// tools that report it keep their output format.
   uint64_t cross_shard_store_hits = 0;
 
   // --- differential tick repair (ConnOptions::use_differential_repair) ---

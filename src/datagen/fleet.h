@@ -4,7 +4,7 @@
 // Two spatial patterns mirror the point distributions of Section 5.1:
 // uniform traffic spread over the whole workspace, and clustered traffic
 // where routes fan out from a few depots — the regime where the tick
-// loop's shared workspaces and cross-shard obstacle store pay off.
+// loop's shared workspaces pay off.
 
 #ifndef CONN_DATAGEN_FLEET_H_
 #define CONN_DATAGEN_FLEET_H_

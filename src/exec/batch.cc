@@ -11,7 +11,6 @@
 #include "common/mutex.h"
 #include "common/timer.h"
 #include "core/workspace.h"
-#include "exec/obstacle_store.h"
 #include "exec/sharder.h"
 #include "exec/thread_pool.h"
 #include "geom/box.h"
@@ -55,13 +54,6 @@ bool ShardIsLocal(const std::vector<BatchQuery>& queries,
 /// overlap in the obstacles they retrieve even when the segments
 /// themselves are points.
 constexpr double kSpacingFloorFactor = 8.0;
-
-/// \p r grown by margin \p m on every side — the pre-seeding relevance
-/// window around a cover (obstacles just outside a query's MBR still fall
-/// in its Theorem-2 search range).
-geom::Rect ExpandedBy(const geom::Rect& r, double m) {
-  return geom::Rect({r.lo.x - m, r.lo.y - m}, {r.hi.x + m, r.hi.y + m});
-}
 
 /// Subtree tops staged per shard before a worker picks it up (async miss
 /// pipeline only): the root children overlapping the shard's cover.
@@ -107,19 +99,11 @@ BatchResult BatchRunner::Run(const std::vector<BatchQuery>& queries) const {
   // A throwaway plan: every shard starts fresh, exactly the original
   // one-shot batch semantics.
   BatchPlan plan;
-  return RunPlan(queries, &plan, /*store=*/nullptr);
+  return RunPlan(queries, &plan);
 }
 
 void BatchRunner::Reshard(const std::vector<BatchQuery>& queries,
-                          BatchPlan* plan, ObstacleStore* store) const {
-  if (store != nullptr) {
-    for (BatchPlan::ShardState& state : plan->states_) {
-      if (state.workspace != nullptr) {
-        state.harvest_mark = store->Harvest(
-            state.workspace->graph()->obstacles(), state.harvest_mark);
-      }
-    }
-  }
+                          BatchPlan* plan) const {
   std::vector<BatchPlan::ShardState> old_states = std::move(plan->states_);
   plan->states_.clear();
   plan->query_count_ = queries.size();
@@ -141,7 +125,7 @@ void BatchRunner::Reshard(const std::vector<BatchQuery>& queries,
   // exact — the adopted graph is a superset of whatever the new members
   // need retrieved, and RunPlan's Covers() check still rebuilds when the
   // new cover escapes the adopted domain.  Without the repair gate old
-  // workspaces are dropped as before (the PR 8 reshard semantics).
+  // workspaces are dropped and rebuilt shards retrieve from the tree.
   if (opts_.query.use_tick_warm_start && opts_.query.use_differential_repair) {
     for (BatchPlan::ShardState& state : plan->states_) {
       const geom::Rect cover = ShardCover(segments, state.members);
@@ -160,21 +144,20 @@ void BatchRunner::Reshard(const std::vector<BatchQuery>& queries,
       state.last_cover = old_states[best].last_cover;
       state.reuse_hits_mark = old_states[best].reuse_hits_mark;
       state.obstacles_mark = old_states[best].obstacles_mark;
-      state.harvest_mark = old_states[best].harvest_mark;
       ++plan->adopted_pending_;
     }
   }
 }
 
 BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
-                                 BatchPlan* plan, ObstacleStore* store) const {
+                                 BatchPlan* plan) const {
   Timer timer;
   BatchResult result;
   result.outcomes.resize(queries.size());
   result.stats.query_count = queries.size();
   if (queries.empty()) return result;
   if (plan->query_count_ != queries.size() || plan->states_.empty()) {
-    Reshard(queries, plan, store);
+    Reshard(queries, plan);
   }
   result.stats.shard_count = plan->states_.size();
   result.stats.workspaces_adopted = plan->adopted_pending_;
@@ -191,12 +174,6 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
   const uint64_t obs_hits0 =
       obstacles_ != nullptr ? obstacles_->pager().hits() : 0;
 
-  size_t threads = opts_.num_threads != 0
-                       ? opts_.num_threads
-                       : std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min(threads, plan->states_.size());
-  result.stats.threads_used = threads;
-
   const double extent_floor =
       opts_.locality_extent_floor > 0.0
           ? opts_.locality_extent_floor
@@ -208,142 +185,149 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
   // like the per-query fallback graphs.
   const bool repair_gate = warm_gate && opts_.query.use_differential_repair;
 
-  Mutex stats_mu;
-  auto run_shard = [&](BatchPlan::ShardState& state) {
-    uint64_t store_hits = 0;
-    size_t carried = 0;
+  // The locality guard runs up front, on this thread, and decides the
+  // work items: a sharing shard is one item (its queries run in order on
+  // the shard workspace); a declined shard contributes one item per
+  // query, each a plain fresh query on the engine's own graph, so its
+  // queries spread over every idle worker instead of serializing.  Items
+  // keep shard order, so a single worker runs queries in the same order
+  // either way.
+  struct WorkItem {
+    size_t shard;
+    size_t query;  ///< kWholeShard for a sharing shard's item
+  };
+  constexpr size_t kWholeShard = static_cast<size_t>(-1);
+  std::vector<WorkItem> items;
+  std::vector<geom::Rect> covers(plan->states_.size(), geom::Rect::Empty());
+  for (size_t s = 0; s < plan->states_.size(); ++s) {
+    BatchPlan::ShardState& state = plan->states_[s];
     bool share = false;
     if (opts_.share_workspace) {
-      const geom::Rect cover = ShardCover(segments, state.members);
-      share = ShardIsLocal(queries, state.members, cover,
+      covers[s] = ShardCover(segments, state.members);
+      share = ShardIsLocal(queries, state.members, covers[s],
                            opts_.share_locality_factor, extent_floor);
-      if (share) {
-        if (warm_gate && state.workspace != nullptr &&
-            state.workspace->Covers(cover)) {
-          // Cross-run warm path: the carried workspace's domain still
-          // covers the (moved) queries, so its graph — a superset of every
-          // member's Theorem-2 obstacle set — and its scan arena serve
-          // this run as-is.
-          carried = 1;
-        } else {
-          if (state.workspace != nullptr && store != nullptr) {
-            store->Harvest(state.workspace->graph()->obstacles(),
-                           state.harvest_mark);
-          }
-          state.workspace = std::make_unique<core::QueryWorkspace>(
-              data_, obstacles_, cover, repair_gate);
-          state.reuse_hits_mark = 0;
-          state.obstacles_mark = 0;
-          state.harvest_mark = 0;
-          if (store != nullptr) {
-            store_hits += store->PreSeed(state.workspace->graph(),
-                                         ExpandedBy(cover, extent_floor));
-          }
-        }
-        state.last_cover = cover;
-      }
     }
-    if (!share && state.workspace != nullptr) {
-      // The guard stopped sharing (the shard's queries drifted apart):
-      // retire the carried workspace, banking its retrieval in the store.
-      if (store != nullptr) {
-        store->Harvest(state.workspace->graph()->obstacles(),
-                       state.harvest_mark);
-      }
-      state.workspace.reset();
+    if (share) {
+      items.push_back({s, kWholeShard});
+      continue;
+    }
+    // The guard stopped sharing (the shard's queries drifted apart):
+    // retire the carried workspace.
+    state.workspace.reset();
+    state.reuse_hits_mark = 0;
+    state.obstacles_mark = 0;
+    for (size_t idx : state.members) items.push_back({s, idx});
+  }
+
+  size_t threads = opts_.num_threads != 0
+                       ? opts_.num_threads
+                       : std::max(1u, std::thread::hardware_concurrency());
+  threads = std::min(threads, items.size());
+  result.stats.threads_used = threads;
+
+  // Runs query \p idx on \p ws (null: the engine's own fresh graph) and
+  // returns its stats, marked as warm when \p ws was carried across runs.
+  auto run_query = [&](size_t idx, core::QueryWorkspace* ws,
+                       bool carried) -> const QueryStats& {
+    const BatchQuery& q = queries[idx];
+    QueryOutcome& out = result.outcomes[idx];
+    QueryStats* out_stats = nullptr;
+    if (q.kind == BatchQuery::Kind::kConn) {
+      out.conn = obstacles_ != nullptr
+                     ? core::ConnQuery(*data_, *obstacles_, q.segment,
+                                       opts_.query, ws)
+                     : core::ConnQuery1T(*data_, q.segment, opts_.query, ws);
+      out_stats = &out.conn->stats;
+    } else {
+      const core::TickWarmStart warm{q.prior, q.client_tag};
+      out.coknn = obstacles_ != nullptr
+                      ? core::CoknnQueryTick(*data_, *obstacles_, q.segment,
+                                             q.k, warm, opts_.query, ws)
+                      : core::CoknnQueryTick1T(*data_, q.segment, q.k, warm,
+                                               opts_.query, ws);
+      out_stats = &out.coknn->stats;
+    }
+    if (carried) {
+      // The query ran on cross-run state: mark it (unless the
+      // stationary-segment memo already did) and credit its Dijkstra
+      // scans to the carried arena.
+      if (out_stats->tick_warm_starts == 0) out_stats->tick_warm_starts = 1;
+      out_stats->tick_frontier_reuse += out_stats->dijkstra_runs;
+    }
+    return *out_stats;
+  };
+
+  Mutex stats_mu;
+  auto run_shard = [&](BatchPlan::ShardState& state, const geom::Rect& cover) {
+    bool carried = false;
+    if (warm_gate && state.workspace != nullptr &&
+        state.workspace->Covers(cover)) {
+      // Cross-run warm path: the carried workspace's domain still covers
+      // the (moved) queries, so its graph — a superset of every member's
+      // Theorem-2 obstacle set — and its scan arena serve this run as-is.
+      carried = true;
+    } else {
+      state.workspace = std::make_unique<core::QueryWorkspace>(
+          data_, obstacles_, cover, repair_gate);
       state.reuse_hits_mark = 0;
       state.obstacles_mark = 0;
-      state.harvest_mark = 0;
     }
+    state.last_cover = cover;
 
     QueryStats shard_totals;
     for (size_t idx : state.members) {
-      const BatchQuery& q = queries[idx];
-      QueryOutcome& out = result.outcomes[idx];
-      core::QueryWorkspace* ws = state.workspace.get();
-      // Guard-declined traffic still reuses earlier retrieval: a
-      // per-query graph pre-seeded from the cross-shard store.
-      std::optional<core::QueryWorkspace> query_ws;
-      if (ws == nullptr && store != nullptr && opts_.share_workspace) {
-        query_ws.emplace(data_, obstacles_, q.segment.Bounds());
-        store_hits += store->PreSeed(
-            query_ws->graph(), ExpandedBy(q.segment.Bounds(), extent_floor));
-        ws = &*query_ws;
-      }
-      QueryStats* out_stats = nullptr;
-      if (q.kind == BatchQuery::Kind::kConn) {
-        out.conn = obstacles_ != nullptr
-                       ? core::ConnQuery(*data_, *obstacles_, q.segment,
-                                         opts_.query, ws)
-                       : core::ConnQuery1T(*data_, q.segment, opts_.query, ws);
-        out_stats = &out.conn->stats;
-      } else {
-        const core::TickWarmStart warm{q.prior, q.client_tag};
-        out.coknn = obstacles_ != nullptr
-                        ? core::CoknnQueryTick(*data_, *obstacles_, q.segment,
-                                               q.k, warm, opts_.query, ws)
-                        : core::CoknnQueryTick1T(*data_, q.segment, q.k, warm,
-                                                 opts_.query, ws);
-        out_stats = &out.coknn->stats;
-      }
-      if (carried != 0) {
-        // The query ran on cross-run state: mark it (unless the
-        // stationary-segment memo already did) and credit its Dijkstra
-        // scans to the carried arena.
-        if (out_stats->tick_warm_starts == 0) out_stats->tick_warm_starts = 1;
-        out_stats->tick_frontier_reuse += out_stats->dijkstra_runs;
-      }
-      shard_totals += *out_stats;
-      if (query_ws && store != nullptr) {
-        store->Harvest(query_ws->graph()->obstacles(), 0);
-      }
-    }
-    shard_totals.cross_shard_store_hits += store_hits;
-    if (state.workspace != nullptr && store != nullptr) {
-      state.harvest_mark = store->Harvest(
-          state.workspace->graph()->obstacles(), state.harvest_mark);
+      shard_totals += run_query(idx, state.workspace.get(), carried);
     }
 
     MutexLock lock(stats_mu);
     result.stats.per_query_totals += shard_totals;
-    result.stats.cross_shard_store_hits += store_hits;
-    result.stats.shards_carried += carried;
-    if (state.workspace != nullptr) {
-      result.stats.obstacle_reuse_hits +=
-          state.workspace->ObstacleReuseHits() - state.reuse_hits_mark;
-      result.stats.obstacles_inserted +=
-          state.workspace->ObstacleCount() - state.obstacles_mark;
-      state.reuse_hits_mark = state.workspace->ObstacleReuseHits();
-      state.obstacles_mark = state.workspace->ObstacleCount();
-    }
+    result.stats.shards_carried += carried ? 1 : 0;
+    result.stats.obstacle_reuse_hits +=
+        state.workspace->ObstacleReuseHits() - state.reuse_hits_mark;
+    result.stats.obstacles_inserted +=
+        state.workspace->ObstacleCount() - state.obstacles_mark;
+    state.reuse_hits_mark = state.workspace->ObstacleReuseHits();
+    state.obstacles_mark = state.workspace->ObstacleCount();
   };
 
-  // With the async miss pipeline on, stage every shard's subtree tops up
-  // front (hints + one demand request kept as the shard's park token), so
-  // the I/O workers warm shard roots while the batch spins up.  The tree
-  // the engines hit first drives the staging: the obstacle tree in 2-tree
-  // mode (IOR descends it before any data access), the unified tree
-  // otherwise.
+  auto run_item = [&](const WorkItem& item) {
+    if (item.query == kWholeShard) {
+      run_shard(plan->states_[item.shard], covers[item.shard]);
+      return;
+    }
+    const QueryStats& stats = run_query(item.query, nullptr, false);
+    MutexLock lock(stats_mu);
+    result.stats.per_query_totals += stats;
+  };
+
+  // With the async miss pipeline on, stage every sharing shard's subtree
+  // tops up front (hints + one demand request kept as the shard's park
+  // token), so the I/O workers warm shard roots while the batch spins up.
+  // Declined queries run on their own graphs and have no shared subtree
+  // to warm.  The tree the engines hit first drives the staging: the
+  // obstacle tree in 2-tree mode (IOR descends it before any data
+  // access), the unified tree otherwise.
   const rtree::RStarTree& stage_tree =
       obstacles_ != nullptr ? *obstacles_ : *data_;
   const bool async = stage_tree.PrefetchEnabled();
-  std::vector<storage::PageRequest> stage(plan->states_.size());
+  std::vector<storage::PageRequest> stage(items.size());
   if (async) {
-    for (size_t i = 0; i < plan->states_.size(); ++i) {
-      stage[i] = StageShard(stage_tree, segments, plan->states_[i].members);
+    for (size_t i = 0; i < items.size(); ++i) {
+      if (items[i].query != kWholeShard) continue;
+      stage[i] = StageShard(stage_tree, segments,
+                            plan->states_[items[i].shard].members);
     }
   }
 
-  // Work-parking scheduler: shards live in a runnable queue; a worker that
+  // Work-parking scheduler: items live in a runnable queue; a worker that
   // pops a shard whose staged fault is still in flight re-queues it
-  // (bounded by kMaxShardParks) and picks up another shard's work instead
-  // of blocking on the device.  With async off this degrades to the plain
-  // FIFO the submit-per-shard loop used to be — same order, same
-  // single-worker determinism.
+  // (bounded by kMaxShardParks) and picks up other work instead of
+  // blocking on the device.  With async off this degrades to a plain FIFO
+  // — same order, same single-worker determinism.
   Mutex sched_mu;
   std::deque<size_t> runnable;
-  for (size_t i = 0; i < plan->states_.size(); ++i) runnable.push_back(i);
-  std::vector<uint8_t> parks(plan->states_.size(), 0);
+  for (size_t i = 0; i < items.size(); ++i) runnable.push_back(i);
+  std::vector<uint8_t> parks(items.size(), 0);
   size_t parked_total = 0;
 
   auto worker = [&]() {
@@ -369,7 +353,7 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
         const StatusOr<storage::PinnedPage> staged = stage[idx].Wait();
         (void)staged;
       }
-      run_shard(plan->states_[idx]);
+      run_item(items[idx]);
     }
   };
 

@@ -13,6 +13,12 @@
 // in the shard runs on the same pooled epoch-stamped state, sized once
 // for the shared graph (see vis/dijkstra.h).
 //
+// Shards the adaptive locality guard declines to share fall back to the
+// paper's own model — every query on its own fresh local visibility graph
+// — and are scheduled per query: each of their queries is a separate work
+// item, so a dispersed batch spreads over the whole pool instead of
+// running one shard's queries back to back on one worker.
+//
 // Correctness bar: results are identical to the single-query engine — the
 // shared graph only ever holds a superset of each query's Theorem-2
 // search-range obstacles (see core/workspace.h).  Per-query CPU/algorithm
@@ -39,8 +45,6 @@
 
 namespace conn {
 namespace exec {
-
-class ObstacleStore;  // exec/obstacle_store.h — cross-shard obstacle cache
 
 /// One query of a batch.
 struct BatchQuery {
@@ -118,6 +122,10 @@ struct QueryOutcome {
 struct BatchStats {
   size_t query_count = 0;
   size_t shard_count = 0;
+
+  /// Workers that ran the batch: the configured thread count capped at
+  /// the number of work items — one per sharing shard plus one per query
+  /// of every shard the locality guard declined.
   size_t threads_used = 0;
 
   /// Obstacle insertions skipped because a shard sibling already retrieved
@@ -132,8 +140,9 @@ struct BatchStats {
   /// from a previous run (the tick loop's cross-tick warm path).
   size_t shards_carried = 0;
 
-  /// RunPlan only: obstacles pre-seeded into fresh graphs from the
-  /// cross-shard ObstacleStore (also in per_query_totals).
+  /// Always 0.  Counted obstacles pre-seeded from a cross-shard obstacle
+  /// store, which cost more than it saved and was removed; kept so the
+  /// tools that report it keep their output format.
   uint64_t cross_shard_store_hits = 0;
 
   /// RunPlan only, differential repair: workspaces a Reshard moved onto
@@ -215,12 +224,11 @@ class BatchPlan {
     /// shards to old workspaces by overlap with this.
     geom::Rect last_cover = geom::Rect::Empty();
 
-    // Watermarks making cross-run accounting and store harvesting
-    // incremental: a carried workspace's counters accumulate for its
-    // lifetime, but each run must report only its own growth.
+    // Watermarks making cross-run accounting incremental: a carried
+    // workspace's counters accumulate for its lifetime, but each run must
+    // report only its own growth.
     uint64_t reuse_hits_mark = 0;  ///< DuplicateObstacleSkips at last run end
     uint64_t obstacles_mark = 0;   ///< ObstacleCount at last run end
-    size_t harvest_mark = 0;       ///< ObstacleStore::Harvest watermark
   };
 
   std::vector<ShardState> states_;
@@ -249,24 +257,22 @@ class BatchRunner {
   BatchResult Run(const std::vector<BatchQuery>& queries) const;
 
   /// Re-derives \p plan's sticky sharding from the queries' current
-  /// segments, dropping carried workspaces — which are first harvested
-  /// into \p store (when non-null), so the rebuilt shards pre-seed from
-  /// the store instead of re-retrieving.  Tick-loop callers invoke this
-  /// when batch membership changes and periodically as routes drift away
-  /// from the assignment they were sharded under.
-  void Reshard(const std::vector<BatchQuery>& queries, BatchPlan* plan,
-               ObstacleStore* store = nullptr) const;
+  /// segments.  Under differential repair each rebuilt shard adopts the
+  /// best-overlapping carried workspace; otherwise carried workspaces are
+  /// dropped and the rebuilt shards retrieve from the tree.  Tick-loop
+  /// callers invoke this when batch membership changes and periodically
+  /// as routes drift away from the assignment they were sharded under.
+  void Reshard(const std::vector<BatchQuery>& queries, BatchPlan* plan) const;
 
   /// Runs \p queries under \p plan's sticky sharding, carrying per-shard
   /// workspaces across calls (gated by ConnOptions::use_tick_warm_start;
   /// when off every shard rebuilds, reproducing Run()'s fresh semantics).
-  /// An empty or size-mismatched plan is reshard()ed first.  \p store,
-  /// when non-null, pre-seeds fresh graphs — including per-query graphs
-  /// of shards the locality guard declined to share — and is kept current
-  /// by harvesting every workspace after its shard completes.  Results
-  /// are bit-identical to Run() on the same queries.
-  BatchResult RunPlan(const std::vector<BatchQuery>& queries, BatchPlan* plan,
-                      ObstacleStore* store = nullptr) const;
+  /// An empty or size-mismatched plan is reshard()ed first.  A shard the
+  /// locality guard declines retires its carried workspace, and its
+  /// queries run as independent fresh queries.  Results are bit-identical
+  /// to Run() on the same queries.
+  BatchResult RunPlan(const std::vector<BatchQuery>& queries,
+                      BatchPlan* plan) const;
 
   const BatchOptions& options() const { return opts_; }
 

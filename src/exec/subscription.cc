@@ -144,22 +144,18 @@ TickResult SubscriptionService::Tick() {
 
   // Sticky-assignment maintenance: reshard when membership changed (a
   // subscribe / unsubscribe / quarantine) or when routes have drifted for
-  // a full period under the old assignment.  The warm-start gate also
-  // decides whether the cross-shard store participates at all — with it
-  // off, every tick runs the fresh reference path.
-  ObstacleStore* store =
-      opts_.batch.query.use_tick_warm_start ? &store_ : nullptr;
+  // a full period under the old assignment.
   const bool membership_changed = batched_ids != last_batched_;
   const bool period_hit = opts_.reshard_period != 0 &&
                           ticks_since_reshard_ >= opts_.reshard_period;
   if (membership_changed || period_hit) {
-    runner_.Reshard(queries, &plan_, store);
+    runner_.Reshard(queries, &plan_);
     last_batched_ = std::move(batched_ids);
     ticks_since_reshard_ = 0;
   }
 
   if (!queries.empty()) {
-    BatchResult batch = runner_.RunPlan(queries, &plan_, store);
+    BatchResult batch = runner_.RunPlan(queries, &plan_);
     result.stats = std::move(batch.stats);
     size_t qi = 0;
     for (ClientUpdate& u : result.updates) {

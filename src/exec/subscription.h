@@ -10,13 +10,14 @@
 // overlap almost entirely, and nearby clients overlap each other's.  The
 // service therefore runs ticks through a sticky BatchPlan whose per-shard
 // workspaces (obstacle graph + epoch-stamped scan arena) persist across
-// ticks, keeps a service-lifetime cross-shard ObstacleStore so even
-// guard-declined and freshly resharded traffic reuses past retrieval, and
-// threads each client's previous answer back in as the stationary-segment
-// memo.  All of it is gated by ConnOptions::use_tick_warm_start; results
-// are bit-identical to independently evaluating each tick (the superset
-// argument of core/workspace.h, proven by the subscription equivalence
-// suite).
+// ticks, and threads each client's previous answer back in as the
+// stationary-segment memo.  Both are gated by
+// ConnOptions::use_tick_warm_start; results are bit-identical to
+// independently evaluating each tick (the superset argument of
+// core/workspace.h, proven by the subscription equivalence suite).
+// Clients the locality guard declines to share run as plain fresh
+// queries, one work item each, across the whole worker pool (see
+// exec/batch.h).
 //
 // Failure isolation: a client whose tick fails (see
 // SubscriptionOptions::failure_injector) is quarantined — reported once
@@ -36,7 +37,6 @@
 #include "common/status.h"
 #include "core/coknn.h"
 #include "exec/batch.h"
-#include "exec/obstacle_store.h"
 #include "geom/segment.h"
 #include "geom/vec.h"
 #include "rtree/rstar_tree.h"
@@ -62,9 +62,9 @@ struct SubscriptionOptions {
   /// assignment (and with it the carried per-shard workspaces) persists
   /// between refreshes; routes drift apart over time, degrading the
   /// locality the assignment was derived for, so it is periodically
-  /// re-derived from current positions.  Dropped workspaces are harvested
-  /// into the cross-shard store first, so rebuilt shards pre-seed instead
-  /// of re-retrieving.  0 disables periodic resharding (membership
+  /// re-derived from current positions.  Under differential repair the
+  /// rebuilt shards adopt the best-overlapping old workspaces; otherwise
+  /// they start empty.  0 disables periodic resharding (membership
   /// changes still reshard).
   uint64_t reshard_period = 8;
 
@@ -118,7 +118,6 @@ class SubscriptionService {
   uint64_t ticks() const { return tick_; }
   size_t live_clients() const;
   size_t quarantined_clients() const;
-  const ObstacleStore& store() const { return store_; }
 
  private:
   struct Client {
@@ -141,7 +140,6 @@ class SubscriptionService {
   uint64_t ticks_since_reshard_ = 0;
   std::vector<int64_t> last_batched_;  ///< client ids of the current plan
   BatchPlan plan_;
-  ObstacleStore store_;
 };
 
 }  // namespace exec

@@ -7,7 +7,10 @@
 //
 // Workloads are randomized per Section 5.1's recipe at test scale: uniform
 // and Zipf point sets over street-rect obstacles, varying k, both tree
-// configurations.
+// configurations.  The BatchDeclinedTraffic cases cover shards the
+// locality guard declines to share: their queries run as independent fresh
+// queries, so even the obstacle/graph counters match the single-query
+// engine exactly.
 
 #include <cmath>
 #include <vector>
@@ -229,6 +232,137 @@ TEST(BatchLocalityGuard, ClusteredPointQueriesStillShare) {
     const core::ConnResult want = core::ConnQuery(tp, to, batch[i].segment);
     ASSERT_TRUE(result.outcomes[i].conn.has_value());
     ExpectConnEqual(*result.outcomes[i].conn, want, i);
+  }
+}
+
+/// The exact per-query work counters.  A query the locality guard declines
+/// runs on its own fresh graph, so these match a standalone query exactly
+/// (unlike a shared-workspace query, whose graph accumulates across its
+/// shard).
+void ExpectSameWork(const QueryStats& got, const QueryStats& want,
+                    size_t qi) {
+  SCOPED_TRACE("query " + std::to_string(qi));
+  EXPECT_EQ(got.points_evaluated, want.points_evaluated);
+  EXPECT_EQ(got.obstacles_evaluated, want.obstacles_evaluated);
+  EXPECT_EQ(got.vis_graph_vertices, want.vis_graph_vertices);
+  EXPECT_EQ(got.visibility_tests, want.visibility_tests);
+}
+
+/// Checks outcome \p qi against the standalone engine: answers always,
+/// and the exact work counters when \p fresh (the query did not share).
+void ExpectMatchesStandalone(const Workload& w, bool one_tree,
+                             const BatchQuery& q, const QueryOutcome& out,
+                             size_t qi, bool fresh) {
+  if (q.kind == BatchQuery::Kind::kConn) {
+    const core::ConnResult want = one_tree
+                                      ? core::ConnQuery1T(w.unified, q.segment)
+                                      : core::ConnQuery(w.tp, w.to, q.segment);
+    ASSERT_TRUE(out.conn.has_value());
+    ExpectConnEqual(*out.conn, want, qi);
+    if (fresh) ExpectSameWork(out.conn->stats, want.stats, qi);
+  } else {
+    const core::CoknnResult want =
+        one_tree ? core::CoknnQuery1T(w.unified, q.segment, q.k)
+                 : core::CoknnQuery(w.tp, w.to, q.segment, q.k);
+    ASSERT_TRUE(out.coknn.has_value());
+    ExpectCoknnEqual(*out.coknn, want, qi);
+    if (fresh) ExpectSameWork(out.coknn->stats, want.stats, qi);
+  }
+}
+
+const QueryStats& OutcomeStats(const QueryOutcome& out) {
+  return out.conn.has_value() ? out.conn->stats : out.coknn->stats;
+}
+
+TEST(BatchDeclinedTraffic, DispersedQueriesSpreadOverPoolAndRunFresh) {
+  // A dispersed batch under a guard that declines every shard: each query
+  // is its own work item on the engine's own fresh graph, so answers and
+  // exact work counters match the standalone engine at any thread count.
+  const Workload w = MakeBatchWorkload(
+      31, datagen::PointDistribution::kUniform, 140, 70, /*num_queries=*/20);
+  std::vector<BatchQuery> batch;
+  for (size_t i = 0; i < w.queries.size(); ++i) {
+    batch.push_back(i < 16 ? BatchQuery::Coknn(w.queries[i], 3)
+                           : BatchQuery::Conn(w.queries[i]));
+  }
+
+  BatchOptions opts;
+  opts.target_shard_size = 8;
+  opts.share_locality_factor = 1e-9;
+  opts.locality_extent_floor = 1e-9;
+  for (const bool one_tree : {false, true}) {
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE((one_tree ? "1-tree, " : "2-tree, ") +
+                   std::to_string(threads) + " threads");
+      opts.num_threads = threads;
+      const BatchRunner runner = one_tree ? BatchRunner(w.unified, opts)
+                                          : BatchRunner(w.tp, w.to, opts);
+      const BatchResult result = runner.Run(batch);
+      EXPECT_EQ(result.stats.threads_used, threads);
+      EXPECT_EQ(result.stats.obstacles_inserted, 0u)
+          << "a declined shard built a shared workspace";
+      EXPECT_EQ(result.stats.obstacle_reuse_hits, 0u);
+      for (size_t i = 0; i < batch.size(); ++i) {
+        ExpectMatchesStandalone(w, one_tree, batch[i], result.outcomes[i], i,
+                                /*fresh=*/true);
+      }
+    }
+  }
+
+  // Two declined shards of 8 keep all four workers busy (a shard-per-item
+  // schedule would use only two).
+  opts.num_threads = 4;
+  const std::vector<BatchQuery> coknn(batch.begin(), batch.begin() + 16);
+  const BatchResult result = BatchRunner(w.tp, w.to, opts).Run(coknn);
+  EXPECT_EQ(result.stats.shard_count, 2u);
+  EXPECT_EQ(result.stats.threads_used, 4u);
+}
+
+TEST(BatchDeclinedTraffic, MixedSharingAndDeclinedShards) {
+  // One tight cluster (left) that shares and one dispersed group (right)
+  // the guard declines; STR puts each in its own shard of 8.  Declined
+  // queries match the standalone engine's work counters exactly; the
+  // sharing shard runs its queries in order on one workspace, so its
+  // counters are the same at every thread count.
+  const Workload w = MakeBatchWorkload(
+      32, datagen::PointDistribution::kUniform, 140, 400, /*num_queries=*/0);
+  std::vector<BatchQuery> batch;
+  for (int i = 0; i < 8; ++i) {
+    const geom::Vec2 a{1000.0 + 20.0 * i, 1200.0 + 15.0 * i};
+    batch.push_back(
+        BatchQuery::Coknn(geom::Segment(a, {a.x + 40.0, a.y + 30.0}), 2));
+  }
+  for (int i = 0; i < 8; ++i) {
+    const geom::Vec2 a{5500.0 + 550.0 * i, 800.0 + 1150.0 * i};
+    const geom::Segment seg(a, {a.x + 300.0, a.y - 200.0});
+    batch.push_back(i % 2 == 0 ? BatchQuery::Coknn(seg, 2)
+                               : BatchQuery::Conn(seg));
+  }
+
+  BatchOptions opts;
+  opts.target_shard_size = 8;
+  opts.locality_extent_floor = 100.0;  // the cluster's cover is 180 x 135
+  std::vector<QueryStats> single_worker;
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    opts.num_threads = threads;
+    const BatchResult result = BatchRunner(w.tp, w.to, opts).Run(batch);
+    EXPECT_EQ(result.stats.shard_count, 2u);
+    // One item for the sharing shard plus eight for the declined one.
+    EXPECT_EQ(result.stats.threads_used, threads);
+    EXPECT_GT(result.stats.obstacles_inserted, 0u)
+        << "the clustered shard did not share";
+    EXPECT_GT(result.stats.obstacle_reuse_hits, 0u);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ExpectMatchesStandalone(w, /*one_tree=*/false, batch[i],
+                              result.outcomes[i], i, /*fresh=*/i >= 8);
+      const QueryStats& stats = OutcomeStats(result.outcomes[i]);
+      if (threads == 1) {
+        single_worker.push_back(stats);
+      } else {
+        ExpectSameWork(stats, single_worker[i], i);
+      }
+    }
   }
 }
 

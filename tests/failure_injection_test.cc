@@ -200,8 +200,8 @@ TEST(FailureInjectionTest, TickLoopQuarantinesFailingClientWithoutPoison) {
   // One client's per-tick query starts failing at tick 2.  It must be
   // reported with the error once, quarantined from then on, and its
   // siblings' answers must stay bit-identical to a run with no failure —
-  // the shared warm state (carried workspaces, obstacle store) must not
-  // be poisoned by the victim's disappearance.
+  // the shared warm state (carried workspaces) must not be poisoned by
+  // the victim's disappearance.
   const testutil::Scene scene = testutil::MakeScene(4242, 120, 50);
   const rtree::RStarTree tp = testutil::MakePointTree(scene);
   const rtree::RStarTree to = testutil::MakeObstacleTree(scene);

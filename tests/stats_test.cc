@@ -59,10 +59,9 @@ TEST(QueryStatsTest, AccumulateAndAverage) {
 }
 
 TEST(QueryStatsTest, TickReuseCountersEngageOnClusteredFleet) {
-  // A clustered fleet over a real scene must exercise all three tick-loop
-  // reuse paths: carried workspaces (tick_warm_starts), warm Dijkstra
-  // restarts inside carried shards (tick_frontier_reuse), and obstacle
-  // preseeding after resharding (cross_shard_store_hits).
+  // A clustered fleet over a real scene must exercise both tick-loop
+  // reuse paths: carried workspaces (tick_warm_starts) and warm Dijkstra
+  // restarts inside carried shards (tick_frontier_reuse).
   const datagen::DatasetPair pair = datagen::MakeDatasetPair(
       datagen::PointDistribution::kUniform, 150, 80, /*seed=*/99);
   const rtree::RStarTree tp =
@@ -85,7 +84,7 @@ TEST(QueryStatsTest, TickReuseCountersEngageOnClusteredFleet) {
   opts.batch.num_threads = 1;
   opts.batch.target_shard_size = 3;
   opts.batch.share_locality_factor = 0.0;
-  opts.reshard_period = 2;  // frequent resharding: preseed participates
+  opts.reshard_period = 2;  // frequent resharding between warm ticks
 
   exec::SubscriptionService service(tp, to, opts);
   for (datagen::FleetRoute& r : fleet) {
@@ -101,7 +100,6 @@ TEST(QueryStatsTest, TickReuseCountersEngageOnClusteredFleet) {
   }
   EXPECT_GT(totals.tick_warm_starts, 0u);
   EXPECT_GT(totals.tick_frontier_reuse, 0u);
-  EXPECT_GT(totals.cross_shard_store_hits, 0u);
 }
 
 TEST(QueryStatsTest, ToStringMentionsKeyCounters) {

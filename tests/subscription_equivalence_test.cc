@@ -1,6 +1,6 @@
 // Tick-loop-vs-independent equivalence: the subscription service's
-// incremental tick loop — carried per-shard workspaces, the cross-shard
-// obstacle store, and the stationary-segment memo — must reproduce an
+// incremental tick loop — carried per-shard workspaces, guard-declined
+// clients run fresh, and the stationary-segment memo — must reproduce an
 // independent per-tick COkNN evaluation bit-identically: tuples, candidate
 // sets (pid, control point, offset), and unreachable intervals.  Per-query
 // work counters legitimately differ (that the warm path does *less* work is
