@@ -148,12 +148,10 @@ QueryStats RunCoknnWorkload(const Dataset& ds, const RunConfig& cfg) {
   // half; resetting here additionally keeps the pagers' cumulative
   // counters equal to the measured half alone, which is what the faults /
   // hits counters in the published JSON summarize.
+  const rtree::RStarTree& data_tree = cfg.one_tree ? *ds.unified : *ds.tp;
+  const rtree::RStarTree& obstacle_tree = cfg.one_tree ? *ds.unified : *ds.to;
   for (const geom::Segment& q : warmup) {
-    if (cfg.one_tree) {
-      core::CoknnQuery1T(*ds.unified, q, cfg.k, cfg.options);
-    } else {
-      core::CoknnQuery(*ds.tp, *ds.to, q, cfg.k, cfg.options);
-    }
+    core::CoknnQuery(data_tree, obstacle_tree, q, cfg.k, cfg.options);
   }
   ds.tp->pager().ResetCounters();
   ds.to->pager().ResetCounters();
@@ -162,8 +160,7 @@ QueryStats RunCoknnWorkload(const Dataset& ds, const RunConfig& cfg) {
   QueryStats total;
   for (const geom::Segment& q : workload) {
     const core::CoknnResult r =
-        cfg.one_tree ? core::CoknnQuery1T(*ds.unified, q, cfg.k, cfg.options)
-                     : core::CoknnQuery(*ds.tp, *ds.to, q, cfg.k, cfg.options);
+        core::CoknnQuery(data_tree, obstacle_tree, q, cfg.k, cfg.options);
     total += r.stats;
   }
   return total.AveragedOver(queries);

@@ -10,11 +10,14 @@
 //   conn_cli range  --at 5000,5000 --radius 800
 //   conn_cli bench  --queries 5 --ql 4.5 --k 5
 //
-// All flags have defaults; run with --help for the list.
+// All flags have defaults; run with --help for the list.  A malformed or
+// out-of-range value prints the usage and exits 1.
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "core/coknn.h"
@@ -48,16 +51,36 @@ void PrintHelp() {
       "  --obstacles N    obstacle set cardinality        (default 6000)\n"
       "  --dist D         uniform | zipf | clustered      (default clustered)\n"
       "  --seed S         generator seed                  (default 42)\n"
-      "  --k K            neighbors per position          (default 5)\n"
-      "  --radius R       range query radius              (default 500)\n"
+      "  --k K            neighbors per position, >= 1    (default 5)\n"
+      "  --radius R       range query radius, >= 0        (default 500)\n"
       "  --q x1,y1,x2,y2  query segment                   (conn/coknn)\n"
       "  --at x,y         query point                     (onn/range)\n"
       "  --ql P           query length, % of space side    (bench)\n"
-      "  --queries N      workload size                   (bench)");
+      "  --queries N      workload size, >= 1             (bench)");
 }
 
-bool ParseVec(const char* s, conn::geom::Vec2* out) {
-  return std::sscanf(s, "%lf,%lf", &out->x, &out->y) == 2;
+/// A whole decimal unsigned integer: no sign, no trailing text.
+template <typename T>
+bool ParseUnsigned(const char* s, T* out) {
+  if (!std::isdigit(static_cast<unsigned char>(s[0]))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = static_cast<T>(v);
+  return static_cast<unsigned long long>(*out) == v;
+}
+
+/// \p n comma-separated finite numbers and nothing else.
+bool ParseDoubles(const char* s, double* out, int n) {
+  for (int i = 0; i < n; ++i) {
+    char* end = nullptr;
+    out[i] = std::strtod(s, &end);
+    if (end == s || !std::isfinite(out[i])) return false;
+    if (*end != (i + 1 < n ? ',' : '\0')) return false;
+    s = end + 1;
+  }
+  return true;
 }
 
 bool ParseFlags(int argc, char** argv, Flags* f) {
@@ -70,25 +93,37 @@ bool ParseFlags(int argc, char** argv, Flags* f) {
       return false;
     }
     const char* val = argv[i + 1];
-    if (key == "--points") f->points = std::strtoull(val, nullptr, 10);
-    else if (key == "--obstacles")
-      f->obstacles = std::strtoull(val, nullptr, 10);
-    else if (key == "--seed") f->seed = std::strtoull(val, nullptr, 10);
-    else if (key == "--dist") f->dist = val;
-    else if (key == "--k") f->k = std::strtoull(val, nullptr, 10);
-    else if (key == "--radius") f->radius = std::atof(val);
-    else if (key == "--ql") f->ql = std::atof(val);
-    else if (key == "--queries") f->queries = std::strtoull(val, nullptr, 10);
-    else if (key == "--at") {
-      if (!ParseVec(val, &f->at)) return false;
+    double v[4] = {};
+    bool ok = true;
+    if (key == "--points") {
+      ok = ParseUnsigned(val, &f->points);
+    } else if (key == "--obstacles") {
+      ok = ParseUnsigned(val, &f->obstacles);
+    } else if (key == "--seed") {
+      ok = ParseUnsigned(val, &f->seed);
+    } else if (key == "--dist") {
+      f->dist = val;
+      ok = f->dist == "uniform" || f->dist == "zipf" || f->dist == "clustered";
+    } else if (key == "--k") {
+      ok = ParseUnsigned(val, &f->k) && f->k >= 1;
+    } else if (key == "--radius") {
+      ok = ParseDoubles(val, &f->radius, 1) && f->radius >= 0.0;
+    } else if (key == "--ql") {
+      ok = ParseDoubles(val, &f->ql, 1) && f->ql >= 0.0;
+    } else if (key == "--queries") {
+      ok = ParseUnsigned(val, &f->queries) && f->queries >= 1;
+    } else if (key == "--at") {
+      ok = ParseDoubles(val, v, 2);
+      f->at = {v[0], v[1]};
     } else if (key == "--q") {
-      double x1, y1, x2, y2;
-      if (std::sscanf(val, "%lf,%lf,%lf,%lf", &x1, &y1, &x2, &y2) != 4) {
-        return false;
-      }
-      f->q = conn::geom::Segment({x1, y1}, {x2, y2});
+      ok = ParseDoubles(val, v, 4);
+      f->q = conn::geom::Segment({v[0], v[1]}, {v[2], v[3]});
     } else {
       std::fprintf(stderr, "unknown flag %s\n", key.c_str());
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad value for %s: %s\n", key.c_str(), val);
       return false;
     }
   }

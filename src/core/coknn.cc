@@ -8,7 +8,6 @@
 #include "core/engine_internal.h"
 #include "core/odist.h"
 #include "core/workspace.h"
-#include "rtree/best_first.h"
 
 namespace conn {
 namespace core {
@@ -251,27 +250,27 @@ double CoknnResult::OdistAt(double t, size_t j) const {
 namespace {
 
 /// Differential-repair wiring for one RunCoknn invocation: the carried
-/// workspace's settlement log (null = repair off, the PR 8 path) and the
-/// owner tag its published capsule carries.
+/// workspace's settlement log (null = repair off) and the owner tag its
+/// published capsule carries.
 struct RepairHooks {
   vis::SettlementLog* log = nullptr;
   int64_t client_tag = -1;
 };
 
-/// Shared main loop for both tree configurations.
-template <typename NextPointFn>
+/// Main loop (Algorithm 4 with the k-NN result list) for both tree
+/// configurations.
 CoknnResult RunCoknn(const geom::Segment& q, size_t k,
-                     const geom::IntervalSet& blocked, vis::VisGraph* vg,
-                     vis::ScanArena* arena, ObstacleSource* obstacle_source,
-                     NextPointFn&& next_point, const ConnOptions& opts,
-                     QueryStats* stats, const RepairHooks& repair = {}) {
+                     internal::QueryScope* scope, const ConnOptions& opts,
+                     const RepairHooks& repair) {
+  QueryStats* stats = scope->stats();
+  vis::VisGraph* vg = scope->graph();
   CoknnResult result;
   result.query = q;
   result.k = k;
 
   const geom::SegmentFrame frame(q);
-  const geom::IntervalSet reachable =
-      internal::ReachablePieces(blocked, q.Length(), &result.unreachable);
+  const geom::IntervalSet reachable = internal::ReachablePieces(
+      scope->Blocked(), q.Length(), &result.unreachable);
   vis::QuerySession session(vg);
   const std::vector<vis::VertexId> targets =
       internal::AddTargetVertices(&session, reachable, q);
@@ -279,11 +278,11 @@ CoknnResult RunCoknn(const geom::Segment& q, size_t k,
   // Repair mode: retrieval waves already proven covered by the workspace's
   // settlement log skip the obstacle stream (the guard answers "nothing
   // new within the bound", which the capsule makes literally true).
-  CoverageGuardedSource guarded(obstacle_source, repair.log, q,
+  CoverageGuardedSource guarded(scope->obstacles(), repair.log, q,
                                 repair.client_tag, stats);
   ObstacleSource* source =
       repair.log != nullptr ? static_cast<ObstacleSource*>(&guarded)
-                            : obstacle_source;
+                            : scope->obstacles();
   if (repair.log != nullptr) stats->repairs_applied = 1;
 
   KnnResultList rl(reachable, k);
@@ -293,7 +292,7 @@ CoknnResult RunCoknn(const geom::Segment& q, size_t k,
   double dist = 0.0;
   while (true) {
     const double bound = opts.use_rlmax_terminate ? rl.RlMax(frame) : kInf;
-    const StreamOutcome outcome = next_point(bound, &obj, &dist);
+    const StreamOutcome outcome = scope->NextPointWithin(bound, &obj, &dist);
     if (outcome != StreamOutcome::kYielded) {
       // Lemma 2 gets credit only when RLMAX pruned points that remained;
       // an exhausted iterator stopping the loop is not a pruning win.
@@ -307,7 +306,8 @@ CoknnResult RunCoknn(const geom::Segment& q, size_t k,
     std::unique_ptr<vis::DijkstraScan> scan;
     const uint64_t yields_before = guarded.yields();
     IncrementalObstacleRetrieval(source, vg, targets, p, &retrieved, stats,
-                                 &scan, arena, opts.use_warm_scan_restarts);
+                                 &scan, scope->arena(),
+                                 opts.use_warm_scan_restarts);
     if (repair.log != nullptr) {
       // Carried vs re-scored at retrieval granularity: a point whose whole
       // search range was served by carried coverage (or by earlier waves
@@ -334,102 +334,6 @@ CoknnResult RunCoknn(const geom::Segment& q, size_t k,
   return result;
 }
 
-/// Two-tree body shared by CoknnQuery (no hooks) and CoknnRepair.
-CoknnResult CoknnQueryImpl(const rtree::RStarTree& data_tree,
-                           const rtree::RStarTree& obstacle_tree,
-                           const geom::Segment& q, size_t k,
-                           const ConnOptions& opts, QueryWorkspace* workspace,
-                           const RepairHooks& repair) {
-  Timer timer;
-  QueryStats stats;
-  internal::PagerDelta data_io(data_tree.pager());
-  internal::PagerDelta obstacle_io(obstacle_tree.pager());
-
-  internal::ScopedQueryGraph graph(workspace, &data_tree, &obstacle_tree, q,
-                                   &stats);
-  vis::VisGraph* vg = graph.get();
-  TreeObstacleSource obstacle_source(obstacle_tree, q);
-  const geom::IntervalSet blocked =
-      internal::BlockedIntervals(obstacle_tree, q);
-
-  rtree::BestFirstIterator points(data_tree, q);
-  auto next_point = [&](double bound, rtree::DataObject* out, double* dist) {
-    // bound may be +inf (RLMAX with underfull candidate sets): a finite
-    // peek below the bound guarantees an object, so exhaustion and the
-    // Lemma-2 stop are cleanly separable.
-    const double peek = points.PeekDist();
-    if (peek == kInf) return StreamOutcome::kExhausted;
-    if (peek > bound) return StreamOutcome::kBoundReached;
-    CONN_CHECK(points.Next(out, dist));
-    CONN_CHECK_MSG(out->kind == rtree::ObjectKind::kPoint,
-                   "data tree contains a non-point entry");
-    return StreamOutcome::kYielded;
-  };
-
-  CoknnResult result =
-      RunCoknn(q, k, blocked, vg, graph.arena(), &obstacle_source, next_point,
-               opts, &stats, repair);
-
-  stats.vis_graph_vertices = vg->VertexCount();
-  stats.data_page_reads = data_io.faults();
-  stats.obstacle_page_reads = obstacle_io.faults();
-  stats.buffer_hits = data_io.hits() + obstacle_io.hits();
-  internal::AddPrefetchStats(data_io, &stats);
-  internal::AddPrefetchStats(obstacle_io, &stats);
-  stats.cpu_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
-  return result;
-}
-
-/// Unified-tree body shared by CoknnQuery1T (no hooks) and CoknnRepair1T.
-CoknnResult CoknnQuery1TImpl(const rtree::RStarTree& unified_tree,
-                             const geom::Segment& q, size_t k,
-                             const ConnOptions& opts,
-                             QueryWorkspace* workspace,
-                             const RepairHooks& repair) {
-  Timer timer;
-  QueryStats stats;
-  internal::PagerDelta io(unified_tree.pager());
-
-  internal::ScopedQueryGraph graph(workspace, &unified_tree, nullptr, q,
-                                   &stats);
-  vis::VisGraph* vg = graph.get();
-  UnifiedStream stream(unified_tree, q, vg);
-  const geom::IntervalSet blocked = internal::BlockedIntervals(unified_tree, q);
-
-  auto next_point = [&](double bound, rtree::DataObject* out, double* dist) {
-    return stream.NextPointWithin(bound, out, dist);
-  };
-
-  CoknnResult result = RunCoknn(q, k, blocked, vg, graph.arena(), &stream,
-                                next_point, opts, &stats, repair);
-
-  stats.vis_graph_vertices = vg->VertexCount();
-  stats.data_page_reads = io.faults();
-  stats.buffer_hits = io.hits();
-  internal::AddPrefetchStats(io, &stats);
-  stats.cpu_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
-  return result;
-}
-
-}  // namespace
-
-CoknnResult CoknnQuery(const rtree::RStarTree& data_tree,
-                       const rtree::RStarTree& obstacle_tree,
-                       const geom::Segment& q, size_t k,
-                       const ConnOptions& opts, QueryWorkspace* workspace) {
-  return CoknnQueryImpl(data_tree, obstacle_tree, q, k, opts, workspace, {});
-}
-
-CoknnResult CoknnQuery1T(const rtree::RStarTree& unified_tree,
-                         const geom::Segment& q, size_t k,
-                         const ConnOptions& opts, QueryWorkspace* workspace) {
-  return CoknnQuery1TImpl(unified_tree, q, k, opts, workspace, {});
-}
-
-namespace {
-
 /// Stationary-segment memo guard: the prior answer is reusable only for
 /// the bit-identical (segment, k) query, under the warm-start gate.
 bool TickMemoApplies(const TickWarmStart& warm, const geom::Segment& q,
@@ -451,62 +355,30 @@ CoknnResult TickMemoResult(const CoknnResult& prior) {
   return result;
 }
 
-/// Repair requires a carried workspace (its settlement log is the carried
-/// coverage) under the warm-start gate; CoknnQueryTick only dispatches to
-/// the repair path for workspaces *built* for repair — a short-lived
-/// per-query fallback graph has an empty log and gains nothing.
+/// Repair needs a carried workspace (its settlement log is the carried
+/// coverage) under both tick gates.  Every workspace the batch layer hands
+/// in is a shard workspace built under those same options.
 bool RepairApplies(const ConnOptions& opts, const QueryWorkspace* workspace) {
-  return opts.use_differential_repair && opts.use_tick_warm_start &&
-         workspace != nullptr && workspace->differential_repair();
+  return opts.use_tick_warm_start && opts.use_differential_repair &&
+         workspace != nullptr;
 }
 
 }  // namespace
 
-CoknnResult CoknnRepair(const rtree::RStarTree& data_tree,
-                        const rtree::RStarTree& obstacle_tree,
-                        const geom::Segment& q, size_t k,
-                        const TickWarmStart& warm, const ConnOptions& opts,
-                        QueryWorkspace* workspace) {
-  CONN_CHECK_MSG(workspace != nullptr,
-                 "differential repair needs a carried workspace");
+CoknnResult CoknnQuery(const rtree::RStarTree& data_tree,
+                       const rtree::RStarTree& obstacle_tree,
+                       const geom::Segment& q, size_t k,
+                       const ConnOptions& opts, QueryWorkspace* workspace,
+                       const TickWarmStart& warm) {
   if (TickMemoApplies(warm, q, k, opts)) return TickMemoResult(*warm.prior);
-  return CoknnQueryImpl(data_tree, obstacle_tree, q, k, opts, workspace,
-                        {workspace->settlement_log(), warm.client_tag});
-}
-
-CoknnResult CoknnRepair1T(const rtree::RStarTree& unified_tree,
-                          const geom::Segment& q, size_t k,
-                          const TickWarmStart& warm, const ConnOptions& opts,
-                          QueryWorkspace* workspace) {
-  CONN_CHECK_MSG(workspace != nullptr,
-                 "differential repair needs a carried workspace");
-  if (TickMemoApplies(warm, q, k, opts)) return TickMemoResult(*warm.prior);
-  return CoknnQuery1TImpl(unified_tree, q, k, opts, workspace,
-                          {workspace->settlement_log(), warm.client_tag});
-}
-
-CoknnResult CoknnQueryTick(const rtree::RStarTree& data_tree,
-                           const rtree::RStarTree& obstacle_tree,
-                           const geom::Segment& q, size_t k,
-                           const TickWarmStart& warm, const ConnOptions& opts,
-                           QueryWorkspace* workspace) {
-  if (TickMemoApplies(warm, q, k, opts)) return TickMemoResult(*warm.prior);
+  RepairHooks repair;
   if (RepairApplies(opts, workspace)) {
-    return CoknnRepair(data_tree, obstacle_tree, q, k, warm, opts, workspace);
+    repair = {workspace->settlement_log(), warm.client_tag};
   }
-  return CoknnQuery(data_tree, obstacle_tree, q, k, opts, workspace);
-}
-
-CoknnResult CoknnQueryTick1T(const rtree::RStarTree& unified_tree,
-                             const geom::Segment& q, size_t k,
-                             const TickWarmStart& warm,
-                             const ConnOptions& opts,
-                             QueryWorkspace* workspace) {
-  if (TickMemoApplies(warm, q, k, opts)) return TickMemoResult(*warm.prior);
-  if (RepairApplies(opts, workspace)) {
-    return CoknnRepair1T(unified_tree, q, k, warm, opts, workspace);
-  }
-  return CoknnQuery1T(unified_tree, q, k, opts, workspace);
+  internal::QueryScope scope(data_tree, obstacle_tree, q, workspace);
+  CoknnResult result = RunCoknn(q, k, &scope, opts, repair);
+  result.stats = scope.Finish();
+  return result;
 }
 
 }  // namespace core

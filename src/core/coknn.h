@@ -98,23 +98,6 @@ class KnnResultList {
   std::vector<CoknnTuple> tuples_;
 };
 
-/// COkNN with P and O in two separate R-trees.  When \p workspace is
-/// non-null, the query runs its obstacle retrieval against that shared
-/// graph (batch execution) instead of building a fresh one; results are
-/// identical, per-query I/O and graph-size statistics then describe the
-/// shared state.
-CoknnResult CoknnQuery(const rtree::RStarTree& data_tree,
-                       const rtree::RStarTree& obstacle_tree,
-                       const geom::Segment& q, size_t k,
-                       const ConnOptions& opts = {},
-                       QueryWorkspace* workspace = nullptr);
-
-/// COkNN over one unified R-tree (Section 4.5).
-CoknnResult CoknnQuery1T(const rtree::RStarTree& unified_tree,
-                         const geom::Segment& q, size_t k,
-                         const ConnOptions& opts = {},
-                         QueryWorkspace* workspace = nullptr);
-
 /// Prior-tick state a moving-query subscription client carries into its
 /// next tick.  The workspace half of warm starting (the carried obstacle
 /// graph + scan arena) is already expressed through the \p workspace
@@ -133,56 +116,42 @@ struct TickWarmStart {
   int64_t client_tag = -1;
 };
 
-/// COkNN for one tick of a moving query (two-tree configuration).  When
-/// `opts.use_tick_warm_start` is set and \p warm holds a prior result for
-/// the *identical* (segment, k) query — a client whose route paused or
-/// whose step landed on the same segment — the prior answer is re-reported
-/// without touching the trees (stats then carry `tick_warm_starts = 1` and
-/// no retrieval work).  Otherwise this is exactly CoknnQuery: reusing a
-/// cross-tick workspace is bit-identical to a fresh evaluation because the
-/// carried graph holds a superset of the query's Theorem-2 obstacle set.
-CoknnResult CoknnQueryTick(const rtree::RStarTree& data_tree,
-                           const rtree::RStarTree& obstacle_tree,
-                           const geom::Segment& q, size_t k,
-                           const TickWarmStart& warm,
-                           const ConnOptions& opts = {},
-                           QueryWorkspace* workspace = nullptr);
-
-/// Tick entry point for the unified-tree configuration (see CoknnQueryTick).
-CoknnResult CoknnQueryTick1T(const rtree::RStarTree& unified_tree,
-                             const geom::Segment& q, size_t k,
-                             const TickWarmStart& warm,
-                             const ConnOptions& opts = {},
-                             QueryWorkspace* workspace = nullptr);
-
-/// Differential tick repair (two-tree configuration): CoknnQueryTick run
-/// as a repair against \p workspace's carried state instead of a fresh
-/// evaluation.  Tick-t's Theorem-2 search ranges are diffed against the
-/// coverage the workspace's settlement log already proves: data points
-/// whose range is untouched by the segment advance are carried without
-/// contacting the obstacle tree (tuples_carried), only boundary points
-/// whose range escapes coverage re-score through the stream
-/// (tuples_rescored), with obstacle waves absorbed by
-/// DijkstraScan::Revalidate warm restarts on the carried graph.  The
-/// query's own final search range is published back to the log, so
-/// clustered clients sharing the shard workspace repair off each other's
-/// frontiers (frontier_shares).  Results are bit-identical to CoknnQuery:
-/// the graph holds a superset of every wave's Theorem-2 obstacle set
-/// whether the wave streamed or was covered.  CoknnQueryTick dispatches
-/// here when ConnOptions::use_differential_repair is set (with
-/// use_tick_warm_start) and a workspace is supplied.
-CoknnResult CoknnRepair(const rtree::RStarTree& data_tree,
-                        const rtree::RStarTree& obstacle_tree,
-                        const geom::Segment& q, size_t k,
-                        const TickWarmStart& warm, const ConnOptions& opts,
-                        QueryWorkspace* workspace);
-
-/// Differential tick repair for the unified-tree configuration (see
-/// CoknnRepair).
-CoknnResult CoknnRepair1T(const rtree::RStarTree& unified_tree,
-                          const geom::Segment& q, size_t k,
-                          const TickWarmStart& warm, const ConnOptions& opts,
-                          QueryWorkspace* workspace);
+/// COkNN: the k obstructed nearest neighbors of every point of \p q.
+///
+/// Index configuration.  P and O normally live in two R-trees, and
+/// \p data_tree must then hold points only.  Passing the *same* tree as
+/// both arguments selects the 1-tree configuration of Section 4.5: one
+/// best-first traversal of the unified tree yields data points and
+/// obstacles interleaved, and all I/O is charged to data_page_reads.
+///
+/// Workspace.  With a non-null \p workspace (batch and tick execution) the
+/// query runs against that shared graph instead of building a fresh one.
+/// Results are identical, because the shared graph holds a superset of the
+/// query's Theorem-2 obstacle set; per-query I/O and graph-size statistics
+/// then describe the shared state.
+///
+/// Tick dispatch, under `opts.use_tick_warm_start`:
+///   * Stationary-segment memo.  When \p warm.prior holds a result for the
+///     identical (segment, k) query, that answer is re-reported without
+///     touching the trees: stats carry `tick_warm_starts = 1` and no
+///     retrieval work.
+///   * Differential repair.  With `opts.use_differential_repair` and a
+///     workspace, the query runs as a repair against the workspace's
+///     carried state (`repairs_applied = 1`).  Retrieval waves whose bound
+///     a capsule of the workspace's settlement log already covers skip the
+///     obstacle stream: such data points are carried (tuples_carried), and
+///     only boundary points whose range escapes coverage re-score through
+///     the stream (tuples_rescored).  The query's final search range is
+///     then published back to the log tagged with \p warm.client_tag, so
+///     clustered clients sharing the workspace repair off each other's
+///     frontiers (frontier_shares).
+/// Both paths return tuples bit-identical to a fresh evaluation.
+CoknnResult CoknnQuery(const rtree::RStarTree& data_tree,
+                       const rtree::RStarTree& obstacle_tree,
+                       const geom::Segment& q, size_t k,
+                       const ConnOptions& opts = {},
+                       QueryWorkspace* workspace = nullptr,
+                       const TickWarmStart& warm = {});
 
 }  // namespace core
 }  // namespace conn

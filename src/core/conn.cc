@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/timer.h"
 #include "core/cpl.h"
 #include "core/engine_internal.h"
 #include "core/odist.h"
@@ -32,12 +31,14 @@ void ExportTuples(const ResultList& rl, ConnResult* result) {
 }
 
 /// Degenerate zero-length query: a single ONN point lookup expressed with
-/// the same IOR machinery (no interval computation involved).
-ConnResult DegenerateConn(const rtree::RStarTree& data_tree,
-                          ObstacleSource* obstacle_source,
-                          vis::VisGraph* vg, vis::ScanArena* arena,
-                          const geom::Segment& q, const ConnOptions& opts,
-                          QueryStats* stats) {
+/// the same IOR machinery (no interval computation involved).  Points come
+/// from a dedicated iterator over the data tree; in the 1-tree
+/// configuration the unified stream still serves as the obstacle source,
+/// and the points it buffers are re-found by that iterator.
+ConnResult DegenerateConn(const geom::Segment& q, internal::QueryScope* scope,
+                          const ConnOptions& opts) {
+  QueryStats* stats = scope->stats();
+  vis::VisGraph* vg = scope->graph();
   ConnResult result;
   result.query = q;
 
@@ -47,7 +48,7 @@ ConnResult DegenerateConn(const rtree::RStarTree& data_tree,
   double best = kInf;
   int64_t best_pid = kNoPoint;
 
-  rtree::BestFirstIterator points(data_tree, q);
+  rtree::BestFirstIterator points(scope->data_tree(), q);
   rtree::DataObject obj;
   double dist = 0.0;
   while (points.PeekDist() < best) {
@@ -56,8 +57,8 @@ ConnResult DegenerateConn(const rtree::RStarTree& data_tree,
     if (obj.kind != rtree::ObjectKind::kPoint) continue;
     ++stats->points_evaluated;
     const double od = IncrementalObstacleRetrieval(
-        obstacle_source, vg, {target}, obj.AsPoint(), &retrieved, stats,
-        /*out_scan=*/nullptr, arena, opts.use_warm_scan_restarts);
+        scope->obstacles(), vg, {target}, obj.AsPoint(), &retrieved, stats,
+        /*out_scan=*/nullptr, scope->arena(), opts.use_warm_scan_restarts);
     if (od < best) {
       best = od;
       best_pid = obj.id;
@@ -71,6 +72,55 @@ ConnResult DegenerateConn(const rtree::RStarTree& data_tree,
     t.range = geom::Interval(0.0, 0.0);
     result.tuples.push_back(t);
   }
+  return result;
+}
+
+/// Main loop (Algorithm 4) for both tree configurations.
+ConnResult RunConn(const geom::Segment& q, internal::QueryScope* scope,
+                   const ConnOptions& opts) {
+  QueryStats* stats = scope->stats();
+  vis::VisGraph* vg = scope->graph();
+  ConnResult result;
+  result.query = q;
+  const geom::SegmentFrame frame(q);
+  const geom::IntervalSet reachable = internal::ReachablePieces(
+      scope->Blocked(), q.Length(), &result.unreachable);
+
+  vis::QuerySession session(vg);
+  const std::vector<vis::VertexId> targets =
+      internal::AddTargetVertices(&session, reachable, q);
+
+  ResultList rl(reachable);
+  VisibleRegionCache vr_cache;
+  double retrieved = 0.0;
+  rtree::DataObject obj;
+  double dist = 0.0;
+  while (true) {
+    const double bound = opts.use_rlmax_terminate ? rl.RlMax(frame) : kInf;
+    const StreamOutcome outcome = scope->NextPointWithin(bound, &obj, &dist);
+    if (outcome != StreamOutcome::kYielded) {
+      // Count Lemma 2 only when points beyond RLMAX remain — a drained
+      // stream stopping the loop is exhaustion, not pruning.
+      if (outcome == StreamOutcome::kBoundReached) {
+        ++stats->lemma2_terminations;
+      }
+      break;
+    }
+    ++stats->points_evaluated;
+    // Obstacles the unified point stream already loaded count as retrieved,
+    // so IOR skips a wave they cover without touching the tree.
+    retrieved = std::max(retrieved, scope->points_retrieved_up_to());
+    const geom::Vec2 p = obj.AsPoint();
+    std::unique_ptr<vis::DijkstraScan> scan;
+    IncrementalObstacleRetrieval(scope->obstacles(), vg, targets, p,
+                                 &retrieved, stats, &scan, scope->arena(),
+                                 opts.use_warm_scan_restarts);
+    const ControlPointList cpl = ComputeControlPointList(
+        vg, scan.get(), p, frame, reachable, opts, stats, &vr_cache);
+    rl.Update(static_cast<int64_t>(obj.id), cpl, frame, opts, stats);
+  }
+  stats->vr_cache_evictions += vr_cache.evictions();
+  ExportTuples(rl, &result);
   return result;
 }
 
@@ -127,141 +177,10 @@ ConnResult ConnQuery(const rtree::RStarTree& data_tree,
                      const rtree::RStarTree& obstacle_tree,
                      const geom::Segment& q, const ConnOptions& opts,
                      QueryWorkspace* workspace) {
-  Timer timer;
-  QueryStats stats;
-  internal::PagerDelta data_io(data_tree.pager());
-  internal::PagerDelta obstacle_io(obstacle_tree.pager());
-
-  internal::ScopedQueryGraph graph(workspace, &data_tree, &obstacle_tree, q,
-                                   &stats);
-  vis::VisGraph* vg = graph.get();
-  TreeObstacleSource obstacle_source(obstacle_tree, q);
-
-  ConnResult result;
-  if (q.Length() <= 0.0) {
-    result = DegenerateConn(data_tree, &obstacle_source, vg, graph.arena(), q,
-                            opts, &stats);
-  } else {
-    result.query = q;
-    const geom::SegmentFrame frame(q);
-    const geom::IntervalSet blocked =
-        internal::BlockedIntervals(obstacle_tree, q);
-    const geom::IntervalSet reachable =
-        internal::ReachablePieces(blocked, q.Length(), &result.unreachable);
-
-    vis::QuerySession session(vg);
-    const std::vector<vis::VertexId> targets =
-        internal::AddTargetVertices(&session, reachable, q);
-
-    ResultList rl(reachable);
-    rtree::BestFirstIterator points(data_tree, q);
-    VisibleRegionCache vr_cache;
-    double retrieved = 0.0;
-    rtree::DataObject obj;
-    double dist = 0.0;
-    while (true) {
-      const double peek = points.PeekDist();
-      if (peek == kInf) break;
-      if (opts.use_rlmax_terminate && peek > rl.RlMax(frame)) {
-        ++stats.lemma2_terminations;  // Lemma 2: no remaining point matters
-        break;
-      }
-      CONN_CHECK(points.Next(&obj, &dist));
-      CONN_CHECK_MSG(obj.kind == rtree::ObjectKind::kPoint,
-                     "data tree contains a non-point entry");
-      ++stats.points_evaluated;
-      const geom::Vec2 p = obj.AsPoint();
-      std::unique_ptr<vis::DijkstraScan> scan;
-      IncrementalObstacleRetrieval(&obstacle_source, vg, targets, p,
-                                   &retrieved, &stats, &scan, graph.arena(),
-                                   opts.use_warm_scan_restarts);
-      const ControlPointList cpl = ComputeControlPointList(
-          vg, scan.get(), p, frame, reachable, opts, &stats, &vr_cache);
-      rl.Update(static_cast<int64_t>(obj.id), cpl, frame, opts, &stats);
-    }
-    stats.vr_cache_evictions += vr_cache.evictions();
-    ExportTuples(rl, &result);
-  }
-
-  stats.vis_graph_vertices = vg->VertexCount();
-  stats.data_page_reads = data_io.faults();
-  stats.obstacle_page_reads = obstacle_io.faults();
-  stats.buffer_hits = data_io.hits() + obstacle_io.hits();
-  internal::AddPrefetchStats(data_io, &stats);
-  internal::AddPrefetchStats(obstacle_io, &stats);
-  stats.cpu_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
-  return result;
-}
-
-ConnResult ConnQuery1T(const rtree::RStarTree& unified_tree,
-                       const geom::Segment& q, const ConnOptions& opts,
-                       QueryWorkspace* workspace) {
-  Timer timer;
-  QueryStats stats;
-  internal::PagerDelta io(unified_tree.pager());
-
-  internal::ScopedQueryGraph graph(workspace, &unified_tree, nullptr, q,
-                                   &stats);
-  vis::VisGraph* vg = graph.get();
-  UnifiedStream stream(unified_tree, q, vg);
-
-  ConnResult result;
-  if (q.Length() <= 0.0) {
-    // For the degenerate case the unified stream acts as the obstacle
-    // source; points it buffers are re-found by the dedicated iterator.
-    result = DegenerateConn(unified_tree, &stream, vg, graph.arena(), q, opts,
-                            &stats);
-  } else {
-    result.query = q;
-    const geom::SegmentFrame frame(q);
-    const geom::IntervalSet blocked =
-        internal::BlockedIntervals(unified_tree, q);
-    const geom::IntervalSet reachable =
-        internal::ReachablePieces(blocked, q.Length(), &result.unreachable);
-
-    vis::QuerySession session(vg);
-    const std::vector<vis::VertexId> targets =
-        internal::AddTargetVertices(&session, reachable, q);
-
-    ResultList rl(reachable);
-    VisibleRegionCache vr_cache;
-    double retrieved = 0.0;
-    rtree::DataObject obj;
-    double dist = 0.0;
-    while (true) {
-      const double bound =
-          opts.use_rlmax_terminate ? rl.RlMax(frame) : kInf;
-      const StreamOutcome outcome = stream.NextPointWithin(bound, &obj, &dist);
-      if (outcome != StreamOutcome::kYielded) {
-        // Count Lemma 2 only when points beyond RLMAX remain — a drained
-        // stream stopping the loop is exhaustion, not pruning.
-        if (outcome == StreamOutcome::kBoundReached) {
-          ++stats.lemma2_terminations;
-        }
-        break;
-      }
-      ++stats.points_evaluated;
-      retrieved = std::max(retrieved, stream.retrieved_up_to());
-      const geom::Vec2 p = obj.AsPoint();
-      std::unique_ptr<vis::DijkstraScan> scan;
-      IncrementalObstacleRetrieval(&stream, vg, targets, p, &retrieved,
-                                   &stats, &scan, graph.arena(),
-                                   opts.use_warm_scan_restarts);
-      const ControlPointList cpl = ComputeControlPointList(
-          vg, scan.get(), p, frame, reachable, opts, &stats, &vr_cache);
-      rl.Update(static_cast<int64_t>(obj.id), cpl, frame, opts, &stats);
-    }
-    stats.vr_cache_evictions += vr_cache.evictions();
-    ExportTuples(rl, &result);
-  }
-
-  stats.vis_graph_vertices = vg->VertexCount();
-  stats.data_page_reads = io.faults();  // single tree: all I/O charged here
-  stats.buffer_hits = io.hits();
-  internal::AddPrefetchStats(io, &stats);
-  stats.cpu_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
+  internal::QueryScope scope(data_tree, obstacle_tree, q, workspace);
+  ConnResult result = q.Length() <= 0.0 ? DegenerateConn(q, &scope, opts)
+                                        : RunConn(q, &scope, opts);
+  result.stats = scope.Finish();
   return result;
 }
 

@@ -1,8 +1,8 @@
 // CONN query processing — Algorithm 4 of the paper.
 //
-// Given a data R-tree Tp, an obstacle R-tree To (or one unified tree,
-// Section 4.5) and a query segment q, returns the exact obstructed nearest
-// neighbor of every point of q as a list of <point, control point,
+// Given a data R-tree Tp, an obstacle R-tree To (or one unified tree passed
+// as both, Section 4.5) and a query segment q, returns the exact obstructed
+// nearest neighbor of every point of q as a list of <point, control point,
 // interval> tuples.  Data points are consumed in ascending mindist(p, q)
 // order (best-first browsing); each one runs IOR (obstacle completion),
 // CPLC (control point list) and RLU (result merge); the loop stops at the
@@ -62,18 +62,20 @@ struct ConnResult {
   std::vector<double> SplitParams() const;
 };
 
-/// CONN with P and O in two separate R-trees (the paper's default).  A
+/// CONN: the obstructed nearest neighbor of every point of \p q.
+///
+/// P and O normally live in two R-trees (the paper's default), and
+/// \p data_tree must then hold points only.  Passing the *same* tree as
+/// both arguments selects the 1-tree configuration of Section 4.5: one
+/// best-first traversal of the unified tree yields data points and
+/// obstacles interleaved, and all I/O is charged to data_page_reads.  A
 /// non-null \p workspace (batch execution) makes the query reuse that
-/// shared obstacle graph instead of building its own.
+/// shared obstacle graph instead of building its own; results are
+/// identical either way.
 ConnResult ConnQuery(const rtree::RStarTree& data_tree,
                      const rtree::RStarTree& obstacle_tree,
                      const geom::Segment& q, const ConnOptions& opts = {},
                      QueryWorkspace* workspace = nullptr);
-
-/// CONN with both sets in one unified R-tree (Section 4.5).
-ConnResult ConnQuery1T(const rtree::RStarTree& unified_tree,
-                       const geom::Segment& q, const ConnOptions& opts = {},
-                       QueryWorkspace* workspace = nullptr);
 
 }  // namespace core
 }  // namespace conn

@@ -4,9 +4,14 @@
 #ifndef CONN_CORE_ENGINE_INTERNAL_H_
 #define CONN_CORE_ENGINE_INTERNAL_H_
 
+#include <limits>
 #include <optional>
 #include <vector>
 
+#include "common/check.h"
+#include "common/stats.h"
+#include "common/timer.h"
+#include "core/odist.h"
 #include "core/workspace.h"
 #include "geom/interval_set.h"
 #include "geom/predicates.h"
@@ -20,13 +25,15 @@ namespace core {
 namespace internal {
 
 /// Workspace rectangle covering the trees' contents and \p cover (used as
-/// the local obstacle grid's domain).  Either tree may be null.
+/// the local obstacle grid's domain).  Either tree may be null; a tree
+/// passed twice (the 1-tree configuration) is read once, since Bounds()
+/// fetches its root page.
 inline geom::Rect WorkspaceBounds(const rtree::RStarTree* a,
                                   const rtree::RStarTree* b,
                                   const geom::Rect& cover) {
   geom::Rect r = cover;
   if (a != nullptr) r = r.ExpandedToCover(a->Bounds());
-  if (b != nullptr) r = r.ExpandedToCover(b->Bounds());
+  if (b != nullptr && b != a) r = r.ExpandedToCover(b->Bounds());
   // Guard against degenerate domains (single point workloads).
   const double pad = 1.0 + 1e-3 * std::max(r.Width(), r.Height());
   return geom::Rect({r.lo.x - pad, r.lo.y - pad}, {r.hi.x + pad, r.hi.y + pad});
@@ -195,6 +202,112 @@ inline void AddPrefetchStats(const PagerDelta& io, QueryStats* stats) {
   stats->prefetch_hits += io.prefetch_hits();
   stats->prefetch_wasted += io.prefetch_wasted();
 }
+
+/// Set-up and stats finish of one CONN / COkNN query, shared by both
+/// entry points.  Passing the same tree as data and obstacle tree selects
+/// the unified traversal of Section 4.5: one UnifiedStream yields the data
+/// points and feeds IOR the obstacles, and all I/O is charged to the data
+/// tree.  Otherwise obstacles stream from their own tree and the data tree
+/// must hold points only.
+///
+/// Page reads keep the order the fig12 buffered counters were recorded
+/// under: the constructor snapshots the pagers and resolves the graph
+/// (reading the trees' roots for a fresh graph's domain); the sources
+/// read nothing until Blocked() and the main loop pull from them.
+class QueryScope {
+ public:
+  QueryScope(const rtree::RStarTree& data_tree,
+             const rtree::RStarTree& obstacle_tree, const geom::Segment& q,
+             QueryWorkspace* workspace)
+      : one_tree_(&data_tree == &obstacle_tree),
+        data_tree_(data_tree),
+        obstacle_tree_(obstacle_tree),
+        q_(q),
+        data_io_(data_tree.pager()),
+        obstacle_io_(obstacle_tree.pager()),
+        graph_(workspace, &data_tree, &obstacle_tree, q, &stats_) {
+    if (one_tree_) {
+      unified_.emplace(data_tree, q, graph_.get());
+    } else {
+      tree_obstacles_.emplace(obstacle_tree, q);
+      points_.emplace(data_tree, q);
+    }
+  }
+
+  QueryScope(const QueryScope&) = delete;
+  QueryScope& operator=(const QueryScope&) = delete;
+
+  QueryStats* stats() { return &stats_; }
+  vis::VisGraph* graph() { return graph_.get(); }
+  vis::ScanArena* arena() { return graph_.arena(); }
+  const rtree::RStarTree& data_tree() const { return data_tree_; }
+
+  /// The stream IOR draws obstacles from.
+  ObstacleSource* obstacles() {
+    if (one_tree_) return &*unified_;
+    return &*tree_obstacles_;
+  }
+
+  /// Parts of q inside obstacle interiors (see BlockedIntervals).
+  geom::IntervalSet Blocked() const {
+    return BlockedIntervals(obstacle_tree_, q_);
+  }
+
+  /// Pops the next data point in ascending mindist(p, q) order if it lies
+  /// within \p bound, which may be +infinity (see StreamOutcome).
+  StreamOutcome NextPointWithin(double bound, rtree::DataObject* out,
+                                double* dist) {
+    if (one_tree_) return unified_->NextPointWithin(bound, out, dist);
+    // A finite peek guarantees an object, so exhaustion and the Lemma-2
+    // stop are cleanly separable.
+    const double peek = points_->PeekDist();
+    if (peek == std::numeric_limits<double>::infinity()) {
+      return StreamOutcome::kExhausted;
+    }
+    if (peek > bound) return StreamOutcome::kBoundReached;
+    CONN_CHECK(points_->Next(out, dist));
+    CONN_CHECK_MSG(out->kind == rtree::ObjectKind::kPoint,
+                   "data tree contains a non-point entry");
+    return StreamOutcome::kYielded;
+  }
+
+  /// Search distance up to which the point stream itself has already
+  /// loaded every obstacle into the graph: the unified stream's popped
+  /// prefix, 0 for two trees.
+  double points_retrieved_up_to() const {
+    return one_tree_ ? unified_->retrieved_up_to() : 0.0;
+  }
+
+  /// Folds the graph size, the trees' I/O deltas and the elapsed time into
+  /// the query's stats and returns them.
+  QueryStats Finish() {
+    stats_.vis_graph_vertices = graph_.get()->VertexCount();
+    stats_.data_page_reads = data_io_.faults();
+    stats_.buffer_hits = data_io_.hits();
+    AddPrefetchStats(data_io_, &stats_);
+    if (!one_tree_) {
+      stats_.obstacle_page_reads = obstacle_io_.faults();
+      stats_.buffer_hits += obstacle_io_.hits();
+      AddPrefetchStats(obstacle_io_, &stats_);
+    }
+    stats_.cpu_seconds = timer_.ElapsedSeconds();
+    return stats_;
+  }
+
+ private:
+  Timer timer_;
+  QueryStats stats_;
+  const bool one_tree_;
+  const rtree::RStarTree& data_tree_;
+  const rtree::RStarTree& obstacle_tree_;
+  const geom::Segment q_;
+  PagerDelta data_io_;
+  PagerDelta obstacle_io_;
+  ScopedQueryGraph graph_;
+  std::optional<TreeObstacleSource> tree_obstacles_;  ///< two trees only
+  std::optional<rtree::BestFirstIterator> points_;    ///< two trees only
+  std::optional<UnifiedStream> unified_;              ///< one tree only
+};
 
 }  // namespace internal
 }  // namespace core

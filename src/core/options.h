@@ -34,7 +34,7 @@ struct ConnOptions {
   /// Cross-tick warm starts for moving-query subscriptions: successive
   /// ticks of one client reuse the prior tick's workspace (obstacle graph
   /// + scan arena) and short-circuit ticks whose query segment did not
-  /// move (CoknnQueryTick's prior-result memo).  Results are bit-identical
+  /// move (CoknnQuery's prior-result memo).  Results are bit-identical
   /// either way — reused graphs only ever hold a *superset* of the query's
   /// Theorem-2 obstacle set, the same exactness argument as batch
   /// workspace sharing; disabling selects the fresh evaluate-every-tick

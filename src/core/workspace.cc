@@ -7,12 +7,10 @@ namespace core {
 
 QueryWorkspace::QueryWorkspace(const rtree::RStarTree* data_tree,
                                const rtree::RStarTree* obstacle_tree,
-                               const geom::Rect& query_cover,
-                               bool differential_repair)
+                               const geom::Rect& query_cover)
     : domain_(
           internal::WorkspaceBounds(data_tree, obstacle_tree, query_cover)),
-      vg_(domain_, /*stats=*/nullptr),
-      differential_repair_(differential_repair) {
+      vg_(domain_, /*stats=*/nullptr) {
   // Repair-mode workspaces use the same eager adjacency as every other
   // graph.  A deferred (patch-only) vis::VisGraph mode was built for them,
   // measured at ~15% fewer warm qps on bench_ticks at smoke scale, and

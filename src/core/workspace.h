@@ -32,14 +32,10 @@ class QueryWorkspace {
  public:
   /// Builds a workspace whose grid domain covers both trees (either may be
   /// null) and \p query_cover — the bounding rectangle of every query
-  /// segment that will run against it.  With \p differential_repair the
-  /// workspace serves the differential tick-repair path: queries read and
-  /// publish coverage capsules through settlement_log(), and the batch
-  /// layer carries the workspace through reshards by cover overlap.
+  /// segment that will run against it.
   QueryWorkspace(const rtree::RStarTree* data_tree,
                  const rtree::RStarTree* obstacle_tree,
-                 const geom::Rect& query_cover,
-                 bool differential_repair = false);
+                 const geom::Rect& query_cover);
 
   QueryWorkspace(const QueryWorkspace&) = delete;
   QueryWorkspace& operator=(const QueryWorkspace&) = delete;
@@ -73,15 +69,11 @@ class QueryWorkspace {
   /// with the graph it describes, so its facts stay sound.
   vis::SettlementLog* settlement_log() { return &settlement_log_; }
 
-  /// True when the workspace was built for the differential-repair path.
-  bool differential_repair() const { return differential_repair_; }
-
  private:
   geom::Rect domain_;
   vis::VisGraph vg_;
   vis::ScanArena scan_arena_;
   vis::SettlementLog settlement_log_;
-  bool differential_repair_ = false;
 };
 
 }  // namespace core

@@ -91,10 +91,6 @@ BatchRunner::BatchRunner(const rtree::RStarTree& data_tree,
                          const BatchOptions& opts)
     : data_(&data_tree), obstacles_(&obstacle_tree), opts_(opts) {}
 
-BatchRunner::BatchRunner(const rtree::RStarTree& unified_tree,
-                         const BatchOptions& opts)
-    : data_(&unified_tree), obstacles_(nullptr), opts_(opts) {}
-
 BatchResult BatchRunner::Run(const std::vector<BatchQuery>& queries) const {
   // A throwaway plan: every shard starts fresh, exactly the original
   // one-shot batch semantics.
@@ -167,23 +163,23 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
   segments.reserve(queries.size());
   for (const BatchQuery& q : queries) segments.push_back(q.segment);
 
+  // The obstacle tree when it is a separate one; in the 1-tree
+  // configuration its I/O is the data tree's, charged once, as the
+  // engines do.
+  const rtree::RStarTree* own_obstacles =
+      obstacles_ != data_ ? obstacles_ : nullptr;
   const uint64_t data_faults0 = data_->pager().faults();
   const uint64_t data_hits0 = data_->pager().hits();
   const uint64_t obs_faults0 =
-      obstacles_ != nullptr ? obstacles_->pager().faults() : 0;
+      own_obstacles != nullptr ? own_obstacles->pager().faults() : 0;
   const uint64_t obs_hits0 =
-      obstacles_ != nullptr ? obstacles_->pager().hits() : 0;
+      own_obstacles != nullptr ? own_obstacles->pager().hits() : 0;
 
   const double extent_floor =
       opts_.locality_extent_floor > 0.0
           ? opts_.locality_extent_floor
-          : kSpacingFloorFactor *
-                ObstacleSpacing(obstacles_ != nullptr ? *obstacles_ : *data_);
+          : kSpacingFloorFactor * ObstacleSpacing(*obstacles_);
   const bool warm_gate = opts_.query.use_tick_warm_start;
-  // Shard workspaces built under the repair gate keep a live settlement
-  // log and may be adopted across reshards; their adjacency stays eager,
-  // like the per-query fallback graphs.
-  const bool repair_gate = warm_gate && opts_.query.use_differential_repair;
 
   // The locality guard runs up front, on this thread, and decides the
   // work items: a sharing shard is one item (its queries run in order on
@@ -233,18 +229,12 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
     QueryOutcome& out = result.outcomes[idx];
     QueryStats* out_stats = nullptr;
     if (q.kind == BatchQuery::Kind::kConn) {
-      out.conn = obstacles_ != nullptr
-                     ? core::ConnQuery(*data_, *obstacles_, q.segment,
-                                       opts_.query, ws)
-                     : core::ConnQuery1T(*data_, q.segment, opts_.query, ws);
+      out.conn =
+          core::ConnQuery(*data_, *obstacles_, q.segment, opts_.query, ws);
       out_stats = &out.conn->stats;
     } else {
-      const core::TickWarmStart warm{q.prior, q.client_tag};
-      out.coknn = obstacles_ != nullptr
-                      ? core::CoknnQueryTick(*data_, *obstacles_, q.segment,
-                                             q.k, warm, opts_.query, ws)
-                      : core::CoknnQueryTick1T(*data_, q.segment, q.k, warm,
-                                               opts_.query, ws);
+      out.coknn = core::CoknnQuery(*data_, *obstacles_, q.segment, q.k,
+                                   opts_.query, ws, {q.prior, q.client_tag});
       out_stats = &out.coknn->stats;
     }
     if (carried) {
@@ -267,8 +257,8 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
       // Theorem-2 obstacle set — and its scan arena serve this run as-is.
       carried = true;
     } else {
-      state.workspace = std::make_unique<core::QueryWorkspace>(
-          data_, obstacles_, cover, repair_gate);
+      state.workspace =
+          std::make_unique<core::QueryWorkspace>(data_, obstacles_, cover);
       state.reuse_hits_mark = 0;
       state.obstacles_mark = 0;
     }
@@ -305,10 +295,9 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
   // token), so the I/O workers warm shard roots while the batch spins up.
   // Declined queries run on their own graphs and have no shared subtree
   // to warm.  The tree the engines hit first drives the staging: the
-  // obstacle tree in 2-tree mode (IOR descends it before any data
-  // access), the unified tree otherwise.
-  const rtree::RStarTree& stage_tree =
-      obstacles_ != nullptr ? *obstacles_ : *data_;
+  // obstacle tree (IOR descends it before any data access), which in the
+  // 1-tree configuration is the unified tree.
+  const rtree::RStarTree& stage_tree = *obstacles_;
   const bool async = stage_tree.PrefetchEnabled();
   std::vector<storage::PageRequest> stage(items.size());
   if (async) {
@@ -369,10 +358,10 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
 
   result.stats.data_page_faults = data_->pager().faults() - data_faults0;
   result.stats.buffer_hits = data_->pager().hits() - data_hits0;
-  if (obstacles_ != nullptr) {
+  if (own_obstacles != nullptr) {
     result.stats.obstacle_page_faults =
-        obstacles_->pager().faults() - obs_faults0;
-    result.stats.buffer_hits += obstacles_->pager().hits() - obs_hits0;
+        own_obstacles->pager().faults() - obs_faults0;
+    result.stats.buffer_hits += own_obstacles->pager().hits() - obs_hits0;
   }
   auto fold_depths = [&result](const rtree::RStarTree& tree) {
     if (!tree.PrefetchEnabled()) return;
@@ -383,7 +372,7 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
         std::max(result.stats.miss_queue_depth_p99, d.p99);
   };
   fold_depths(*data_);
-  if (obstacles_ != nullptr) fold_depths(*obstacles_);
+  fold_depths(*obstacles_);
   result.stats.wall_seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -55,8 +55,8 @@ struct BatchQuery {
   size_t k = 1;  ///< COkNN only
 
   /// Last tick's result for this query's client (tick-loop callers only;
-  /// must outlive the run).  Enables the stationary-segment memo of
-  /// core::CoknnQueryTick under ConnOptions::use_tick_warm_start.
+  /// must outlive the run).  Enables core::CoknnQuery's stationary-segment
+  /// memo under ConnOptions::use_tick_warm_start.
   const core::CoknnResult* prior = nullptr;
 
   /// Stable client identity for the differential-repair path (-1 =
@@ -245,14 +245,12 @@ class BatchPlan {
 /// distinct plans.
 class BatchRunner {
  public:
-  /// 2-tree configuration (the paper's default).
+  /// Runs every query through core::ConnQuery / core::CoknnQuery on these
+  /// trees: pass the same unified tree twice for the 1-tree configuration
+  /// (Section 4.5).  Batch I/O of a unified tree counts as data faults.
   BatchRunner(const rtree::RStarTree& data_tree,
               const rtree::RStarTree& obstacle_tree,
               const BatchOptions& opts = {});
-
-  /// 1-tree configuration (Section 4.5).
-  explicit BatchRunner(const rtree::RStarTree& unified_tree,
-                       const BatchOptions& opts = {});
 
   BatchResult Run(const std::vector<BatchQuery>& queries) const;
 
@@ -277,8 +275,8 @@ class BatchRunner {
   const BatchOptions& options() const { return opts_; }
 
  private:
-  const rtree::RStarTree* data_;       // unified tree in 1-tree mode
-  const rtree::RStarTree* obstacles_;  // nullptr in 1-tree mode
+  const rtree::RStarTree* data_;
+  const rtree::RStarTree* obstacles_;  // == data_ in 1-tree mode
   BatchOptions opts_;
 };
 

@@ -52,10 +52,6 @@ SubscriptionService::SubscriptionService(const rtree::RStarTree& data_tree,
                                          const SubscriptionOptions& opts)
     : runner_(data_tree, obstacle_tree, opts.batch), opts_(opts) {}
 
-SubscriptionService::SubscriptionService(const rtree::RStarTree& unified_tree,
-                                         const SubscriptionOptions& opts)
-    : runner_(unified_tree, opts.batch), opts_(opts) {}
-
 StatusOr<int64_t> SubscriptionService::Subscribe(const RouteSpec& route,
                                                  size_t k) {
   Status st = ValidateRoute(route, k);

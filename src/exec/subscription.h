@@ -96,14 +96,11 @@ struct TickResult {
 /// BatchOptions::num_threads).  The trees must outlive the service.
 class SubscriptionService {
  public:
-  /// 2-tree configuration (the paper's default).
+  /// Serves ticks over these trees: pass the same unified tree twice for
+  /// the 1-tree configuration (Section 4.5), as with BatchRunner.
   SubscriptionService(const rtree::RStarTree& data_tree,
                       const rtree::RStarTree& obstacle_tree,
                       const SubscriptionOptions& opts = {});
-
-  /// 1-tree configuration (Section 4.5).
-  explicit SubscriptionService(const rtree::RStarTree& unified_tree,
-                               const SubscriptionOptions& opts = {});
 
   /// Registers a route, effective on the next Tick().  Returns the new
   /// client's id; rejects empty/non-finite routes, speed <= 0, or k < 1.

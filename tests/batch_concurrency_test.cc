@@ -79,7 +79,7 @@ TEST(BatchConcurrency, ConcurrentBatchesShareTreesSafely) {
   BatchOptions opts;
   opts.num_threads = 3;
   opts.target_shard_size = 2;
-  const BatchRunner runner(unified, opts);
+  const BatchRunner runner(unified, unified, opts);
 
   // Run() is const and reentrant: two batches in flight on one runner,
   // hammering one unbuffered pager from up to six workers.
@@ -93,7 +93,7 @@ TEST(BatchConcurrency, ConcurrentBatchesShareTreesSafely) {
   ASSERT_EQ(rb.outcomes.size(), batch_b.size());
   for (size_t i = 0; i < batch_a.size(); ++i) {
     const core::CoknnResult want =
-        core::CoknnQuery1T(unified, batch_a[i].segment, batch_a[i].k);
+        core::CoknnQuery(unified, unified, batch_a[i].segment, batch_a[i].k);
     ASSERT_TRUE(ra.outcomes[i].coknn.has_value());
     EXPECT_EQ(ra.outcomes[i].coknn->tuples.size(), want.tuples.size())
         << "query " << i;

@@ -130,17 +130,16 @@ TEST_P(BatchEquivalence, CoknnMatchesSingleQueryEngine) {
   opts.num_threads = 2;
   opts.target_shard_size = 3;
   opts.share_locality_factor = 0.0;  // force sharing: exactness is the point
-  const BatchRunner runner =
-      cfg.one_tree ? BatchRunner(w.unified, opts)
-                   : BatchRunner(w.tp, w.to, opts);
+  const rtree::RStarTree& data = cfg.one_tree ? w.unified : w.tp;
+  const rtree::RStarTree& obstacles = cfg.one_tree ? w.unified : w.to;
+  const BatchRunner runner(data, obstacles, opts);
   const BatchResult result = runner.Run(batch);
 
   ASSERT_EQ(result.outcomes.size(), w.queries.size());
   EXPECT_GT(result.stats.shard_count, 1u);
   for (size_t i = 0; i < w.queries.size(); ++i) {
     const core::CoknnResult want =
-        cfg.one_tree ? core::CoknnQuery1T(w.unified, w.queries[i], cfg.k)
-                     : core::CoknnQuery(w.tp, w.to, w.queries[i], cfg.k);
+        core::CoknnQuery(data, obstacles, w.queries[i], cfg.k);
     ASSERT_TRUE(result.outcomes[i].coknn.has_value());
     ExpectCoknnEqual(*result.outcomes[i].coknn, want, i);
   }
@@ -158,15 +157,14 @@ TEST_P(BatchEquivalence, ConnMatchesSingleQueryEngine) {
   opts.num_threads = 2;
   opts.target_shard_size = 3;
   opts.share_locality_factor = 0.0;  // force sharing: exactness is the point
-  const BatchRunner runner =
-      cfg.one_tree ? BatchRunner(w.unified, opts)
-                   : BatchRunner(w.tp, w.to, opts);
+  const rtree::RStarTree& data = cfg.one_tree ? w.unified : w.tp;
+  const rtree::RStarTree& obstacles = cfg.one_tree ? w.unified : w.to;
+  const BatchRunner runner(data, obstacles, opts);
   const BatchResult result = runner.Run(batch);
 
   for (size_t i = 0; i < w.queries.size(); ++i) {
     const core::ConnResult want =
-        cfg.one_tree ? core::ConnQuery1T(w.unified, w.queries[i])
-                     : core::ConnQuery(w.tp, w.to, w.queries[i]);
+        core::ConnQuery(data, obstacles, w.queries[i]);
     ASSERT_TRUE(result.outcomes[i].conn.has_value());
     ExpectConnEqual(*result.outcomes[i].conn, want, i);
   }
@@ -189,10 +187,10 @@ TEST_P(BatchEquivalence, SharedAndUnsharedWorkspacesAgree) {
   BatchOptions unshared = shared;
   unshared.share_workspace = false;
 
-  const BatchRunner a = cfg.one_tree ? BatchRunner(w.unified, shared)
-                                     : BatchRunner(w.tp, w.to, shared);
-  const BatchRunner b = cfg.one_tree ? BatchRunner(w.unified, unshared)
-                                     : BatchRunner(w.tp, w.to, unshared);
+  const rtree::RStarTree& data = cfg.one_tree ? w.unified : w.tp;
+  const rtree::RStarTree& obstacles = cfg.one_tree ? w.unified : w.to;
+  const BatchRunner a(data, obstacles, shared);
+  const BatchRunner b(data, obstacles, unshared);
   const BatchResult ra = a.Run(batch);
   const BatchResult rb = b.Run(batch);
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -253,17 +251,16 @@ void ExpectSameWork(const QueryStats& got, const QueryStats& want,
 void ExpectMatchesStandalone(const Workload& w, bool one_tree,
                              const BatchQuery& q, const QueryOutcome& out,
                              size_t qi, bool fresh) {
+  const rtree::RStarTree& data = one_tree ? w.unified : w.tp;
+  const rtree::RStarTree& obstacles = one_tree ? w.unified : w.to;
   if (q.kind == BatchQuery::Kind::kConn) {
-    const core::ConnResult want = one_tree
-                                      ? core::ConnQuery1T(w.unified, q.segment)
-                                      : core::ConnQuery(w.tp, w.to, q.segment);
+    const core::ConnResult want = core::ConnQuery(data, obstacles, q.segment);
     ASSERT_TRUE(out.conn.has_value());
     ExpectConnEqual(*out.conn, want, qi);
     if (fresh) ExpectSameWork(out.conn->stats, want.stats, qi);
   } else {
     const core::CoknnResult want =
-        one_tree ? core::CoknnQuery1T(w.unified, q.segment, q.k)
-                 : core::CoknnQuery(w.tp, w.to, q.segment, q.k);
+        core::CoknnQuery(data, obstacles, q.segment, q.k);
     ASSERT_TRUE(out.coknn.has_value());
     ExpectCoknnEqual(*out.coknn, want, qi);
     if (fresh) ExpectSameWork(out.coknn->stats, want.stats, qi);
@@ -295,8 +292,8 @@ TEST(BatchDeclinedTraffic, DispersedQueriesSpreadOverPoolAndRunFresh) {
       SCOPED_TRACE((one_tree ? "1-tree, " : "2-tree, ") +
                    std::to_string(threads) + " threads");
       opts.num_threads = threads;
-      const BatchRunner runner = one_tree ? BatchRunner(w.unified, opts)
-                                          : BatchRunner(w.tp, w.to, opts);
+      const BatchRunner runner(one_tree ? w.unified : w.tp,
+                               one_tree ? w.unified : w.to, opts);
       const BatchResult result = runner.Run(batch);
       EXPECT_EQ(result.stats.threads_used, threads);
       EXPECT_EQ(result.stats.obstacles_inserted, 0u)

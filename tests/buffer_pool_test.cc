@@ -14,10 +14,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "lru_buffer.h"
 #include "rtree/rstar_tree.h"
 #include "rtree/str_bulk_load.h"
 #include "storage/buffer_pool.h"
-#include "storage/lru_buffer.h"
 #include "storage/pager.h"
 #include "storage_test_util.h"
 

@@ -1,4 +1,4 @@
-#include "storage/lru_buffer.h"
+#include "lru_buffer.h"
 
 namespace conn {
 namespace storage {

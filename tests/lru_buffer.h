@@ -1,15 +1,16 @@
 // LRU page buffer — the seed buffer manager, kept as the *reference model*
-// for the buffer pool's exact-LRU mode.  The production read path lives in
-// buffer_pool.h / pager.h; this class is only used by property tests that
-// replay randomized traces against both implementations and assert the
-// hit/miss sequence and resident set match bit-for-bit (which is what makes
-// the committed Fig. 12 fault counts reproducible).
+// for the buffer pool's exact-LRU mode.  Test-only: the production read
+// path lives in storage/buffer_pool.h / storage/pager.h; this class is only
+// used by property tests that replay randomized traces against both
+// implementations and assert the hit/miss sequence and resident set match
+// bit-for-bit (which is what makes the committed Fig. 12 fault counts
+// reproducible).
 //
 // Capacity is configured in pages; the buffer-size experiment (Figure 12)
 // expresses it as a percentage of the tree size.
 
-#ifndef CONN_STORAGE_LRU_BUFFER_H_
-#define CONN_STORAGE_LRU_BUFFER_H_
+#ifndef CONN_TESTS_LRU_BUFFER_H_
+#define CONN_TESTS_LRU_BUFFER_H_
 
 #include <list>
 #include <unordered_map>
@@ -58,4 +59,4 @@ class LruBuffer {
 }  // namespace storage
 }  // namespace conn
 
-#endif  // CONN_STORAGE_LRU_BUFFER_H_
+#endif  // CONN_TESTS_LRU_BUFFER_H_

@@ -22,7 +22,7 @@ TEST_P(OneTreeEquivalence, ConnSameAnswerAsTwoTrees) {
   const rtree::RStarTree unified = testutil::MakeUnifiedTree(scene);
 
   const ConnResult two = ConnQuery(tp, to, scene.query);
-  const ConnResult one = ConnQuery1T(unified, scene.query);
+  const ConnResult one = ConnQuery(unified, unified, scene.query);
 
   EXPECT_EQ(one.unreachable.size(), two.unreachable.size());
   for (int i = 0; i <= 250; ++i) {
@@ -46,7 +46,7 @@ TEST_P(OneTreeEquivalence, CoknnSameAnswerAsTwoTrees) {
   const size_t k = 3;
 
   const CoknnResult two = CoknnQuery(tp, to, scene.query, k);
-  const CoknnResult one = CoknnQuery1T(unified, scene.query, k);
+  const CoknnResult one = CoknnQuery(unified, unified, scene.query, k);
 
   for (int i = 0; i <= 150; ++i) {
     const double t = scene.query.Length() * (i + 0.5) / 151.0;
@@ -67,7 +67,7 @@ TEST_P(OneTreeEquivalence, OneTreeUsesSingleTreeIo) {
   const testutil::Scene scene =
       testutil::MakeScene(GetParam() ^ 0xF00D, 60, 20);
   const rtree::RStarTree unified = testutil::MakeUnifiedTree(scene);
-  const ConnResult one = ConnQuery1T(unified, scene.query);
+  const ConnResult one = ConnQuery(unified, unified, scene.query);
   EXPECT_GT(one.stats.data_page_reads, 0u);
   EXPECT_EQ(one.stats.obstacle_page_reads, 0u);  // single pager
   EXPECT_GT(one.stats.points_evaluated, 0u);

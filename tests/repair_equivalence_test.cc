@@ -12,6 +12,11 @@
 // (subscribe + unsubscribe triggers a reshard whose adoption pass must
 // stay exact) and a quarantined client mid-stream (failure injection must
 // not poison shared capsules for the survivors).
+//
+// The DispatchRules suite pins how core::CoknnQuery / core::ConnQuery
+// choose their path from their arguments alone: the tick memo, fresh
+// evaluation, differential repair, and the 1-tree traversal selected by
+// passing the same tree twice.
 
 #include <algorithm>
 #include <cstdint>
@@ -20,6 +25,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/conn.h"
+#include "core/workspace.h"
 #include "datagen/datasets.h"
 #include "datagen/fleet.h"
 #include "exec/subscription.h"
@@ -125,9 +132,9 @@ TEST_P(RepairEquivalence, RepairLoopMatchesIndependentEvaluation) {
       MakeScene(cfg.seed, cfg.dist, 140, 70, /*num_clients=*/8);
 
   const SubscriptionOptions opts = RepairOptions(cfg.threads);
-  SubscriptionService service =
-      cfg.one_tree ? SubscriptionService(scene.unified, opts)
-                   : SubscriptionService(scene.tp, scene.to, opts);
+  const rtree::RStarTree& data = cfg.one_tree ? scene.unified : scene.tp;
+  const rtree::RStarTree& obstacles = cfg.one_tree ? scene.unified : scene.to;
+  SubscriptionService service(data, obstacles, opts);
   std::vector<int64_t> ids;
   for (const RouteSpec& r : scene.routes) {
     ids.push_back(service.Subscribe(r, cfg.k).value());
@@ -158,9 +165,7 @@ TEST_P(RepairEquivalence, RepairLoopMatchesIndependentEvaluation) {
       ASSERT_TRUE(u.result.has_value());
       EXPECT_EQ(u.result->query, u.segment);
       const core::CoknnResult want =
-          cfg.one_tree
-              ? core::CoknnQuery1T(scene.unified, u.segment, cfg.k)
-              : core::CoknnQuery(scene.tp, scene.to, u.segment, cfg.k);
+          core::CoknnQuery(data, obstacles, u.segment, cfg.k);
       ExpectCoknnEqual(*u.result, want);
     }
   }
@@ -241,6 +246,128 @@ TEST(RepairEquivalence, QuarantinedClientDoesNotPoisonSharedFrontier) {
   EXPECT_EQ(service.quarantined_clients(), size_t{1});
   EXPECT_GT(repairs, 0u) << "repair path never engaged; test is vacuous";
 }
+
+void ExpectConnEqual(const core::ConnResult& got,
+                     const core::ConnResult& want) {
+  ExpectIntervalSetsEqual(got.unreachable, want.unreachable);
+  ASSERT_EQ(got.tuples.size(), want.tuples.size());
+  for (size_t i = 0; i < got.tuples.size(); ++i) {
+    EXPECT_EQ(got.tuples[i].point_id, want.tuples[i].point_id) << "tuple " << i;
+    EXPECT_EQ(got.tuples[i].control_point, want.tuples[i].control_point)
+        << "tuple " << i;
+    EXPECT_EQ(got.tuples[i].offset, want.tuples[i].offset) << "tuple " << i;
+    EXPECT_EQ(got.tuples[i].range.lo, want.tuples[i].range.lo)
+        << "tuple " << i;
+    EXPECT_EQ(got.tuples[i].range.hi, want.tuples[i].range.hi)
+        << "tuple " << i;
+  }
+}
+
+/// Parameter: true = the unified tree passed as both trees, false = the
+/// separate point and obstacle trees.
+class DispatchRules : public ::testing::TestWithParam<bool> {
+ protected:
+  DispatchRules()
+      : scene_(MakeScene(50, datagen::PointDistribution::kUniform, 140, 70,
+                         /*num_clients=*/1)) {}
+
+  const rtree::RStarTree& data() const {
+    return GetParam() ? scene_.unified : scene_.tp;
+  }
+  const rtree::RStarTree& obstacles() const {
+    return GetParam() ? scene_.unified : scene_.to;
+  }
+
+  // Two abutting arc slices of one street: the second repairs off the
+  // coverage the first publishes.
+  const geom::Segment steps_[2] = {{{4000.0, 5000.0}, {4250.0, 5040.0}},
+                                   {{4250.0, 5040.0}, {4500.0, 5080.0}}};
+  const Scene scene_;
+};
+
+TEST_P(DispatchRules, PriorForTheSameQueryIsReturnedAsTheMemo) {
+  const core::CoknnResult prior =
+      core::CoknnQuery(data(), obstacles(), steps_[0], 3);
+  const core::CoknnResult memo = core::CoknnQuery(
+      data(), obstacles(), steps_[0], 3, {}, nullptr, {&prior, 1});
+  EXPECT_EQ(memo.stats.tick_warm_starts, 1u);
+  EXPECT_EQ(memo.stats.obstacles_evaluated, 0u);
+  EXPECT_EQ(memo.stats.points_evaluated, 0u);
+  EXPECT_EQ(memo.stats.data_page_reads, 0u);
+  EXPECT_EQ(memo.stats.obstacle_page_reads, 0u);
+  EXPECT_EQ(memo.stats.buffer_hits, 0u);
+  ExpectCoknnEqual(memo, prior);
+}
+
+TEST_P(DispatchRules, PriorForAnotherQueryRunsFresh) {
+  const core::CoknnResult prior =
+      core::CoknnQuery(data(), obstacles(), steps_[0], 3);
+  const core::CoknnResult got = core::CoknnQuery(
+      data(), obstacles(), steps_[1], 3, {}, nullptr, {&prior, 1});
+  const core::CoknnResult fresh =
+      core::CoknnQuery(data(), obstacles(), steps_[1], 3);
+  EXPECT_EQ(got.stats.tick_warm_starts, 0u);
+  EXPECT_EQ(got.stats.points_evaluated, fresh.stats.points_evaluated);
+  EXPECT_EQ(got.stats.obstacles_evaluated, fresh.stats.obstacles_evaluated);
+  EXPECT_GT(got.stats.TotalPageReads(), 0u);
+  ExpectCoknnEqual(got, fresh);
+}
+
+TEST_P(DispatchRules, WorkspaceWithRepairOptionsRepairs) {
+  core::ConnOptions opts;
+  opts.use_tick_warm_start = true;
+  opts.use_differential_repair = true;
+  core::QueryWorkspace ws(&data(), &obstacles(), steps_[0].Bounds());
+  uint64_t carried = 0;
+  for (const geom::Segment& q : steps_) {
+    const core::CoknnResult got =
+        core::CoknnQuery(data(), obstacles(), q, 3, opts, &ws, {nullptr, 1});
+    EXPECT_EQ(got.stats.repairs_applied, 1u);
+    carried += got.stats.tuples_carried;
+    ExpectCoknnEqual(got, core::CoknnQuery(data(), obstacles(), q, 3));
+  }
+  EXPECT_GT(ws.settlement_log()->size(), 0u);
+  EXPECT_GT(carried, 0u) << "the second slice never read carried coverage";
+}
+
+TEST_P(DispatchRules, WorkspaceWithoutRepairOptionRunsWarmNotRepaired) {
+  core::ConnOptions opts;
+  opts.use_tick_warm_start = true;
+  opts.use_differential_repair = false;
+  core::QueryWorkspace ws(&data(), &obstacles(), steps_[0].Bounds());
+  for (const geom::Segment& q : steps_) {
+    const core::CoknnResult got =
+        core::CoknnQuery(data(), obstacles(), q, 3, opts, &ws, {nullptr, 1});
+    EXPECT_EQ(got.stats.repairs_applied, 0u);
+    EXPECT_EQ(got.stats.tuples_carried + got.stats.tuples_rescored, 0u);
+    ExpectCoknnEqual(got, core::CoknnQuery(data(), obstacles(), q, 3));
+  }
+  EXPECT_EQ(ws.settlement_log()->size(), 0u);
+}
+
+TEST_P(DispatchRules, SameTreeTwiceChargesOneTreeAndMatchesTwoTrees) {
+  const geom::Vec2 p{4300.0, 5200.0};
+  for (const geom::Segment& q : {steps_[0], geom::Segment(p, p)}) {
+    SCOPED_TRACE(q.Length() > 0.0 ? "segment" : "zero-length (DegenerateConn)");
+    const core::ConnResult conn = core::ConnQuery(data(), obstacles(), q);
+    const core::CoknnResult coknn = core::CoknnQuery(data(), obstacles(), q, 3);
+    if (GetParam()) {
+      EXPECT_EQ(conn.stats.obstacle_page_reads, 0u);
+      EXPECT_EQ(coknn.stats.obstacle_page_reads, 0u);
+    }
+    EXPECT_GT(conn.stats.data_page_reads, 0u);
+    EXPECT_GT(conn.stats.points_evaluated, 0u);
+    ExpectConnEqual(conn, core::ConnQuery(scene_.tp, scene_.to, q));
+    ExpectCoknnEqual(coknn, core::CoknnQuery(scene_.tp, scene_.to, q, 3));
+  }
+}
+
+std::string TreeConfigName(const ::testing::TestParamInfo<bool>& info) {
+  return info.param ? "OneTree" : "TwoTrees";
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, DispatchRules, ::testing::Bool(),
+                         TreeConfigName);
 
 }  // namespace
 }  // namespace exec

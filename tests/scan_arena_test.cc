@@ -391,15 +391,15 @@ TEST_P(ScanArenaEquivalence, WarmRestartsMatchFreshScanReference) {
   core::ConnOptions cold;
   cold.use_warm_scan_restarts = false;
 
+  const rtree::RStarTree& data = cfg.one_tree ? w.unified : w.tp;
+  const rtree::RStarTree& obstacles = cfg.one_tree ? w.unified : w.to;
   QueryStats warm_totals;
   QueryStats cold_totals;
   for (size_t i = 0; i < w.queries.size(); ++i) {
     const core::CoknnResult got =
-        cfg.one_tree ? core::CoknnQuery1T(w.unified, w.queries[i], cfg.k, warm)
-                     : core::CoknnQuery(w.tp, w.to, w.queries[i], cfg.k, warm);
+        core::CoknnQuery(data, obstacles, w.queries[i], cfg.k, warm);
     const core::CoknnResult want =
-        cfg.one_tree ? core::CoknnQuery1T(w.unified, w.queries[i], cfg.k, cold)
-                     : core::CoknnQuery(w.tp, w.to, w.queries[i], cfg.k, cold);
+        core::CoknnQuery(data, obstacles, w.queries[i], cfg.k, cold);
     ExpectCoknnEqual(got, want, i);
     warm_totals += got.stats;
     cold_totals += want.stats;
@@ -422,14 +422,14 @@ TEST_P(ScanArenaEquivalence, ConnWarmRestartsMatchFreshScanReference) {
   core::ConnOptions cold;
   cold.use_warm_scan_restarts = false;
 
+  const rtree::RStarTree& data = cfg.one_tree ? w.unified : w.tp;
+  const rtree::RStarTree& obstacles = cfg.one_tree ? w.unified : w.to;
   for (size_t i = 0; i < w.queries.size(); ++i) {
     SCOPED_TRACE("query " + std::to_string(i));
     const core::ConnResult got =
-        cfg.one_tree ? core::ConnQuery1T(w.unified, w.queries[i], warm)
-                     : core::ConnQuery(w.tp, w.to, w.queries[i], warm);
+        core::ConnQuery(data, obstacles, w.queries[i], warm);
     const core::ConnResult want =
-        cfg.one_tree ? core::ConnQuery1T(w.unified, w.queries[i], cold)
-                     : core::ConnQuery(w.tp, w.to, w.queries[i], cold);
+        core::ConnQuery(data, obstacles, w.queries[i], cold);
     ExpectIntervalSetsEqual(got.unreachable, want.unreachable);
     ASSERT_EQ(got.tuples.size(), want.tuples.size());
     for (size_t t = 0; t < got.tuples.size(); ++t) {

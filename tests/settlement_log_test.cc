@@ -131,8 +131,7 @@ TEST(SettlementLogProperty, CapsulesAreSoundAfterEveryRepairTick) {
   // sharing a workspace: every tick publishes a capsule, later ticks
   // repair off earlier ones (their own and each other's).
   const geom::Rect cover({3000.0, 3000.0}, {7000.0, 7000.0});
-  core::QueryWorkspace ws(&scene.tp, &scene.to, cover,
-                          /*differential_repair=*/true);
+  core::QueryWorkspace ws(&scene.tp, &scene.to, cover);
 
   uint64_t carried_total = 0;
   for (int tick = 0; tick < 10; ++tick) {
@@ -143,8 +142,9 @@ TEST(SettlementLogProperty, CapsulesAreSoundAfterEveryRepairTick) {
     for (int client = 0; client < 2; ++client) {
       const core::TickWarmStart warm{/*prior=*/nullptr,
                                      /*client_tag=*/client + 1};
-      const core::CoknnResult got = core::CoknnRepair(
-          scene.tp, scene.to, steps[client], /*k=*/3, warm, opts, &ws);
+      const core::CoknnResult got = core::CoknnQuery(
+          scene.tp, scene.to, steps[client], /*k=*/3, opts, &ws, warm);
+      ASSERT_EQ(got.stats.repairs_applied, 1u) << "ran fresh, not repaired";
       carried_total += got.stats.tuples_carried;
 
       // Bit-identity against a fresh evaluation at every step.
@@ -191,15 +191,16 @@ TEST(SettlementLogProperty, CoversImpliesNoAbsentObstacleWithinBound) {
   opts.use_tick_warm_start = true;
   opts.use_differential_repair = true;
   const geom::Rect cover({2000.0, 2000.0}, {8000.0, 8000.0});
-  core::QueryWorkspace ws(&scene.tp, &scene.to, cover, true);
+  core::QueryWorkspace ws(&scene.tp, &scene.to, cover);
 
   // Seed the log with a few real retrievals.
   for (int tick = 0; tick < 4; ++tick) {
     const double t = 150.0 * tick;
     const core::TickWarmStart warm{nullptr, 1};
-    core::CoknnRepair(scene.tp, scene.to,
-                      Seg(4000.0 + t, 5000.0, 4220.0 + t, 5030.0), 3, warm,
-                      opts, &ws);
+    const geom::Segment q = Seg(4000.0 + t, 5000.0, 4220.0 + t, 5030.0);
+    const core::CoknnResult seeded =
+        core::CoknnQuery(scene.tp, scene.to, q, 3, opts, &ws, warm);
+    ASSERT_EQ(seeded.stats.repairs_applied, 1u) << "ran fresh, not repaired";
   }
   ASSERT_GT(ws.settlement_log()->size(), 0u);
 

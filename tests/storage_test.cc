@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "lru_buffer.h"
 #include "storage/buffer_pool.h"
-#include "storage/lru_buffer.h"
 #include "storage/page_file.h"
 #include "storage/pager.h"
 

@@ -145,9 +145,9 @@ TEST_P(SubscriptionEquivalence, TickLoopMatchesIndependentEvaluation) {
   opts.batch.query.use_tick_warm_start = cfg.warm;
   opts.reshard_period = 3;  // small: resharding participates mid-run
 
-  SubscriptionService service =
-      cfg.one_tree ? SubscriptionService(scene.unified, opts)
-                   : SubscriptionService(scene.tp, scene.to, opts);
+  const rtree::RStarTree& data = cfg.one_tree ? scene.unified : scene.tp;
+  const rtree::RStarTree& obstacles = cfg.one_tree ? scene.unified : scene.to;
+  SubscriptionService service(data, obstacles, opts);
   std::vector<int64_t> ids;
   for (const RouteSpec& r : scene.routes) {
     ids.push_back(service.Subscribe(r, cfg.k).value());
@@ -175,9 +175,7 @@ TEST_P(SubscriptionEquivalence, TickLoopMatchesIndependentEvaluation) {
       ASSERT_TRUE(u.result.has_value());
       EXPECT_EQ(u.result->query, u.segment);
       const core::CoknnResult want =
-          cfg.one_tree
-              ? core::CoknnQuery1T(scene.unified, u.segment, cfg.k)
-              : core::CoknnQuery(scene.tp, scene.to, u.segment, cfg.k);
+          core::CoknnQuery(data, obstacles, u.segment, cfg.k);
       ExpectCoknnEqual(*u.result, want);
     }
   }

@@ -61,13 +61,13 @@ TEST(TerminationStats, BoundReachedCountsExactlyOneLemma2Termination) {
 TEST(TerminationStats, OneTreeCoknnDrawsTheSameDistinction) {
   const testutil::Scene near_only = TwoNearPoints();
   const rtree::RStarTree u1 = testutil::MakeUnifiedTree(near_only);
-  const CoknnResult exhausted = CoknnQuery1T(u1, near_only.query, 1);
+  const CoknnResult exhausted = CoknnQuery(u1, u1, near_only.query, 1);
   EXPECT_EQ(exhausted.stats.points_evaluated, 2u);
   EXPECT_EQ(exhausted.stats.lemma2_terminations, 0u);
 
   const testutil::Scene with_far = TwoNearOneFarPoint();
   const rtree::RStarTree u2 = testutil::MakeUnifiedTree(with_far);
-  const CoknnResult pruned = CoknnQuery1T(u2, with_far.query, 1);
+  const CoknnResult pruned = CoknnQuery(u2, u2, with_far.query, 1);
   EXPECT_LT(pruned.stats.points_evaluated, 3u);
   EXPECT_EQ(pruned.stats.lemma2_terminations, 1u);
 }
@@ -75,13 +75,13 @@ TEST(TerminationStats, OneTreeCoknnDrawsTheSameDistinction) {
 TEST(TerminationStats, OneTreeConnDrawsTheSameDistinction) {
   const testutil::Scene near_only = TwoNearPoints();
   const rtree::RStarTree u1 = testutil::MakeUnifiedTree(near_only);
-  const ConnResult exhausted = ConnQuery1T(u1, near_only.query);
+  const ConnResult exhausted = ConnQuery(u1, u1, near_only.query);
   EXPECT_EQ(exhausted.stats.points_evaluated, 2u);
   EXPECT_EQ(exhausted.stats.lemma2_terminations, 0u);
 
   const testutil::Scene with_far = TwoNearOneFarPoint();
   const rtree::RStarTree u2 = testutil::MakeUnifiedTree(with_far);
-  const ConnResult pruned = ConnQuery1T(u2, with_far.query);
+  const ConnResult pruned = ConnQuery(u2, u2, with_far.query);
   EXPECT_LT(pruned.stats.points_evaluated, 3u);
   EXPECT_EQ(pruned.stats.lemma2_terminations, 1u);
 }
