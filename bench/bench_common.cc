@@ -1,5 +1,6 @@
 #include "bench_common.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -12,11 +13,31 @@
 namespace conn {
 namespace bench {
 
+namespace {
+
+// Records the build every harness's JSON was produced by, next to Google
+// Benchmark's own host context.  The values are fixed when CMake
+// configures the bench targets (bench/CMakeLists.txt).
+[[maybe_unused]] const bool kBuildContextStamped = [] {
+  benchmark::AddCustomContext("conn_build_type", CONN_BENCH_BUILD_TYPE);
+  benchmark::AddCustomContext("conn_compiler", CONN_BENCH_COMPILER);
+  benchmark::AddCustomContext("conn_git_sha", CONN_BENCH_GIT_SHA);
+  return true;
+}();
+
+}  // namespace
+
+// A typo in either variable would otherwise publish smoke-scale numbers as
+// a full-scale run, so anything set but not fully parsable and in range
+// aborts with the variable's name.
 double BenchScale() {
   static const double scale = [] {
     const char* env = std::getenv("CONN_BENCH_SCALE");
-    double s = env ? std::atof(env) : 0.05;
-    if (s <= 0.0 || s > 1.0) s = 0.05;
+    if (env == nullptr) return 0.05;
+    char* end = nullptr;
+    const double s = std::strtod(env, &end);
+    CONN_CHECK_MSG(end != env && *end == '\0' && s > 0.0 && s <= 1.0,
+                   "CONN_BENCH_SCALE must be a number in (0, 1]");
     return s;
   }();
   return scale;
@@ -25,8 +46,12 @@ double BenchScale() {
 size_t BenchQueries() {
   static const size_t queries = [] {
     const char* env = std::getenv("CONN_BENCH_QUERIES");
-    long q = env ? std::atol(env) : 3;
-    if (q < 1) q = 3;
+    if (env == nullptr) return size_t{3};
+    char* end = nullptr;
+    errno = 0;
+    const long long q = std::strtoll(env, &end, 10);
+    CONN_CHECK_MSG(end != env && *end == '\0' && errno == 0 && q >= 1,
+                   "CONN_BENCH_QUERIES must be an integer >= 1");
     return static_cast<size_t>(q);
   }();
   return queries;
@@ -90,32 +115,6 @@ const char* PolicyName(storage::EvictionPolicy policy) {
   return policy == storage::EvictionPolicy::kExactLru ? "exact-lru" : "2q";
 }
 
-bool BenchAsyncIo() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("CONN_ASYNC_IO");
-    if (env == nullptr) return false;
-    const std::string v(env);
-    return v == "1" || v == "on" || v == "true";
-  }();
-  return enabled;
-}
-
-void ApplyBenchAsyncIo(const Dataset& ds) {
-  if (!BenchAsyncIo()) return;
-  auto enable = [](rtree::RStarTree& tree) {
-    storage::BufferOptions opts = tree.pager().buffer_pool().options();
-    opts.capacity_pages =
-        static_cast<size_t>(static_cast<double>(tree.PageCount()) * 0.08);
-    opts.policy = BenchBufferPolicy();
-    opts.async_io = true;
-    tree.pager().ConfigureBuffer(opts);
-    tree.pager().ResetCounters();
-  };
-  enable(*ds.tp);
-  enable(*ds.to);
-  enable(*ds.unified);
-}
-
 QueryStats RunCoknnWorkload(const Dataset& ds, const RunConfig& cfg) {
   const size_t queries = cfg.queries == 0 ? BenchQueries() : cfg.queries;
 
@@ -127,7 +126,6 @@ QueryStats RunCoknnWorkload(const Dataset& ds, const RunConfig& cfg) {
     storage::BufferOptions opts = tree.pager().buffer_pool().options();
     opts.capacity_pages = pages;
     opts.policy = cfg.buffer_policy;
-    opts.async_io = cfg.async_io;
     tree.pager().ConfigureBuffer(opts);  // also drops stale cached pages
     tree.pager().ResetCounters();
   };

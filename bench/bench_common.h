@@ -10,6 +10,9 @@
 // laptop, the harness scales cardinalities by CONN_BENCH_SCALE (default
 // 0.05) and runs CONN_BENCH_QUERIES queries per configuration (default 3).
 // Set CONN_BENCH_SCALE=1 CONN_BENCH_QUERIES=100 for the full experiment.
+//
+// Every harness links this library, which also stamps the Google Benchmark
+// JSON context with conn's build type, compiler and git sha.
 
 #ifndef CONN_BENCH_BENCH_COMMON_H_
 #define CONN_BENCH_BENCH_COMMON_H_
@@ -28,10 +31,12 @@
 namespace conn {
 namespace bench {
 
-/// Cardinality scale factor from $CONN_BENCH_SCALE (default 0.05).
+/// Cardinality scale factor from $CONN_BENCH_SCALE, in (0, 1] (default
+/// 0.05 when unset).  Aborts on any other value.
 double BenchScale();
 
-/// Queries per configuration from $CONN_BENCH_QUERIES (default 3).
+/// Queries per configuration from $CONN_BENCH_QUERIES, >= 1 (default 3
+/// when unset).  Aborts on any other value.
 size_t BenchQueries();
 
 /// Paper cardinalities scaled by BenchScale().
@@ -57,19 +62,6 @@ storage::EvictionPolicy BenchBufferPolicy();
 /// Human-readable name of a policy (benchmark labels).
 const char* PolicyName(storage::EvictionPolicy policy);
 
-/// Async miss pipeline toggle from $CONN_ASYNC_IO ("1"/"on" enables;
-/// default off, the reference configuration the baselines were captured
-/// under).
-bool BenchAsyncIo();
-
-/// Applies $CONN_ASYNC_IO to a dataset's trees for the throughput
-/// harnesses (bench_batch / bench_ticks), which don't sweep buffer size
-/// themselves: when on, every tree gets a buffer at 8% of its pages with
-/// the async pipeline enabled; when off, the trees are left untouched
-/// (unbuffered — the committed-baseline configuration).  The figure
-/// harnesses instead route the toggle through RunConfig::async_io.
-void ApplyBenchAsyncIo(const Dataset& ds);
-
 /// Workload/measurement knobs for one benchmark configuration.
 struct RunConfig {
   double ql_percent = 4.5;
@@ -78,7 +70,6 @@ struct RunConfig {
   bool one_tree = false;       ///< Section 4.5 unified-tree variant
   double buffer_percent = 0.0; ///< buffer capacity as % of tree pages
   storage::EvictionPolicy buffer_policy = storage::EvictionPolicy::kTwoQueue;
-  bool async_io = false;       ///< service misses via the async pipeline
   size_t warmup_queries = 0;   ///< extra queries to warm the buffer
   core::ConnOptions options;
   uint64_t seed = 7777;

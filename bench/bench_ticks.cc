@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -93,20 +92,11 @@ exec::SubscriptionOptions DispersedTickOptions() {
   return opts;
 }
 
-std::string TickLabel(const Dataset& ds) {
-  // The effective hint depth is the autotuner's final answer for this
-  // workload (pool_tuning.h); it stays at the cap with async off.
-  return std::string(BenchAsyncIo() ? "async=on" : "async=off") +
-         " hint_depth=" +
-         std::to_string(ds.tp->pager().effective_hint_depth());
-}
-
 void RunTickBench(benchmark::State& state,
                   const exec::SubscriptionOptions& opts,
                   datagen::FleetPattern pattern) {
   const Dataset& ds = GetDataset(datagen::PointDistribution::kUniform,
                                  ScaledCa(), ScaledLa());
-  ApplyBenchAsyncIo(ds);
   const std::vector<exec::RouteSpec> routes =
       TickFleet(FleetClients(), 4242, pattern);
 
@@ -114,9 +104,7 @@ void RunTickBench(benchmark::State& state,
   std::vector<double> lat;
   size_t updates = 0;
   size_t shards = 0;
-  size_t parked = 0;
   size_t adopted = 0;
-  size_t mq_p99 = 0;
   double elapsed = 0.0;
   for (auto _ : state) {
     exec::SubscriptionService service(*ds.tp, *ds.to, opts);
@@ -129,18 +117,14 @@ void RunTickBench(benchmark::State& state,
     lat.clear();
     updates = 0;
     shards = 0;
-    parked = 0;
     adopted = 0;
-    mq_p99 = 0;
     for (uint64_t tick = 0; tick < kTicks; ++tick) {
       const exec::TickResult result = service.Tick();
       benchmark::DoNotOptimize(result.updates.data());
       elapsed += result.stats.wall_seconds;
       totals += result.stats.per_query_totals;
       shards += result.stats.shard_count;
-      parked += result.stats.shards_parked;
       adopted += result.stats.workspaces_adopted;
-      mq_p99 = std::max(mq_p99, result.stats.miss_queue_depth_p99);
       updates += result.updates.size();
       for (const exec::ClientUpdate& u : result.updates) {
         if (u.result.has_value()) lat.push_back(u.result->stats.cpu_seconds);
@@ -166,13 +150,6 @@ void RunTickBench(benchmark::State& state,
   state.counters["NOE"] = static_cast<double>(totals.obstacles_evaluated);
   state.counters["SVG"] = static_cast<double>(totals.vis_graph_vertices);
   state.counters["shards"] = static_cast<double>(shards);
-  // Async miss pipeline ($CONN_ASYNC_IO) — all zero when it's off.
-  state.counters["parked"] = static_cast<double>(parked);
-  state.counters["mq_p99"] = static_cast<double>(mq_p99);
-  state.counters["prefetch_issued"] =
-      static_cast<double>(totals.prefetch_issued);
-  state.counters["prefetch_hits"] = static_cast<double>(totals.prefetch_hits);
-  state.SetLabel(TickLabel(ds));
 }
 
 void BM_TicksWarm(benchmark::State& state) {
@@ -220,7 +197,6 @@ constexpr uint64_t kOpenLoopTicks = 32;
 void RunOpenLoopBench(benchmark::State& state, bool warm) {
   const Dataset& ds = GetDataset(datagen::PointDistribution::kUniform,
                                  ScaledCa(), ScaledLa());
-  ApplyBenchAsyncIo(ds);
   const std::vector<exec::RouteSpec> routes =
       TickFleet(FleetClients(), 4242, datagen::FleetPattern::kClustered);
   const exec::SubscriptionOptions opts = TickOptions(warm);
@@ -301,7 +277,6 @@ void RunOpenLoopBench(benchmark::State& state, bool warm) {
   state.counters["rescored"] = static_cast<double>(totals.tuples_rescored);
   state.counters["frontier_shares"] =
       static_cast<double>(totals.frontier_shares);
-  state.SetLabel(TickLabel(ds));
 }
 
 void BM_TicksOpenLoopWarm(benchmark::State& state) {

@@ -14,12 +14,6 @@
 // (scan-resistant) or "exact-lru", which reproduces the seed LRU buffer's
 // fault counts bit-for-bit.  The JSON carries both "faults" and "hits" per
 // configuration, so the whole I/O curve is machine-readable.
-//
-// $CONN_ASYNC_IO=1 routes misses through the asynchronous pipeline
-// (storage/pager.h); fault counts are unchanged by construction — the
-// async curve must overlay the sync one — and the prefetch_* counters
-// become non-zero.  The default (off) is the configuration the committed
-// baselines were captured under.
 
 #include <benchmark/benchmark.h>
 
@@ -40,7 +34,6 @@ void RunBuffer(benchmark::State& state, datagen::PointDistribution dist,
     cfg.k = 5;
     cfg.buffer_percent = bs;
     cfg.buffer_policy = BenchBufferPolicy();
-    cfg.async_io = BenchAsyncIo();
     cfg.warmup_queries = BenchQueries();  // paper: 50 warm-up of 100
     avg = RunCoknnWorkload(ds, cfg);
   }
@@ -48,8 +41,7 @@ void RunBuffer(benchmark::State& state, datagen::PointDistribution dist,
   state.counters["hits"] = static_cast<double>(avg.buffer_hits);
   state.SetLabel(std::string(name) + ", k=5, ql=4.5%, bs=" +
                  std::to_string(static_cast<int>(bs)) + "%, policy=" +
-                 PolicyName(BenchBufferPolicy()) +
-                 (BenchAsyncIo() ? ", async=on" : ", async=off"));
+                 PolicyName(BenchBufferPolicy()));
 }
 
 void BM_Fig12_CL(benchmark::State& state) {

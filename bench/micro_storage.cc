@@ -7,10 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -141,47 +139,6 @@ void BM_ReadaheadScan(benchmark::State& state) {
       static_cast<double>(pager->faults()) / total;
 }
 BENCHMARK(BM_ReadaheadScan)->Arg(0)->Arg(8);
-
-/// Cold scan with engine-issued Prefetch hints (the pager here always runs
-/// the async pipeline, independent of $CONN_ASYNC_IO).  Hinting a window
-/// ahead of the scan cursor overlaps staging with the per-page work, so the
-/// demand-fault counter falls vs the hint-free scan (Arg 0) while the
-/// result of the scan is identical.
-void BM_ColdScanPrefetch(benchmark::State& state) {
-  const bool hints = state.range(0) != 0;
-  constexpr size_t kWindow = 32;
-  uint64_t demand_faults = 0;
-  uint64_t staged_hits = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto pager = MakePager(/*capacity=*/64, EvictionPolicy::kTwoQueue);
-    BufferOptions opts = pager->buffer_pool().options();
-    opts.async_io = true;
-    pager->ConfigureBuffer(opts);
-    pager->ResetCounters();
-    state.ResumeTiming();
-    std::vector<PageId> window;
-    uint64_t sum = 0;
-    for (PageId id = 0; id < kFilePages; ++id) {
-      if (hints && id % (kWindow / 2) == 0) {
-        window.clear();
-        const PageId lo = id + kWindow / 2;
-        const PageId hi =
-            std::min<PageId>(lo + kWindow, static_cast<PageId>(kFilePages));
-        for (PageId j = lo; j < hi; ++j) window.push_back(j);
-        pager->Prefetch(std::span<const PageId>(window));
-      }
-      StatusOr<PinnedPage> view = pager->Fetch(id);
-      sum += view.value().page().ReadAt<uint64_t>(0);
-    }
-    benchmark::DoNotOptimize(sum);
-    demand_faults = pager->faults();
-    staged_hits = pager->prefetch_hits();
-  }
-  state.counters["demand_faults"] = static_cast<double>(demand_faults);
-  state.counters["prefetch_hits"] = static_cast<double>(staged_hits);
-}
-BENCHMARK(BM_ColdScanPrefetch)->Arg(0)->Arg(1);
 
 /// Tree read path: hot-node fetches against the decoded-node cache
 /// (buffered) vs per-read parsing (unbuffered).

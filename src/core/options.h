@@ -56,9 +56,6 @@ struct ConnOptions {
   /// postcondition as streaming duplicates.  Requires
   /// use_tick_warm_start; off selects the PR 8 warm path unchanged.
   bool use_differential_repair = false;
-
-  /// Resolution of the local obstacle grid (cells per side).
-  int grid_cells_per_side = 64;
 };
 
 }  // namespace core

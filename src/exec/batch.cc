@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <span>
 #include <thread>
 #include <utility>
 
@@ -14,7 +12,6 @@
 #include "exec/sharder.h"
 #include "exec/thread_pool.h"
 #include "geom/box.h"
-#include "storage/page_request.h"
 
 namespace conn {
 namespace exec {
@@ -54,30 +51,6 @@ bool ShardIsLocal(const std::vector<BatchQuery>& queries,
 /// overlap in the obstacles they retrieve even when the segments
 /// themselves are points.
 constexpr double kSpacingFloorFactor = 8.0;
-
-/// Subtree tops staged per shard before a worker picks it up (async miss
-/// pipeline only): the root children overlapping the shard's cover.
-constexpr size_t kStageFanout = 8;
-
-/// A shard is re-queued at most this many times while its staged fault is
-/// in flight, so a slow read can only defer a shard, never starve it.
-constexpr uint8_t kMaxShardParks = 3;
-
-/// Issues a shard's staging reads: hints for the subtree tops overlapping
-/// its cover, with the first top kept as a demand request — the shard's
-/// *park token*.  A worker that finds the token still in flight re-queues
-/// the shard and runs another one instead of blocking on the fault.
-storage::PageRequest StageShard(const rtree::RStarTree& tree,
-                                const std::vector<geom::Segment>& segments,
-                                const std::vector<size_t>& members) {
-  std::vector<storage::PageId> tops;
-  const geom::Rect cover = ShardCover(segments, members);
-  const Status st =
-      tree.CollectRootChildrenOverlapping(cover, kStageFanout, &tops);
-  if (!st.ok() || tops.empty()) return storage::PageRequest();
-  tree.PrefetchPages(std::span<const storage::PageId>(tops).subspan(1));
-  return tree.pager().FetchAsync(tops[0]);
-}
 
 }  // namespace
 
@@ -290,59 +263,19 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
     result.stats.per_query_totals += stats;
   };
 
-  // With the async miss pipeline on, stage every sharing shard's subtree
-  // tops up front (hints + one demand request kept as the shard's park
-  // token), so the I/O workers warm shard roots while the batch spins up.
-  // Declined queries run on their own graphs and have no shared subtree
-  // to warm.  The tree the engines hit first drives the staging: the
-  // obstacle tree (IOR descends it before any data access), which in the
-  // 1-tree configuration is the unified tree.
-  const rtree::RStarTree& stage_tree = *obstacles_;
-  const bool async = stage_tree.PrefetchEnabled();
-  std::vector<storage::PageRequest> stage(items.size());
-  if (async) {
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (items[i].query != kWholeShard) continue;
-      stage[i] = StageShard(stage_tree, segments,
-                            plan->states_[items[i].shard].members);
-    }
-  }
-
-  // Work-parking scheduler: items live in a runnable queue; a worker that
-  // pops a shard whose staged fault is still in flight re-queues it
-  // (bounded by kMaxShardParks) and picks up other work instead of
-  // blocking on the device.  With async off this degrades to a plain FIFO
-  // — same order, same single-worker determinism.
-  Mutex sched_mu;
-  std::deque<size_t> runnable;
-  for (size_t i = 0; i < items.size(); ++i) runnable.push_back(i);
-  std::vector<uint8_t> parks(items.size(), 0);
-  size_t parked_total = 0;
-
+  // Workers claim items in order from a shared cursor, so a single worker
+  // runs them in exactly the order they were planned.
+  Mutex next_mu;
+  size_t next_item = 0;  // guarded by next_mu
   auto worker = [&]() {
     while (true) {
-      size_t idx = 0;
+      size_t i = 0;
       {
-        MutexLock lock(sched_mu);
-        if (runnable.empty()) return;
-        idx = runnable.front();
-        runnable.pop_front();
-        if (async && !runnable.empty() && parks[idx] < kMaxShardParks &&
-            stage[idx].valid() && !stage[idx].Ready()) {
-          ++parks[idx];
-          ++parked_total;
-          runnable.push_back(idx);
-          continue;
-        }
+        MutexLock lock(next_mu);
+        if (next_item == items.size()) return;
+        i = next_item++;
       }
-      if (stage[idx].valid()) {
-        // Consume the park token (usually already completed).  Advisory
-        // only: the engines fetch what they need themselves, so a failed
-        // staging read costs nothing.
-        const StatusOr<storage::PinnedPage> staged = stage[idx].Wait();
-        (void)staged;
-      }
-      run_item(items[idx]);
+      run_item(items[i]);
     }
   };
 
@@ -354,7 +287,6 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
     for (size_t t = 0; t < threads; ++t) pool.Submit(worker);
     pool.WaitIdle();
   }
-  result.stats.shards_parked = parked_total;
 
   result.stats.data_page_faults = data_->pager().faults() - data_faults0;
   result.stats.buffer_hits = data_->pager().hits() - data_hits0;
@@ -363,16 +295,6 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
         own_obstacles->pager().faults() - obs_faults0;
     result.stats.buffer_hits += own_obstacles->pager().hits() - obs_hits0;
   }
-  auto fold_depths = [&result](const rtree::RStarTree& tree) {
-    if (!tree.PrefetchEnabled()) return;
-    const storage::MissQueue::DepthStats d = tree.pager().MissQueueDepths();
-    result.stats.miss_queue_depth_p50 =
-        std::max(result.stats.miss_queue_depth_p50, d.p50);
-    result.stats.miss_queue_depth_p99 =
-        std::max(result.stats.miss_queue_depth_p99, d.p99);
-  };
-  fold_depths(*data_);
-  fold_depths(*obstacles_);
   result.stats.wall_seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -156,18 +156,6 @@ struct BatchStats {
   uint64_t obstacle_page_faults = 0;
   uint64_t buffer_hits = 0;
 
-  /// Async miss pipeline only (BufferOptions::async_io): times a worker
-  /// deferred a shard because its staged page fault was still in flight
-  /// and other shard work was available (the shard ran later instead of
-  /// blocking the worker).
-  size_t shards_parked = 0;
-
-  /// Async miss pipeline only: miss-queue depth percentiles across the
-  /// trees' pagers (cumulative since the pagers' last ResetCounters; max
-  /// over the trees).
-  size_t miss_queue_depth_p50 = 0;
-  size_t miss_queue_depth_p99 = 0;
-
   /// Element-wise sum of every query's own QueryStats.
   QueryStats per_query_totals;
 

@@ -5,20 +5,11 @@
 // and 4).  Incremental: callers stop as soon as their termination bound
 // (RLMAX, Lemma 2; or the IOR search distance, Lemma 3) is reached, giving
 // the optimal I/O property of best-first search.
-//
-// When the tree's pager runs the asynchronous miss pipeline
-// (BufferOptions::async_io), the descent additionally *hints*: before
-// faulting on the node it is about to expand it stages the nearest
-// still-pending node pages from the heap prefix, and when it expands a
-// level-1 node it stages that node's nearest leaf children (STR siblings,
-// laid out contiguously) — so the I/O workers resolve the pages the
-// descent will demand next while this expansion computes.  Hints are
-// advisory: they never fault, never block, and don't change which pages
-// the descent reads, so results and fault/NPE accounting stay identical.
 
 #ifndef CONN_RTREE_BEST_FIRST_H_
 #define CONN_RTREE_BEST_FIRST_H_
 
+#include <queue>
 #include <vector>
 
 #include "geom/segment.h"
@@ -60,24 +51,9 @@ class BestFirstIterator {
   /// Pops internal nodes until the heap's top is an object (or empty).
   void EnsureTopIsObject();
 
-  /// Heap primitives over heap_ (std::push_heap/pop_heap with the same
-  /// std::greater<> ordering std::priority_queue would use, so the pop
-  /// order is identical).  The raw vector exists so the hint emitters can
-  /// scan the heap prefix for pending node pages — a priority_queue hides
-  /// its container.
-  void PushItem(const HeapItem& item);
-  HeapItem PopTop();
-
-  /// Stages the nearest still-pending node pages from the heap prefix
-  /// (async pipeline only; called right before a demand node fetch so the
-  /// staging overlaps it).
-  void EmitPendingNodeHints();
-
   const RStarTree& tree_;
   geom::Segment query_;
-  const bool hints_;  ///< tree_.PrefetchEnabled() at construction
-  std::vector<HeapItem> heap_;  ///< min-heap via std::push_heap/pop_heap
-  std::vector<storage::PageId> hint_scratch_;
+  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap_;
 };
 
 }  // namespace rtree

@@ -1,33 +1,11 @@
 #include "rtree/pair_join.h"
 
 #include <limits>
-#include <vector>
 
 #include "geom/distance.h"
 
 namespace conn {
 namespace rtree {
-namespace {
-
-// Async pipeline only: stage the leaf children of a just-expanded level-1
-// node so the pairs pushed onto the heap find their pages resident when
-// popped.  Entry order is STR order — siblings are contiguous, so the I/O
-// worker resolves the batch as one ascending sweep.  The batch is clamped
-// by the pager's autotuned staging window (matches the best-first
-// descent's clamp; see pool_tuning.h).
-void HintLeafChildren(const RStarTree& tree, const Node& node) {
-  if (node.level != 1 || !tree.PrefetchEnabled()) return;
-  const size_t cap = tree.pager().effective_hint_depth();
-  std::vector<storage::PageId> ids;
-  ids.reserve(cap);
-  for (const NodeEntry& e : node.entries) {
-    ids.push_back(e.DecodeChild());
-    if (ids.size() >= cap) break;
-  }
-  tree.PrefetchPages(ids);
-}
-
-}  // namespace
 
 PairDistanceJoin::PairDistanceJoin(const RStarTree& tree_a,
                                    const RStarTree& tree_b)
@@ -56,8 +34,6 @@ void PairDistanceJoin::PushChildren(const Item& top) {
     CONN_CHECK(ra.ok() && rb.ok());
     const Node& na = *ra.value();
     const Node& nb = *rb.value();
-    HintLeafChildren(tree_a_, na);
-    HintLeafChildren(tree_b_, nb);
     for (const NodeEntry& ea : na.entries) {
       for (const NodeEntry& eb : nb.entries) {
         Item item;
@@ -83,7 +59,6 @@ void PairDistanceJoin::PushChildren(const Item& top) {
       expand_a ? top.a_payload : top.b_payload));
   CONN_CHECK(ref.ok());
   const Node& node = *ref.value();
-  HintLeafChildren(tree, node);
   for (const NodeEntry& e : node.entries) {
     Item item = top;
     const geom::Rect other = expand_a ? top.b_rect : top.a_rect;

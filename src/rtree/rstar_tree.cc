@@ -137,33 +137,6 @@ StatusOr<ConstNodeRef> RStarTree::FetchNode(storage::PageId id) const {
   return ref;
 }
 
-bool RStarTree::PrefetchEnabled() const {
-  const storage::BufferOptions& opts = pager_->buffer_pool().options();
-  return opts.async_io && opts.capacity_pages > 0;
-}
-
-void RStarTree::PrefetchPages(std::span<const storage::PageId> ids) const {
-  if (!PrefetchEnabled()) return;
-  pager_->Prefetch(ids);
-}
-
-Status RStarTree::CollectRootChildrenOverlapping(
-    const geom::Rect& range, size_t max_pages,
-    std::vector<storage::PageId>* out) const {
-  out->clear();
-  if (max_pages == 0) return Status::OK();
-  StatusOr<ConstNodeRef> root = FetchNode(root_);
-  if (!root.ok()) return root.status();
-  const Node& node = *root.value();
-  if (node.IsLeaf()) return Status::OK();
-  for (const NodeEntry& e : node.entries) {
-    if (!e.rect.Intersects(range)) continue;
-    out->push_back(e.DecodeChild());
-    if (out->size() >= max_pages) break;
-  }
-  return Status::OK();
-}
-
 Status RStarTree::ReadNode(storage::PageId id, Node* out) const {
   StatusOr<storage::PinnedPage> pinned = pager_->Fetch(id);
   if (!pinned.ok()) return pinned.status();
@@ -501,7 +474,6 @@ Status RStarTree::Delete(const DataObject& obj) {
 Status RStarTree::RangeQuery(const geom::Rect& range,
                              std::vector<DataObject>* out) const {
   out->clear();
-  const bool hints = PrefetchEnabled();
   std::vector<storage::PageId> stack = {root_};
   while (!stack.empty()) {
     const storage::PageId id = stack.back();
@@ -509,7 +481,6 @@ Status RStarTree::RangeQuery(const geom::Rect& range,
     StatusOr<ConstNodeRef> ref = FetchNode(id);
     if (!ref.ok()) return ref.status();
     const Node& node = *ref.value();
-    const size_t first_child = stack.size();
     for (const NodeEntry& e : node.entries) {
       if (!e.rect.Intersects(range)) continue;
       if (node.IsLeaf()) {
@@ -518,13 +489,6 @@ Status RStarTree::RangeQuery(const geom::Rect& range,
         stack.push_back(e.DecodeChild());
       }
     }
-    // Async pipeline: hint the qualifying children as one batch so their
-    // reads overlap this level's compute (STR lays siblings contiguously,
-    // so the I/O worker resolves them as one ascending sweep).
-    if (hints && stack.size() > first_child) {
-      PrefetchPages(std::span<const storage::PageId>(stack).subspan(
-          first_child));
-    }
   }
   return Status::OK();
 }
@@ -532,7 +496,6 @@ Status RStarTree::RangeQuery(const geom::Rect& range,
 Status RStarTree::SegmentIntersectionQuery(const geom::Segment& s,
                                            std::vector<DataObject>* out) const {
   out->clear();
-  const bool hints = PrefetchEnabled();
   std::vector<storage::PageId> stack = {root_};
   while (!stack.empty()) {
     const storage::PageId id = stack.back();
@@ -540,7 +503,6 @@ Status RStarTree::SegmentIntersectionQuery(const geom::Segment& s,
     StatusOr<ConstNodeRef> ref = FetchNode(id);
     if (!ref.ok()) return ref.status();
     const Node& node = *ref.value();
-    const size_t first_child = stack.size();
     for (const NodeEntry& e : node.entries) {
       if (!geom::SegmentIntersectsRect(s, e.rect)) continue;
       if (node.IsLeaf()) {
@@ -548,11 +510,6 @@ Status RStarTree::SegmentIntersectionQuery(const geom::Segment& s,
       } else {
         stack.push_back(e.DecodeChild());
       }
-    }
-    // See RangeQuery: batch-hint the qualifying children (async only).
-    if (hints && stack.size() > first_child) {
-      PrefetchPages(std::span<const storage::PageId>(stack).subspan(
-          first_child));
     }
   }
   return Status::OK();

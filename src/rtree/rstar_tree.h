@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -85,24 +84,6 @@ class RStarTree {
   /// ref aliases the frame's decoded-node cache (parsed at most once per
   /// residency of the page).  The ref stays valid after eviction.
   StatusOr<ConstNodeRef> FetchNode(storage::PageId id) const;
-
-  /// True when the pager runs the asynchronous miss pipeline (async_io on
-  /// over a buffered pool).  Traversals emit staging hints only then —
-  /// synchronous configurations keep the exact reference access pattern.
-  bool PrefetchEnabled() const;
-
-  /// Forwards advisory staging hints for tree pages to the pager (a no-op
-  /// unless PrefetchEnabled(); hints never fault and never block).
-  void PrefetchPages(std::span<const storage::PageId> ids) const;
-
-  /// Child pages of the root whose rectangles intersect \p range, up to
-  /// \p max_pages (empty when the root is a leaf).  The batch executor
-  /// stages a shard's subtree tops through this before a worker picks the
-  /// shard up, so the shard's first descents find them resident.
-  Status CollectRootChildrenOverlapping(const geom::Rect& range,
-                                        size_t max_pages,
-                                        std::vector<storage::PageId>* out)
-      const;
 
   /// Reads a node into caller-owned (mutable) storage — the insertion and
   /// deletion paths use this; read-only traversals prefer FetchNode().

@@ -46,7 +46,6 @@
 #include "common/check.h"
 #include "common/mutex.h"
 #include "storage/page.h"
-#include "storage/pool_tuning.h"
 
 namespace conn {
 namespace storage {
@@ -73,23 +72,6 @@ struct BufferOptions {
   /// Prefetched pages count device reads but not faults; a later demand
   /// access of a staged page counts a buffer hit.  0 disables readahead.
   size_t readahead_pages = 0;
-
-  /// Service misses asynchronously: Pager::Fetch()/FetchAsync() charge the
-  /// fault immediately but route the device read through a bounded miss
-  /// queue drained by a small I/O worker pool, and Pager::Prefetch() hints
-  /// stage pages off-worker instead of inline.  Off (the default) is the
-  /// synchronous reference behavior the committed baselines were produced
-  /// under.  Ignored while capacity_pages == 0 (unbuffered reads have no
-  /// staging to overlap).
-  bool async_io = false;
-
-  /// I/O worker threads draining the miss queue (async_io only).
-  size_t io_threads = kIoThreads;
-
-  /// Bound on queued miss-queue entries, demand + hints (async_io only).
-  /// Enqueues beyond it degrade gracefully: demand requests are serviced
-  /// inline by the caller, hints are dropped.
-  size_t miss_queue_depth = kMissQueueDepth;
 };
 
 /// RAII borrow of one page's memory.  Obtained from Pager::Fetch(); the
@@ -215,8 +197,8 @@ class BufferPool {
   /// Staging effectiveness counters.  A demand hit on a staged page whose
   /// first demand reference this is counts one prefetch hit; evicting a
   /// staged page that was never demand-referenced counts one wasted
-  /// prefetch.  (Issued-hint counting lives on the Pager, which owns the
-  /// staging entry points.)
+  /// prefetch.  (Counting staged pages lives on the Pager, which runs the
+  /// readahead.)
   uint64_t prefetch_hits() const {
     return prefetch_hits_.load(std::memory_order_relaxed);
   }

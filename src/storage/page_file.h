@@ -46,15 +46,6 @@ class PageFile {
   /// trees are built before queries run against them).
   Status View(PageId id, const Page** out) const;
 
-  /// Batched View(): resolves \p ids in one device request.  \p views is
-  /// resized to match, holding a stable page pointer per id (nullptr for
-  /// unallocated ids — the caller's per-id NotFound).  Counts one device
-  /// read per resolved page plus one batch; the miss-queue I/O workers
-  /// use this so a service cycle costs one "pread" per sorted run of ids
-  /// instead of one per page.
-  void ViewBatch(const std::vector<PageId>& ids,
-                 std::vector<const Page*>* views) const;
-
   /// Copies page \p id into \p out.  NotFound for unallocated ids.
   Status Read(PageId id, Page* out) const;
 
@@ -66,10 +57,6 @@ class PageFile {
   uint64_t device_reads() const {
     return device_reads_.load(std::memory_order_relaxed);
   }
-  /// Batched requests issued via ViewBatch() (each covers >= 1 pages).
-  uint64_t device_read_batches() const {
-    return device_read_batches_.load(std::memory_order_relaxed);
-  }
   uint64_t device_writes() const { return device_writes_; }
 
  private:
@@ -78,7 +65,6 @@ class PageFile {
   // Read()/View() are logically const and run concurrently from query
   // threads.
   mutable std::atomic<uint64_t> device_reads_{0};
-  mutable std::atomic<uint64_t> device_read_batches_{0};
   uint64_t device_writes_ = 0;
 };
 

@@ -11,26 +11,10 @@
 // with buffering disabled (capacity 0, the paper's default configuration)
 // every Fetch faults.
 //
-// With BufferOptions::async_io on, the miss path becomes a two-stage
-// request/completion pipeline instead of a blocking call:
-//
-//   FetchAsync(id) ── hit ──────────────────────▶ completed PageRequest
-//        │ miss (fault charged here)
-//        ▼
-//   bounded MissQueue ── demand class ──▶ I/O workers ── batched ViewBatch
-//        ▲                                   │
-//   Prefetch(ids) ── hint class (drained     └──▶ CompletePageRequest
-//                    only when no demand          (caller's Wait unblocks)
-//                    waits)
-//
-// Fetch() in async mode is FetchAsync().Wait() — same results, same
-// accounting: the fault/hit decision is made at issue time against the
-// same residency check the synchronous path uses, so fault counts with
-// hints disabled are identical to the synchronous reference.  Prefetch()
-// hints (and the STR readahead that used to run inline on the miss path)
-// stage pages off-worker through the hint class, which workers only drain
-// while no demand entry waits — staging can never extend a demand fetch's
-// latency.
+// Every read is synchronous, as in the paper's I/O model: a miss reads the
+// page on the calling thread before Fetch() returns.  The only staging is
+// the optional STR readahead (BufferOptions::readahead_pages), which runs
+// inline after the demand page is pinned and feeds the prefetch_* counters.
 //
 // Concurrent Fetch()es from several query threads (the batch executor's
 // shards) are safe: counters are atomic and the pool takes per-shard
@@ -45,15 +29,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <span>
 
 #include "common/status.h"
 #include "storage/buffer_pool.h"
-#include "storage/miss_queue.h"
 #include "storage/page_file.h"
-#include "storage/page_request.h"
-#include "storage/pool_tuning.h"
 
 namespace conn {
 namespace storage {
@@ -62,10 +41,6 @@ namespace storage {
 class Pager {
  public:
   Pager() = default;
-
-  /// Joins the I/O workers (draining queued requests) before the pool and
-  /// file they service into are torn down.
-  ~Pager();
 
   Pager(const Pager&) = delete;
   Pager& operator=(const Pager&) = delete;
@@ -79,37 +54,24 @@ class Pager {
   size_t PageCount() const { return file_.PageCount(); }
 
   /// Pins page \p id and returns a borrowed view of its bytes.  A resident
-  /// page counts one hit (zero copies); a miss counts one fault and stages
-  /// the page into the pool.  In async mode this is FetchAsync().Wait().
+  /// page counts one hit (zero copies); a miss counts one fault, stages
+  /// the page into the pool and then runs the configured readahead.
   /// Thread-safe against concurrent Fetch()es.
   StatusOr<PinnedPage> Fetch(PageId id);
-
-  /// Issues the fetch without blocking on the device: an immediate hit (or
-  /// any synchronous configuration) returns a pre-completed request, a
-  /// miss charges the fault now and parks the read in the miss queue.
-  /// Call Wait() on the handle when the bytes are actually needed and
-  /// overlap compute with the in-flight I/O until then.
-  PageRequest FetchAsync(PageId id);
-
-  /// Advisory staging hints: queues device reads for the given ids so a
-  /// later demand Fetch finds them resident.  Hints never fault, never
-  /// block, are deduplicated and dropped when the queue is full, and are
-  /// only serviced while no demand request waits.  A no-op unless
-  /// async_io is on and the pool is buffered.
-  void Prefetch(std::span<const PageId> ids);
 
   /// Writes page \p id through to the file and refreshes the pool.
   Status Write(PageId id, const Page& page);
 
-  /// Reconfigures the buffer pool (capacity, eviction policy, readahead,
-  /// async pipeline), dropping all cached pages and draining any in-flight
-  /// miss-queue work.  Not thread-safe against in-flight reads; requires
-  /// that no pins are live.
-  void ConfigureBuffer(const BufferOptions& options);
+  /// Reconfigures the buffer pool (capacity, eviction policy, readahead),
+  /// dropping all cached pages.  Not thread-safe against in-flight reads;
+  /// requires that no pins are live.
+  void ConfigureBuffer(const BufferOptions& options) {
+    pool_.Configure(options);
+  }
 
   /// Sets the buffer capacity in pages (0 disables buffering, the default
   /// configuration of the paper's experiments), keeping the current policy
-  /// and readahead/async settings.  Drops cached pages; see
+  /// and readahead settings.  Drops cached pages; see
   /// ConfigureBuffer().
   void SetBufferCapacity(size_t pages) {
     BufferOptions opts = pool_.options();
@@ -118,14 +80,12 @@ class Pager {
   }
 
   /// Drops buffered pages (and 2Q ghost history) without changing the
-  /// configuration.  Requires that no pins are live and no requests are in
-  /// flight.
+  /// configuration.  Requires that no pins are live.
   void ClearBuffer() { pool_.Clear(); }
 
-  /// Zeroes the fault/hit/prefetch counters and the miss-queue depth
-  /// telemetry — warm-up phases call this so the measured half of a
-  /// workload starts from a clean slate.  Device-level counters (PageFile)
-  /// are not affected.
+  /// Zeroes the fault/hit/prefetch counters — warm-up phases call this so
+  /// the measured half of a workload starts from a clean slate.
+  /// Device-level counters (PageFile) are not affected.
   void ResetCounters();
 
   /// Page faults (buffer misses) since construction / ResetCounters().
@@ -134,8 +94,7 @@ class Pager {
   /// Buffer hits since construction / ResetCounters().
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
 
-  /// Staging hints accepted into the pipeline (Prefetch/readahead pages
-  /// actually queued or staged, after residency/dedup/bounds filtering).
+  /// Pages staged by readahead (after residency and bounds filtering).
   uint64_t prefetch_issued() const {
     return prefetch_issued_.load(std::memory_order_relaxed);
   }
@@ -147,19 +106,6 @@ class Pager {
   /// Staged pages evicted before any demand touch (useless prefetch).
   uint64_t prefetch_wasted() const { return pool_.prefetch_wasted(); }
 
-  /// Current advisory width of the STR-sibling staging window, adapted
-  /// from the windowed prefetch_wasted/prefetch_issued ratio (see
-  /// pool_tuning.h): kHintDepthCap when staging is paying off, shrunk
-  /// toward kHintDepthFloor when staged pages keep getting evicted
-  /// untouched.  Readers (best-first descent, pair join) clamp their
-  /// per-expansion hint batch by this.
-  size_t effective_hint_depth() const {
-    return hint_depth_.load(std::memory_order_relaxed);
-  }
-
-  /// Miss-queue depth percentiles (all zero in synchronous mode).
-  MissQueue::DepthStats MissQueueDepths();
-
   /// The pool, for configuration inspection and tests.
   BufferPool& buffer_pool() { return pool_; }
 
@@ -167,40 +113,11 @@ class Pager {
   const PageFile& file() const { return file_; }
 
  private:
-  /// The synchronous reference path (async_io off): identical behavior and
-  /// accounting to the seed implementation, inline readahead included.
-  StatusOr<PinnedPage> SyncFetch(PageId id);
-
-  /// Reads + stages one missed page without touching fault/hit counters
-  /// (the fault was charged at issue time).  Shared by the I/O workers and
-  /// the queue-full inline fallback.
-  StatusOr<PinnedPage> ServiceMiss(PageId id);
-
-  /// I/O worker entry point: resolves a claimed batch with one batched
-  /// device request and completes every demand item in it.
-  void ServiceBatch(std::vector<MissQueue::Item> batch);
-
-  /// Queues one staging hint; false if filtered (out of range, resident,
-  /// duplicate, queue full, or synchronous mode).
-  bool TryStageHint(PageId id);
-
-  /// Closes an adaptation window when enough hints have been accepted
-  /// since the last one, adjusting hint_depth_ from the window's wasted
-  /// ratio.  Thread-safe: one CAS winner per window adapts, losers return.
-  void MaybeAdaptHintDepth();
-
   PageFile file_;
   BufferPool pool_;
   std::atomic<uint64_t> faults_{0};
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> prefetch_issued_{0};
-  std::atomic<size_t> hint_depth_{kHintDepthCap};
-  // prefetch_issued_ / prefetch_wasted values at the last window close.
-  std::atomic<uint64_t> tune_issued_mark_{0};
-  std::atomic<uint64_t> tune_wasted_mark_{0};
-  // Declared after the file and pool it services: destroyed (and its
-  // workers joined) first.
-  std::unique_ptr<MissQueue> miss_queue_;
 };
 
 }  // namespace storage

@@ -1,10 +1,9 @@
-// Fault parity guard for the async-pipeline refactor: with async_io off
-// the miss path must be byte-for-byte the pre-refactor synchronous code,
-// so replaying the Fig. 12 benchmark recipe (bench/fig12_buffer.cc at the
-// smoke scale its committed baseline was recorded under) must reproduce
-// the baseline's exact-LRU fault counts — the numbers published in
-// baselines/README.md — exactly.  A drift of even one fault here means
-// the refactor changed the reference fetch path, not just added to it.
+// Fault parity guard for the synchronous fetch path: replaying the Fig. 12
+// benchmark recipe (bench/fig12_buffer.cc at the smoke scale its committed
+// baseline was recorded under) must reproduce the baseline's exact-LRU
+// fault counts — the numbers published in baselines/README.md — exactly.
+// A drift of even one fault here means a change to the pager, the buffer
+// pool or a traversal altered which pages a query reads.
 
 #include <gtest/gtest.h>
 
@@ -63,7 +62,6 @@ TEST(Fig12Parity, SyncPathReproducesCommittedExactLruFaults) {
       opts.capacity_pages = static_cast<size_t>(
           tree->PageCount() * point.buffer_percent / 100.0);
       opts.policy = storage::EvictionPolicy::kExactLru;
-      opts.async_io = false;  // the reference path under test
       tree->pager().ConfigureBuffer(opts);
       tree->pager().ResetCounters();
     }

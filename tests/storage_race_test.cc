@@ -22,7 +22,7 @@ namespace conn {
 namespace storage {
 namespace {
 
-void RunChurn(EvictionPolicy policy, bool async_io = false,
+void RunChurn(EvictionPolicy policy,
               size_t capacity_pages = kFramesPerShard / kA1inTargetDivisor,
               size_t pages = 64) {
   const size_t kPages = pages;
@@ -39,10 +39,9 @@ void RunChurn(EvictionPolicy policy, bool async_io = false,
   // (pool_tuning.h): a single-shard pool far below the working set, so
   // eviction churns constantly and stays churning if the shard sizing
   // ever changes.  The fan-out variant below overrides it to span many
-  // shards of the lifted kMaxShards cap.
+  // shards of the kMaxShards cap.
   opts.capacity_pages = capacity_pages;
   opts.policy = policy;
-  opts.async_io = async_io;
   pager.ConfigureBuffer(opts);
   pager.ResetCounters();
 
@@ -100,22 +99,11 @@ TEST(StorageRaceTest, ConcurrentFetchPinUnpinChurnExactLru) {
   RunChurn(EvictionPolicy::kExactLru);
 }
 
-// Same churn with every miss routed through the async pipeline's demand
-// class: fetching threads now rendezvous with the I/O workers, and the
-// one-hit-or-one-fault accounting invariant must survive the handoff.
-TEST(StorageRaceTest, ConcurrentChurnAsyncPipelineTwoQueue) {
-  RunChurn(EvictionPolicy::kTwoQueue, /*async_io=*/true);
-}
-
-TEST(StorageRaceTest, ConcurrentChurnAsyncPipelineExactLru) {
-  RunChurn(EvictionPolicy::kExactLru, /*async_io=*/true);
-}
-
-// Churn across a pool spanning many latch shards of the lifted kMaxShards
-// cap (pool_tuning.h), async pipeline on: evictions, staging inserts, and
-// pin traffic spread over the full fan-out instead of one latch.
+// Churn across a pool spanning many latch shards of the kMaxShards cap
+// (pool_tuning.h): evictions, inserts and pin traffic spread over eight
+// latches instead of one.
 TEST(StorageRaceTest, ConcurrentChurnAcrossLiftedShardFanout) {
-  RunChurn(EvictionPolicy::kTwoQueue, /*async_io=*/true,
+  RunChurn(EvictionPolicy::kTwoQueue,
            /*capacity_pages=*/8 * kFramesPerShard, /*pages=*/1024);
 }
 

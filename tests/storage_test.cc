@@ -113,8 +113,55 @@ TEST(PagerTest, UnbufferedEveryFetchFaults) {
 }
 
 TEST(PagerTest, FetchOutOfRangeIsNotFound) {
-  Pager pager;
-  EXPECT_EQ(pager.Fetch(3).status().code(), StatusCode::kNotFound);
+  {
+    Pager empty;
+    EXPECT_EQ(empty.Fetch(3).status().code(), StatusCode::kNotFound);
+  }
+  // Unbuffered, 2Q and exact-LRU: an unallocated id fails before any
+  // counter moves, and leaves no pin behind.
+  struct Config {
+    const char* name;
+    size_t capacity;
+    EvictionPolicy policy;
+  };
+  for (const Config& c : {Config{"unbuffered", 0, EvictionPolicy::kTwoQueue},
+                          Config{"2q", 8, EvictionPolicy::kTwoQueue},
+                          Config{"exact-lru", 8, EvictionPolicy::kExactLru}}) {
+    SCOPED_TRACE(c.name);
+    Pager pager;
+    for (int i = 0; i < 4; ++i) pager.Allocate();
+    BufferOptions opts;
+    opts.capacity_pages = c.capacity;
+    opts.policy = c.policy;
+    pager.ConfigureBuffer(opts);
+    const PageId bad = static_cast<PageId>(pager.PageCount() + 100);
+    EXPECT_EQ(pager.Fetch(bad).status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(pager.faults(), 0u);
+    EXPECT_EQ(pager.hits(), 0u);
+    EXPECT_EQ(pager.buffer_pool().PinnedFrames(), 0u);
+  }
+}
+
+// A buffered Fetch of an unallocated id fails with the very status the
+// unbuffered one returns: same code, same message, for both policies.
+TEST(PageRequestTest, UnallocatedPageFailsLikeSyncFetch) {
+  auto fetch_bad = [](size_t capacity, EvictionPolicy policy) {
+    Pager pager;
+    for (int i = 0; i < 4; ++i) pager.Allocate();
+    BufferOptions opts;
+    opts.capacity_pages = capacity;
+    opts.policy = policy;
+    pager.ConfigureBuffer(opts);
+    return pager.Fetch(static_cast<PageId>(pager.PageCount() + 100)).status();
+  };
+  const Status sync_status = fetch_bad(0, EvictionPolicy::kTwoQueue);
+  ASSERT_EQ(sync_status.code(), StatusCode::kNotFound);
+  for (EvictionPolicy policy :
+       {EvictionPolicy::kTwoQueue, EvictionPolicy::kExactLru}) {
+    const Status got = fetch_bad(8, policy);
+    EXPECT_EQ(got.code(), sync_status.code());
+    EXPECT_EQ(got.message(), sync_status.message());
+  }
 }
 
 TEST(PagerTest, BufferedRepeatFetchesHit) {
