@@ -8,7 +8,6 @@
 #include "core/engine_internal.h"
 #include "core/odist.h"
 #include "core/workspace.h"
-#include "rtree/best_first.h"
 #include "vis/dijkstra.h"
 
 namespace conn {
@@ -18,59 +17,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Converts the final ResultList into public tuples.
-void ExportTuples(const ResultList& rl, ConnResult* result) {
-  for (const RlEntry& e : rl.entries()) {
-    ConnTuple t;
-    t.point_id = e.pid;
-    t.control_point = e.cp;
-    t.offset = e.offset;
-    t.range = e.range;
-    result->tuples.push_back(t);
-  }
-}
-
-/// Degenerate zero-length query: a single ONN point lookup expressed with
-/// the same IOR machinery (no interval computation involved).  Points come
-/// from a dedicated iterator over the data tree; in the 1-tree
-/// configuration the unified stream still serves as the obstacle source,
-/// and the points it buffers are re-found by that iterator.
+/// Degenerate zero-length query: the ONN point query with k = 1 (no
+/// interval computation); the control point is the query point itself.
 ConnResult DegenerateConn(const geom::Segment& q, internal::QueryScope* scope,
                           const ConnOptions& opts) {
-  QueryStats* stats = scope->stats();
-  vis::VisGraph* vg = scope->graph();
   ConnResult result;
   result.query = q;
-
-  vis::QuerySession session(vg);
-  const vis::VertexId target = session.AddFixedVertex(q.a);
-  double retrieved = 0.0;
-  double best = kInf;
-  int64_t best_pid = kNoPoint;
-
-  rtree::BestFirstIterator points(scope->data_tree(), q);
-  rtree::DataObject obj;
-  double dist = 0.0;
-  while (points.PeekDist() < best) {
-    CONN_CHECK(points.Next(&obj, &dist));
-    // In the 1-tree configuration the same tree also yields obstacles.
-    if (obj.kind != rtree::ObjectKind::kPoint) continue;
-    ++stats->points_evaluated;
-    const double od = IncrementalObstacleRetrieval(
-        scope->obstacles(), vg, {target}, obj.AsPoint(), &retrieved, stats,
-        /*out_scan=*/nullptr, scope->arena(), opts.use_warm_scan_restarts);
-    if (od < best) {
-      best = od;
-      best_pid = obj.id;
-    }
-  }
-  if (best_pid != kNoPoint) {
-    ConnTuple t;
-    t.point_id = best_pid;
-    t.control_point = q.a;  // trivially: the query point itself
-    t.offset = best;
-    t.range = geom::Interval(0.0, 0.0);
-    result.tuples.push_back(t);
+  for (const OnnNeighbor& n : internal::NearestByOdist(scope, 1, opts)) {
+    result.tuples.push_back(
+        ConnTuple{n.pid, q.a, n.odist, geom::Interval(0.0, 0.0)});
   }
   return result;
 }
@@ -120,7 +75,9 @@ ConnResult RunConn(const geom::Segment& q, internal::QueryScope* scope,
     rl.Update(static_cast<int64_t>(obj.id), cpl, frame, opts, stats);
   }
   stats->vr_cache_evictions += vr_cache.evictions();
-  ExportTuples(rl, &result);
+  for (const RlEntry& e : rl.entries()) {
+    result.tuples.push_back(ConnTuple{e.pid, e.cp, e.offset, e.range});
+  }
   return result;
 }
 

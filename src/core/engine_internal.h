@@ -1,9 +1,11 @@
 // Shared plumbing of the CONN-family query engines (conn.cc, coknn.cc,
-// onn.cc, cnn.cc).  Internal header — not part of the public API.
+// cnn.cc) and the obstructed point queries (onn.cc, obstructed_range.cc,
+// obstructed_join.cc).  Internal header — not part of the public API.
 
 #ifndef CONN_CORE_ENGINE_INTERNAL_H_
 #define CONN_CORE_ENGINE_INTERNAL_H_
 
+#include <algorithm>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -12,6 +14,8 @@
 #include "common/stats.h"
 #include "common/timer.h"
 #include "core/odist.h"
+#include "core/onn.h"
+#include "core/options.h"
 #include "core/workspace.h"
 #include "geom/interval_set.h"
 #include "geom/predicates.h"
@@ -37,12 +41,6 @@ inline geom::Rect WorkspaceBounds(const rtree::RStarTree* a,
   // Guard against degenerate domains (single point workloads).
   const double pad = 1.0 + 1e-3 * std::max(r.Width(), r.Height());
   return geom::Rect({r.lo.x - pad, r.lo.y - pad}, {r.hi.x + pad, r.hi.y + pad});
-}
-
-inline geom::Rect WorkspaceBounds(const rtree::RStarTree* a,
-                                  const rtree::RStarTree* b,
-                                  const geom::Segment& q) {
-  return WorkspaceBounds(a, b, q.Bounds());
 }
 
 /// Arc-length intervals of \p q lying strictly inside obstacle interiors
@@ -138,7 +136,7 @@ class ScopedQueryGraph {
                    QueryStats* stats)
       : own_(workspace == nullptr
                  ? std::optional<vis::VisGraph>(
-                       std::in_place, WorkspaceBounds(a, b, q), stats)
+                       std::in_place, WorkspaceBounds(a, b, q.Bounds()), stats)
                  : std::nullopt),
         own_arena_(workspace == nullptr
                        ? std::optional<vis::ScanArena>(std::in_place)
@@ -203,12 +201,13 @@ inline void AddPrefetchStats(const PagerDelta& io, QueryStats* stats) {
   stats->prefetch_wasted += io.prefetch_wasted();
 }
 
-/// Set-up and stats finish of one CONN / COkNN query, shared by both
-/// entry points.  Passing the same tree as data and obstacle tree selects
-/// the unified traversal of Section 4.5: one UnifiedStream yields the data
-/// points and feeds IOR the obstacles, and all I/O is charged to the data
-/// tree.  Otherwise obstacles stream from their own tree and the data tree
-/// must hold points only.
+/// Set-up and stats finish of one CONN, COkNN, ONN or range query (the
+/// point queries run on the zero-length segment [p, p]).  Passing the same
+/// tree as data and obstacle tree selects the unified traversal of Section
+/// 4.5: one UnifiedStream feeds IOR the obstacles (and CONN and COkNN
+/// their data points), and all I/O is charged to the data tree.
+/// Otherwise obstacles stream from their own tree and the data tree must
+/// hold points only.
 ///
 /// Page reads keep the order the fig12 buffered counters were recorded
 /// under: the constructor snapshots the pagers and resolves the graph
@@ -241,6 +240,8 @@ class QueryScope {
   vis::VisGraph* graph() { return graph_.get(); }
   vis::ScanArena* arena() { return graph_.arena(); }
   const rtree::RStarTree& data_tree() const { return data_tree_; }
+  const geom::Segment& query() const { return q_; }
+  bool one_tree() const { return one_tree_; }
 
   /// The stream IOR draws obstacles from.
   ObstacleSource* obstacles() {
@@ -308,6 +309,90 @@ class QueryScope {
   std::optional<rtree::BestFirstIterator> points_;    ///< two trees only
   std::optional<UnifiedStream> unified_;              ///< one tree only
 };
+
+/// IOR (Algorithm 1) anchored at one fixed vertex, added before any
+/// obstacle: obstructed distances from the anchor to successive points,
+/// with the graph's obstacles and the retrieval radius carried across
+/// calls.  Every distance the point queries and the joins compute comes
+/// from one of these.
+struct AnchoredIor {
+  vis::VisGraph* vg;
+  std::vector<vis::VertexId> anchor;  ///< the one IOR target
+  ObstacleSource* obstacles;
+  vis::ScanArena* arena;
+  QueryStats* stats;
+  bool warm_restarts;  ///< ConnOptions::use_warm_scan_restarts
+  double retrieved = 0.0;
+
+  double Odist(geom::Vec2 p) {
+    return IncrementalObstacleRetrieval(obstacles, vg, anchor, p, &retrieved,
+                                        stats, /*out_scan=*/nullptr, arena,
+                                        warm_restarts);
+  }
+};
+
+/// The point stream of the point queries: visits the data points of
+/// \p scope's query [a, a] by ascending mindist while \p within(mindist)
+/// holds, passing \p visit each with its obstructed distance to a.  The
+/// points come from their own iterator; in the 1-tree configuration it
+/// skips obstacles, which reach the graph through the unified stream.
+template <typename Within, typename Visit>
+void ForEachPointByOdist(QueryScope* scope, const ConnOptions& opts,
+                         Within within, Visit visit) {
+  vis::QuerySession session(scope->graph());
+  AnchoredIor ior{scope->graph(), {session.AddFixedVertex(scope->query().a)},
+                  scope->obstacles(), scope->arena(), scope->stats(),
+                  opts.use_warm_scan_restarts};
+  rtree::BestFirstIterator points(scope->data_tree(), scope->query());
+  rtree::DataObject obj;
+  double dist = 0.0;
+  while (within(points.PeekDist())) {
+    if (!points.Next(&obj, &dist)) break;
+    if (obj.kind != rtree::ObjectKind::kPoint) {
+      CONN_CHECK_MSG(scope->one_tree(), "data tree contains a non-point entry");
+      continue;
+    }
+    ++scope->stats()->points_evaluated;
+    visit(OnnNeighbor{static_cast<int64_t>(obj.id), ior.Odist(obj.AsPoint())});
+  }
+}
+
+/// The k items of the stream \p for_each(within, visit) (the point stream
+/// or a join's pair stream) nearest by obstructed distance, sorted by
+/// \p less.  The k-th best distance strictly cuts the stream and gates
+/// admission, so unreachable (infinite) items never enter.
+template <typename T, typename ForEach>
+std::vector<T> KNearest(size_t k, bool (*less)(const T&, const T&),
+                        ForEach for_each) {
+  std::vector<T> best;  // sorted; k is small
+  auto kth_bound = [&]() {
+    return best.size() < k ? std::numeric_limits<double>::infinity()
+                           : best.back().odist;
+  };
+  for_each([&](double mindist) { return mindist < kth_bound(); },
+           [&](const T& item) {
+             if (item.odist >= kth_bound()) return;
+             best.push_back(item);
+             std::sort(best.begin(), best.end(), less);
+             if (best.size() > k) best.pop_back();
+           });
+  return best;
+}
+
+/// Orders point-query answers nearest first, ties by id.
+inline bool NearerFirst(const OnnNeighbor& a, const OnnNeighbor& b) {
+  if (a.odist != b.odist) return a.odist < b.odist;
+  return a.pid < b.pid;
+}
+
+/// The k data points nearest to the anchor of \p scope's zero-length
+/// query by obstructed distance: ONN, and the zero-length CONN (k = 1).
+inline std::vector<OnnNeighbor> NearestByOdist(QueryScope* scope, size_t k,
+                                               const ConnOptions& opts) {
+  return KNearest<OnnNeighbor>(k, NearerFirst, [&](auto within, auto visit) {
+    ForEachPointByOdist(scope, opts, within, visit);
+  });
+}
 
 }  // namespace internal
 }  // namespace core

@@ -1,9 +1,7 @@
 #include "core/obstructed_join.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
-#include <memory>
 
 #include "common/check.h"
 #include "common/timer.h"
@@ -17,73 +15,99 @@ namespace core {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Obstructed-distance evaluation context anchored at one left object:
-/// a local visibility graph around a (the degenerate segment [a, a]) whose
-/// obstacle set grows across all right partners of a (IOR reuse).
+/// One graph per left object a, around [a, a]: its obstacle set grows
+/// across all right partners of a (IOR reuse).
 struct LeftContext {
-  std::unique_ptr<vis::VisGraph> vg;
-  std::unique_ptr<vis::ScanArena> arena;
-  std::unique_ptr<TreeObstacleSource> source;
-  vis::VertexId target = 0;
-  double retrieved = 0.0;
+  LeftContext(const geom::Rect& domain, geom::Vec2 a,
+              const rtree::RStarTree& obstacle_tree, QueryStats* stats,
+              const ConnOptions& opts)
+      : vg(domain, stats),
+        source(obstacle_tree, geom::Segment(a, a)),
+        ior{&vg, {vg.AddFixedVertex(a)}, &source, &arena, stats,
+            opts.use_warm_scan_restarts} {}
+
+  vis::VisGraph vg;
+  vis::ScanArena arena;
+  TreeObstacleSource source;
+  internal::AnchoredIor ior;
 };
 
-class PairOdistEvaluator {
+/// Set-up and stats finish of one join over A x B: the three trees' pager
+/// deltas, the run's counters, and the per-left-object graphs.
+class JoinScope {
  public:
-  PairOdistEvaluator(const rtree::RStarTree& tree_a,
-                     const rtree::RStarTree& tree_b,
-                     const rtree::RStarTree& obstacle_tree, QueryStats* stats)
+  JoinScope(const rtree::RStarTree& tree_a, const rtree::RStarTree& tree_b,
+            const rtree::RStarTree& obstacle_tree, const ConnOptions& opts)
       : tree_a_(tree_a),
         tree_b_(tree_b),
         obstacle_tree_(obstacle_tree),
-        stats_(stats) {}
+        opts_(opts),
+        a_io_(tree_a.pager()),
+        b_io_(tree_b.pager()),
+        o_io_(obstacle_tree.pager()) {}
 
-  double Odist(const rtree::DataObject& a, const rtree::DataObject& b) {
-    LeftContext& ctx = ContextFor(a);
-    return IncrementalObstacleRetrieval(ctx.source.get(), ctx.vg.get(),
-                                        {ctx.target}, b.AsPoint(),
-                                        &ctx.retrieved, stats_,
-                                        /*out_scan=*/nullptr, ctx.arena.get());
+  QueryStats* stats() { return &stats_; }
+
+  /// The pair stream: visits A x B by ascending Euclidean distance (a lower
+  /// bound of the obstructed one) while \p within(distance) holds, passing
+  /// \p visit each pair with its obstructed distance.
+  template <typename Within, typename Visit>
+  void ForEachPairByOdist(Within within, Visit visit) {
+    rtree::PairDistanceJoin pairs(tree_a_, tree_b_);
+    rtree::DataObject a, b;
+    double euclid;
+    while (within(pairs.PeekDist())) {
+      if (!pairs.Next(&a, &b, &euclid)) break;
+      ++stats_.points_evaluated;
+      const int64_t id = static_cast<int64_t>(a.id);
+      auto it = contexts_.find(id);
+      if (it == contexts_.end()) {
+        const geom::Vec2 pos = a.AsPoint();
+        const geom::Rect domain =
+            internal::WorkspaceBounds(&tree_a_, &obstacle_tree_,
+                                      geom::Rect::FromPoint(pos))
+                .ExpandedToCover(tree_b_.Bounds());
+        it = contexts_
+                 .try_emplace(id, domain, pos, obstacle_tree_, &stats_, opts_)
+                 .first;
+      }
+      visit(JoinPair{id, static_cast<int64_t>(b.id),
+                     it->second.ior.Odist(b.AsPoint())});
+    }
+  }
+
+  /// Sets the I/O counters to the three trees' pager deltas, replacing the
+  /// semi-join's summed per-ONN counters, and returns the stats.
+  QueryStats Finish() {
+    stats_.data_page_reads = a_io_.faults() + b_io_.faults();
+    stats_.obstacle_page_reads = o_io_.faults();
+    stats_.buffer_hits = a_io_.hits() + b_io_.hits() + o_io_.hits();
+    stats_.prefetch_issued = stats_.prefetch_hits = stats_.prefetch_wasted = 0;
+    internal::AddPrefetchStats(a_io_, &stats_);
+    internal::AddPrefetchStats(b_io_, &stats_);
+    internal::AddPrefetchStats(o_io_, &stats_);
+    stats_.cpu_seconds = timer_.ElapsedSeconds();
+    return stats_;
   }
 
  private:
-  LeftContext& ContextFor(const rtree::DataObject& a) {
-    auto it = contexts_.find(static_cast<int64_t>(a.id));
-    if (it != contexts_.end()) return it->second;
-    const geom::Vec2 pos = a.AsPoint();
-    const geom::Segment q(pos, pos);
-    LeftContext ctx;
-    ctx.vg = std::make_unique<vis::VisGraph>(
-        internal::WorkspaceBounds(&tree_a_, &obstacle_tree_, q)
-            .ExpandedToCover(tree_b_.Bounds()),
-        stats_);
-    ctx.arena = std::make_unique<vis::ScanArena>();
-    ctx.target = ctx.vg->AddFixedVertex(pos);
-    ctx.source = std::make_unique<TreeObstacleSource>(obstacle_tree_, q);
-    return contexts_.emplace(static_cast<int64_t>(a.id), std::move(ctx))
-        .first->second;
-  }
-
+  Timer timer_;
+  QueryStats stats_;
   const rtree::RStarTree& tree_a_;
   const rtree::RStarTree& tree_b_;
   const rtree::RStarTree& obstacle_tree_;
-  QueryStats* stats_;
+  const ConnOptions& opts_;
+  internal::PagerDelta a_io_;
+  internal::PagerDelta b_io_;
+  internal::PagerDelta o_io_;
   std::map<int64_t, LeftContext> contexts_;
 };
 
-void FinishStats(const internal::PagerDelta& a_io,
-                 const internal::PagerDelta& b_io,
-                 const internal::PagerDelta& o_io, const Timer& timer,
-                 JoinResult* result) {
-  result->stats.data_page_reads = a_io.faults() + b_io.faults();
-  result->stats.obstacle_page_reads = o_io.faults();
-  result->stats.buffer_hits = a_io.hits() + b_io.hits() + o_io.hits();
-  internal::AddPrefetchStats(a_io, &result->stats);
-  internal::AddPrefetchStats(b_io, &result->stats);
-  internal::AddPrefetchStats(o_io, &result->stats);
-  result->stats.cpu_seconds = timer.ElapsedSeconds();
+/// Orders joined pairs nearest first, ties by left then right id.
+bool NearerPairFirst(const JoinPair& x, const JoinPair& y) {
+  if (x.odist != y.odist) return x.odist < y.odist;
+  if (x.a_pid != y.a_pid) return x.a_pid < y.a_pid;
+  return x.b_pid < y.b_pid;
 }
 
 }  // namespace
@@ -92,35 +116,15 @@ JoinResult ObstructedEDistanceJoin(const rtree::RStarTree& tree_a,
                                    const rtree::RStarTree& tree_b,
                                    const rtree::RStarTree& obstacle_tree,
                                    double e, const ConnOptions& opts) {
-  (void)opts;
   CONN_CHECK_MSG(e >= 0.0, "join radius must be non-negative");
-  Timer timer;
+  JoinScope scope(tree_a, tree_b, obstacle_tree, opts);
   JoinResult result;
-  internal::PagerDelta a_io(tree_a.pager()), b_io(tree_b.pager()),
-      o_io(obstacle_tree.pager());
-
-  PairOdistEvaluator eval(tree_a, tree_b, obstacle_tree, &result.stats);
-  rtree::PairDistanceJoin pairs(tree_a, tree_b);
-  rtree::DataObject a, b;
-  double euclid;
-  // Euclidean pair distance lower-bounds obstructed pair distance: pairs
-  // beyond e can never join.
-  while (pairs.PeekDist() <= e) {
-    if (!pairs.Next(&a, &b, &euclid)) break;
-    ++result.stats.points_evaluated;
-    const double od = eval.Odist(a, b);
-    if (od <= e) {
-      result.pairs.push_back({static_cast<int64_t>(a.id),
-                              static_cast<int64_t>(b.id), od});
-    }
-  }
-  std::sort(result.pairs.begin(), result.pairs.end(),
-            [](const JoinPair& x, const JoinPair& y) {
-              if (x.odist != y.odist) return x.odist < y.odist;
-              if (x.a_pid != y.a_pid) return x.a_pid < y.a_pid;
-              return x.b_pid < y.b_pid;
-            });
-  FinishStats(a_io, b_io, o_io, timer, &result);
+  scope.ForEachPairByOdist([&](double euclid) { return euclid <= e; },
+                           [&](const JoinPair& p) {
+                             if (p.odist <= e) result.pairs.push_back(p);
+                           });
+  std::sort(result.pairs.begin(), result.pairs.end(), NearerPairFirst);
+  result.stats = scope.Finish();
   return result;
 }
 
@@ -128,36 +132,14 @@ JoinResult ObstructedClosestPairs(const rtree::RStarTree& tree_a,
                                   const rtree::RStarTree& tree_b,
                                   const rtree::RStarTree& obstacle_tree,
                                   size_t k, const ConnOptions& opts) {
-  (void)opts;
   CONN_CHECK_MSG(k >= 1, "closest pairs requires k >= 1");
-  Timer timer;
+  JoinScope scope(tree_a, tree_b, obstacle_tree, opts);
   JoinResult result;
-  internal::PagerDelta a_io(tree_a.pager()), b_io(tree_b.pager()),
-      o_io(obstacle_tree.pager());
-
-  PairOdistEvaluator eval(tree_a, tree_b, obstacle_tree, &result.stats);
-  rtree::PairDistanceJoin pairs(tree_a, tree_b);
-  auto kth_bound = [&]() {
-    return result.pairs.size() < k ? kInf : result.pairs.back().odist;
+  auto pair_stream = [&](auto within, auto visit) {
+    scope.ForEachPairByOdist(within, visit);
   };
-  rtree::DataObject a, b;
-  double euclid;
-  while (pairs.PeekDist() < kth_bound()) {
-    if (!pairs.Next(&a, &b, &euclid)) break;
-    ++result.stats.points_evaluated;
-    const double od = eval.Odist(a, b);
-    if (od >= kth_bound()) continue;  // also skips unreachable (inf) pairs
-    result.pairs.push_back(
-        {static_cast<int64_t>(a.id), static_cast<int64_t>(b.id), od});
-    std::sort(result.pairs.begin(), result.pairs.end(),
-              [](const JoinPair& x, const JoinPair& y) {
-                if (x.odist != y.odist) return x.odist < y.odist;
-                if (x.a_pid != y.a_pid) return x.a_pid < y.a_pid;
-                return x.b_pid < y.b_pid;
-              });
-    if (result.pairs.size() > k) result.pairs.pop_back();
-  }
-  FinishStats(a_io, b_io, o_io, timer, &result);
+  result.pairs = internal::KNearest<JoinPair>(k, NearerPairFirst, pair_stream);
+  result.stats = scope.Finish();
   return result;
 }
 
@@ -165,11 +147,8 @@ JoinResult ObstructedSemiJoin(const rtree::RStarTree& tree_a,
                               const rtree::RStarTree& tree_b,
                               const rtree::RStarTree& obstacle_tree,
                               const ConnOptions& opts) {
-  Timer timer;
+  JoinScope scope(tree_a, tree_b, obstacle_tree, opts);
   JoinResult result;
-  internal::PagerDelta a_io(tree_a.pager()), b_io(tree_b.pager()),
-      o_io(obstacle_tree.pager());
-
   std::vector<rtree::DataObject> lefts;
   CONN_CHECK(tree_a.RangeQuery(tree_a.Bounds(), &lefts).ok());
   std::sort(lefts.begin(), lefts.end(),
@@ -179,14 +158,14 @@ JoinResult ObstructedSemiJoin(const rtree::RStarTree& tree_a,
   for (const rtree::DataObject& a : lefts) {
     const OnnResult onn =
         OnnQuery(tree_b, obstacle_tree, a.AsPoint(), 1, opts);
-    result.stats += onn.stats;
+    *scope.stats() += onn.stats;
     if (!onn.neighbors.empty()) {
       result.pairs.push_back({static_cast<int64_t>(a.id),
                               onn.neighbors[0].pid,
                               onn.neighbors[0].odist});
     }
   }
-  FinishStats(a_io, b_io, o_io, timer, &result);
+  result.stats = scope.Finish();
   return result;
 }
 

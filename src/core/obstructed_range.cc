@@ -3,10 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/timer.h"
 #include "core/engine_internal.h"
-#include "core/odist.h"
-#include "rtree/best_first.h"
 
 namespace conn {
 namespace core {
@@ -15,55 +12,22 @@ ObstructedRangeResult ObstructedRangeQuery(
     const rtree::RStarTree& data_tree, const rtree::RStarTree& obstacle_tree,
     geom::Vec2 query_point, double radius, const ConnOptions& opts) {
   CONN_CHECK_MSG(radius >= 0.0, "range radius must be non-negative");
-  Timer timer;
-  QueryStats stats;
-  internal::PagerDelta data_io(data_tree.pager());
-  internal::PagerDelta obstacle_io(obstacle_tree.pager());
-
+  internal::QueryScope scope(data_tree, obstacle_tree,
+                             geom::Segment(query_point, query_point),
+                             /*workspace=*/nullptr);
   ObstructedRangeResult result;
   result.query = query_point;
   result.radius = radius;
-
-  const geom::Segment q(query_point, query_point);
-  const geom::Rect domain =
-      internal::WorkspaceBounds(&data_tree, &obstacle_tree, q);
-  vis::VisGraph vg(domain, &stats);
-  vis::ScanArena arena;
-  const vis::VertexId target = vg.AddFixedVertex(query_point);
-  TreeObstacleSource obstacle_source(obstacle_tree, q);
-
-  rtree::BestFirstIterator points(data_tree, q);
-  double retrieved = 0.0;
-  rtree::DataObject obj;
-  double dist;
   // Euclidean mindist lower-bounds the obstructed distance, so the stream
   // can stop permanently once it passes the radius.
-  while (points.PeekDist() <= radius) {
-    if (!points.Next(&obj, &dist)) break;
-    CONN_CHECK_MSG(obj.kind == rtree::ObjectKind::kPoint,
-                   "data tree contains a non-point entry");
-    ++stats.points_evaluated;
-    const double od = IncrementalObstacleRetrieval(
-        &obstacle_source, &vg, {target}, obj.AsPoint(), &retrieved, &stats,
-        /*out_scan=*/nullptr, &arena, opts.use_warm_scan_restarts);
-    if (od <= radius) {
-      result.members.push_back({static_cast<int64_t>(obj.id), od});
-    }
-  }
+  internal::ForEachPointByOdist(
+      &scope, opts, [&](double mindist) { return mindist <= radius; },
+      [&](const OnnNeighbor& n) {
+        if (n.odist <= radius) result.members.push_back(n);
+      });
   std::sort(result.members.begin(), result.members.end(),
-            [](const OnnNeighbor& a, const OnnNeighbor& b) {
-              if (a.odist != b.odist) return a.odist < b.odist;
-              return a.pid < b.pid;
-            });
-
-  stats.vis_graph_vertices = vg.VertexCount();
-  stats.data_page_reads = data_io.faults();
-  stats.obstacle_page_reads = obstacle_io.faults();
-  stats.buffer_hits = data_io.hits() + obstacle_io.hits();
-  internal::AddPrefetchStats(data_io, &stats);
-  internal::AddPrefetchStats(obstacle_io, &stats);
-  stats.cpu_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
+            internal::NearerFirst);
+  result.stats = scope.Finish();
   return result;
 }
 

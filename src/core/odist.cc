@@ -43,11 +43,6 @@ bool UnifiedStream::NextObstacleWithin(double bound, rtree::DataObject* out,
   return false;
 }
 
-double UnifiedStream::PeekPointDistHint() const {
-  if (!pending_points_.empty()) return pending_points_.front().second;
-  return kInf;  // unknown without advancing; callers combine with PeekDist
-}
-
 StreamOutcome UnifiedStream::NextPointWithin(double bound,
                                              rtree::DataObject* out,
                                              double* dist) {
@@ -64,7 +59,7 @@ StreamOutcome UnifiedStream::NextPointWithin(double bound,
   }
   while (true) {
     const double peek = it_.PeekDist();
-    if (peek == std::numeric_limits<double>::infinity()) {
+    if (peek == kInf) {
       return StreamOutcome::kExhausted;
     }
     if (peek > bound) return StreamOutcome::kBoundReached;

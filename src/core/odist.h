@@ -79,11 +79,6 @@ class UnifiedStream : public ObstacleSource {
   bool NextObstacleWithin(double bound, rtree::DataObject* out,
                           double* dist) override;
 
-  /// Distance of the next unprocessed data point (buffered or upstream);
-  /// +infinity when the stream is exhausted.  Does not advance the
-  /// underlying iterator.
-  double PeekPointDistHint() const;
-
   /// Pops the next data point with distance <= bound.  Obstacles
   /// encountered on the way enter the visibility graph.  kBoundReached
   /// means entries remain beyond the bound — RLMAX genuinely cut the

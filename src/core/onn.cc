@@ -1,84 +1,22 @@
 #include "core/onn.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "common/check.h"
-#include "common/timer.h"
 #include "core/engine_internal.h"
-#include "core/odist.h"
-#include "rtree/best_first.h"
 
 namespace conn {
 namespace core {
-
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
 
 OnnResult OnnQuery(const rtree::RStarTree& data_tree,
                    const rtree::RStarTree& obstacle_tree,
                    geom::Vec2 query_point, size_t k, const ConnOptions& opts) {
   CONN_CHECK_MSG(k >= 1, "ONN requires k >= 1");
-  Timer timer;
-  QueryStats stats;
-  internal::PagerDelta data_io(data_tree.pager());
-  internal::PagerDelta obstacle_io(obstacle_tree.pager());
-
+  internal::QueryScope scope(data_tree, obstacle_tree,
+                             geom::Segment(query_point, query_point),
+                             /*workspace=*/nullptr);
   OnnResult result;
   result.query = query_point;
-
-  const geom::Segment q(query_point, query_point);
-  const geom::Rect domain =
-      internal::WorkspaceBounds(&data_tree, &obstacle_tree, q);
-  vis::VisGraph vg(domain, &stats);
-  vis::ScanArena arena;
-  const vis::VertexId target = vg.AddFixedVertex(query_point);
-  TreeObstacleSource obstacle_source(obstacle_tree, q);
-
-  // Max-heap semantics via a sorted vector (k is small).
-  std::vector<OnnNeighbor> best;
-  auto kth_bound = [&]() {
-    return best.size() < k ? kInf : best.back().odist;
-  };
-
-  rtree::BestFirstIterator points(data_tree, q);
-  double retrieved = 0.0;
-  rtree::DataObject obj;
-  double dist = 0.0;
-  // Termination here is the plain k-th-bound cutoff; ONN keeps no
-  // lemma2_terminations statistic, so the bound-vs-exhaustion distinction
-  // the segment engines draw (StreamOutcome) does not apply.
-  while (points.PeekDist() < kth_bound() ||
-         (best.size() < k && points.PeekDist() < kInf)) {
-    CONN_CHECK(points.Next(&obj, &dist));
-    CONN_CHECK_MSG(obj.kind == rtree::ObjectKind::kPoint,
-                   "data tree contains a non-point entry");
-    ++stats.points_evaluated;
-    const double od = IncrementalObstacleRetrieval(
-        &obstacle_source, &vg, {target}, obj.AsPoint(), &retrieved, &stats,
-        /*out_scan=*/nullptr, &arena, opts.use_warm_scan_restarts);
-    if (od >= kth_bound()) continue;
-    best.push_back({static_cast<int64_t>(obj.id), od});
-    std::sort(best.begin(), best.end(),
-              [](const OnnNeighbor& a, const OnnNeighbor& b) {
-                if (a.odist != b.odist) return a.odist < b.odist;
-                return a.pid < b.pid;
-              });
-    if (best.size() > k) best.pop_back();
-  }
-  // Drop unreachable "neighbors" (infinite distance).
-  std::erase_if(best, [](const OnnNeighbor& n) { return n.odist == kInf; });
-  result.neighbors = std::move(best);
-
-  stats.vis_graph_vertices = vg.VertexCount();
-  stats.data_page_reads = data_io.faults();
-  stats.obstacle_page_reads = obstacle_io.faults();
-  stats.buffer_hits = data_io.hits() + obstacle_io.hits();
-  internal::AddPrefetchStats(data_io, &stats);
-  internal::AddPrefetchStats(obstacle_io, &stats);
-  stats.cpu_seconds = timer.ElapsedSeconds();
-  result.stats = stats;
+  result.neighbors = internal::NearestByOdist(&scope, k, opts);
+  result.stats = scope.Finish();
   return result;
 }
 

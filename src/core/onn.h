@@ -8,8 +8,9 @@
 // shared local visibility graph, and termination once mindist exceeds the
 // current k-th best obstructed distance.
 //
-// This is both a baseline (the naive CONN evaluates it per sample point)
-// and the building block of the degenerate zero-length CONN query.
+// ONN is the building block of the degenerate zero-length CONN query: both
+// run the same k-nearest loop (k = 1 for CONN), so they return the same
+// neighbour with the same counters.
 
 #ifndef CONN_CORE_ONN_H_
 #define CONN_CORE_ONN_H_
@@ -39,6 +40,12 @@ struct OnnResult {
 };
 
 /// k obstructed nearest neighbors of \p query_point.
+///
+/// P and O normally live in two R-trees (the paper's default), and
+/// \p data_tree must then hold points only.  Passing the *same* tree as
+/// both arguments selects the 1-tree configuration of Section 4.5: the
+/// unified tree serves both data points and obstacles, and all I/O is
+/// charged to data_page_reads.
 OnnResult OnnQuery(const rtree::RStarTree& data_tree,
                    const rtree::RStarTree& obstacle_tree,
                    geom::Vec2 query_point, size_t k,

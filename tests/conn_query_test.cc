@@ -2,10 +2,12 @@
 // (Figure 1(b) semantics), result accessors, statistics, and termination.
 
 #include <cmath>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "core/conn.h"
+#include "core/onn.h"
 #include "geom/predicates.h"
 #include "test_util.h"
 
@@ -106,15 +108,61 @@ TEST(ConnQueryTest, RlmaxTerminationDoesNotChangeTheAnswer) {
   }
 }
 
+/// Every QueryStats field of \p a and \p b but the measured cpu_seconds.
+void ExpectSameCounters(const QueryStats& a, const QueryStats& b) {
+#define CONN_EXPECT_FIELD(f) EXPECT_EQ(a.f, b.f) << #f
+  CONN_EXPECT_FIELD(data_page_reads);
+  CONN_EXPECT_FIELD(obstacle_page_reads);
+  CONN_EXPECT_FIELD(buffer_hits);
+  CONN_EXPECT_FIELD(prefetch_issued);
+  CONN_EXPECT_FIELD(prefetch_hits);
+  CONN_EXPECT_FIELD(prefetch_wasted);
+  CONN_EXPECT_FIELD(points_evaluated);
+  CONN_EXPECT_FIELD(obstacles_evaluated);
+  CONN_EXPECT_FIELD(vis_graph_vertices);
+  CONN_EXPECT_FIELD(dijkstra_runs);
+  CONN_EXPECT_FIELD(dijkstra_settled);
+  CONN_EXPECT_FIELD(visibility_tests);
+  CONN_EXPECT_FIELD(seed_tests);
+  CONN_EXPECT_FIELD(scan_warm_restarts);
+  CONN_EXPECT_FIELD(tick_warm_starts);
+  CONN_EXPECT_FIELD(tick_frontier_reuse);
+  CONN_EXPECT_FIELD(cross_shard_store_hits);
+  CONN_EXPECT_FIELD(repairs_applied);
+  CONN_EXPECT_FIELD(tuples_carried);
+  CONN_EXPECT_FIELD(tuples_rescored);
+  CONN_EXPECT_FIELD(frontier_shares);
+  CONN_EXPECT_FIELD(vr_cache_evictions);
+  CONN_EXPECT_FIELD(split_evaluations);
+  CONN_EXPECT_FIELD(lemma1_prunes);
+  CONN_EXPECT_FIELD(lemma7_terminations);
+  CONN_EXPECT_FIELD(lemma2_terminations);
+#undef CONN_EXPECT_FIELD
+}
+
+// A zero-length CONN runs the ONN point query with k = 1: the same
+// neighbour, the bit-identical distance and the same counters, with two
+// trees and with the unified tree passed twice.
 TEST(ConnQueryTest, DegenerateZeroLengthQueryIsOnn) {
   const testutil::Scene scene = testutil::MakeScene(4, 30, 10);
   const rtree::RStarTree tp = testutil::MakePointTree(scene);
   const rtree::RStarTree to = testutil::MakeObstacleTree(scene);
+  const rtree::RStarTree tu = testutil::MakeUnifiedTree(scene);
   const geom::Vec2 qp{500, 500};
-  const ConnResult r = ConnQuery(tp, to, geom::Segment(qp, qp));
-  ASSERT_EQ(r.tuples.size(), 1u);
-  EXPECT_NE(r.tuples[0].point_id, kNoPoint);
-  EXPECT_GT(r.tuples[0].offset, 0.0);
+  for (const auto& [data, obstacles] :
+       {std::pair{&tp, &to}, std::pair{&tu, &tu}}) {
+    SCOPED_TRACE(data == obstacles ? "1-tree" : "2-tree");
+    const ConnResult r = ConnQuery(*data, *obstacles, geom::Segment(qp, qp));
+    ASSERT_EQ(r.tuples.size(), 1u);
+    EXPECT_NE(r.tuples[0].point_id, kNoPoint);
+    EXPECT_GT(r.tuples[0].offset, 0.0);
+
+    const OnnResult onn = OnnQuery(*data, *obstacles, qp, 1);
+    ASSERT_EQ(onn.neighbors.size(), 1u);
+    EXPECT_EQ(r.tuples[0].point_id, onn.neighbors[0].pid);
+    EXPECT_EQ(r.tuples[0].offset, onn.neighbors[0].odist);  // bit-identical
+    ExpectSameCounters(r.stats, onn.stats);
+  }
 }
 
 TEST(ConnQueryTest, MergedByPointCoalescesControlPointPieces) {

@@ -1,6 +1,7 @@
 // Tests for the obstructed join family (e-distance join, closest pairs,
 // semi-join) against brute-force oracles.
 
+#include <array>
 #include <cmath>
 #include <set>
 
@@ -10,6 +11,8 @@
 #include "core/obstructed_join.h"
 #include "datagen/datasets.h"
 #include "rtree/str_bulk_load.h"
+#include "storage/buffer_pool.h"
+#include "storage/pager.h"
 #include "test_util.h"
 
 namespace conn {
@@ -139,7 +142,91 @@ TEST_P(JoinVsOracle, SemiJoinMatchesPerPointOnn) {
   EXPECT_EQ(idx, got.pairs.size());
 }
 
+/// Same pairs, in the same order, with bit-identical distances.
+void ExpectSamePairs(const JoinResult& got, const JoinResult& want) {
+  ASSERT_EQ(got.pairs.size(), want.pairs.size());
+  for (size_t i = 0; i < want.pairs.size(); ++i) {
+    EXPECT_EQ(got.pairs[i].a_pid, want.pairs[i].a_pid) << "rank " << i;
+    EXPECT_EQ(got.pairs[i].b_pid, want.pairs[i].b_pid) << "rank " << i;
+    EXPECT_EQ(got.pairs[i].odist, want.pairs[i].odist) << "rank " << i;
+  }
+}
+
+// use_warm_scan_restarts = false (the paper-literal fresh scan per IOR
+// wave) reaches the joins: no wave is absorbed by a warm restart, and the
+// answer is bit-identical to the default run's.
+TEST_P(JoinVsOracle, WarmRestartsOffIsTheReferencePath) {
+  ConnOptions cold;
+  cold.use_warm_scan_restarts = false;
+
+  JoinScene s = MakeJoinScene(GetParam(), 15, 15, 12);
+  const JoinResult e_cold =
+      ObstructedEDistanceJoin(s.ta, s.tb, s.to, 250.0, cold);
+  EXPECT_EQ(e_cold.stats.scan_warm_restarts, 0u);
+  ExpectSamePairs(e_cold, ObstructedEDistanceJoin(s.ta, s.tb, s.to, 250.0));
+
+  JoinScene c = MakeJoinScene(GetParam() ^ 0xC1, 12, 12, 10);
+  const JoinResult cp_cold = ObstructedClosestPairs(c.ta, c.tb, c.to, 4, cold);
+  EXPECT_EQ(cp_cold.stats.scan_warm_restarts, 0u);
+  ExpectSamePairs(cp_cold, ObstructedClosestPairs(c.ta, c.tb, c.to, 4));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinVsOracle, ::testing::Range<uint64_t>(1, 7));
+
+// The default (warm) path does absorb waves on the JoinVsOracle scenes, so
+// the zero counts of the option-off run above are not vacuous.
+TEST(ObstructedJoinTest, WarmRestartsFireByDefault) {
+  uint64_t e_warm = 0;
+  uint64_t cp_warm = 0;
+  for (uint64_t seed = 1; seed < 7; ++seed) {
+    JoinScene s = MakeJoinScene(seed, 15, 15, 12);
+    e_warm += ObstructedEDistanceJoin(s.ta, s.tb, s.to, 250.0)
+                  .stats.scan_warm_restarts;
+    JoinScene c = MakeJoinScene(seed ^ 0xC1, 12, 12, 10);
+    cp_warm +=
+        ObstructedClosestPairs(c.ta, c.tb, c.to, 4).stats.scan_warm_restarts;
+  }
+  EXPECT_GT(e_warm, 0u);
+  EXPECT_GT(cp_warm, 0u);
+}
+
+// The semi-join runs one ONN per left object and then reports the run's
+// I/O as the three pagers' deltas; each counter, readahead included, is
+// counted once.
+TEST(ObstructedJoinTest, SemiJoinCountsEachPageOnce) {
+  JoinScene s = MakeJoinScene(7, 30, 2000, 400);
+  storage::BufferOptions buffer;
+  buffer.capacity_pages = 8;
+  buffer.readahead_pages = 2;
+  const std::vector<const rtree::RStarTree*> trees = {&s.ta, &s.tb, &s.to};
+  for (const rtree::RStarTree* t : trees) t->pager().ConfigureBuffer(buffer);
+  // Per tree: faults, hits, prefetch issued, prefetch hits, prefetch wasted.
+  auto snapshot = [&] {
+    std::vector<std::array<uint64_t, 5>> out;
+    for (const rtree::RStarTree* t : trees) {
+      const storage::Pager& p = t->pager();
+      out.push_back({p.faults(), p.hits(), p.prefetch_issued(),
+                     p.prefetch_hits(), p.prefetch_wasted()});
+    }
+    return out;
+  };
+  const auto before = snapshot();
+  const JoinResult r = ObstructedSemiJoin(s.ta, s.tb, s.to);
+  const auto after = snapshot();
+  // Delta of counter c summed over trees [first, last): A, B, obstacles.
+  auto delta = [&](size_t c, size_t first = 0, size_t last = 3) {
+    uint64_t sum = 0;
+    for (size_t i = first; i < last; ++i) sum += after[i][c] - before[i][c];
+    return sum;
+  };
+  EXPECT_EQ(r.stats.data_page_reads, delta(0, 0, 2));
+  EXPECT_EQ(r.stats.obstacle_page_reads, delta(0, 2, 3));
+  EXPECT_EQ(r.stats.buffer_hits, delta(1));
+  EXPECT_GT(delta(2), 0u);
+  EXPECT_EQ(r.stats.prefetch_issued, delta(2));
+  EXPECT_EQ(r.stats.prefetch_hits, delta(3));
+  EXPECT_EQ(r.stats.prefetch_wasted, delta(4));
+}
 
 }  // namespace
 }  // namespace core

@@ -57,10 +57,13 @@ TEST(ObstructedRangeTest, MembersSortedByDistance) {
 
 class ObstructedRangeVsOracle : public ::testing::TestWithParam<uint64_t> {};
 
+// Both tree configurations: two trees, and the unified tree passed twice
+// (Section 4.5), which must give the 2-tree answer.
 TEST_P(ObstructedRangeVsOracle, SameMembershipAsBruteForce) {
   const testutil::Scene scene = testutil::MakeScene(GetParam(), 50, 18);
   const rtree::RStarTree tp = testutil::MakePointTree(scene);
   const rtree::RStarTree to = testutil::MakeObstacleTree(scene);
+  const rtree::RStarTree tu = testutil::MakeUnifiedTree(scene);
   const NaiveOracle oracle(scene.points, scene.obstacles);
 
   Rng rng(GetParam() ^ 0xAB);
@@ -69,6 +72,9 @@ TEST_P(ObstructedRangeVsOracle, SameMembershipAsBruteForce) {
     const double radius = rng.Uniform(50, 400);
     const ObstructedRangeResult got =
         ObstructedRangeQuery(tp, to, qp, radius);
+    const ObstructedRangeResult one_tree =
+        ObstructedRangeQuery(tu, tu, qp, radius);
+    EXPECT_EQ(one_tree.stats.obstacle_page_reads, 0u);
 
     const std::vector<double> truth = oracle.OdistToAllPoints(qp);
     std::set<int64_t> want;
@@ -83,6 +89,14 @@ TEST_P(ObstructedRangeVsOracle, SameMembershipAsBruteForce) {
     }
     for (int64_t pid : got_ids) {
       EXPECT_LE(truth[pid], radius + 1e-6) << "extra pid " << pid;
+    }
+
+    ASSERT_EQ(one_tree.members.size(), got.members.size());
+    for (size_t i = 0; i < got.members.size(); ++i) {
+      EXPECT_EQ(one_tree.members[i].pid, got.members[i].pid) << "rank " << i;
+      EXPECT_NEAR(one_tree.members[i].odist, got.members[i].odist,
+                  1e-9 * (1 + got.members[i].odist))
+          << "rank " << i;
     }
   }
 }

@@ -70,10 +70,13 @@ TEST(OnnTest, UnreachablePointsExcluded) {
 
 class OnnVsOracle : public ::testing::TestWithParam<uint64_t> {};
 
+// Both tree configurations: two trees, and the unified tree passed twice
+// (Section 4.5), which must give the 2-tree answer.
 TEST_P(OnnVsOracle, MatchesBruteForce) {
   const testutil::Scene scene = testutil::MakeScene(GetParam(), 50, 20);
   const rtree::RStarTree tp = testutil::MakePointTree(scene);
   const rtree::RStarTree to = testutil::MakeObstacleTree(scene);
+  const rtree::RStarTree tu = testutil::MakeUnifiedTree(scene);
   const NaiveOracle oracle(scene.points, scene.obstacles);
 
   Rng rng(GetParam() ^ 0xA11CE);
@@ -82,12 +85,18 @@ TEST_P(OnnVsOracle, MatchesBruteForce) {
     if (oracle.OnnAt(qp, 1).empty()) continue;  // query inside an obstacle
     for (size_t k : {size_t{1}, size_t{3}}) {
       const OnnResult got = OnnQuery(tp, to, qp, k);
+      const OnnResult one_tree = OnnQuery(tu, tu, qp, k);
+      EXPECT_EQ(one_tree.stats.obstacle_page_reads, 0u) << "k=" << k;
       const auto want = oracle.OnnAt(qp, k);
       ASSERT_EQ(got.neighbors.size(), want.size()) << "k=" << k;
+      ASSERT_EQ(one_tree.neighbors.size(), want.size()) << "k=" << k;
       for (size_t i = 0; i < want.size(); ++i) {
         // Identities may swap under ties; distances must match.
         EXPECT_NEAR(got.neighbors[i].odist, want[i].second,
                     1e-6 * (1 + want[i].second))
+            << "k=" << k << " rank=" << i;
+        EXPECT_NEAR(one_tree.neighbors[i].odist, got.neighbors[i].odist,
+                    1e-9 * (1 + got.neighbors[i].odist))
             << "k=" << k << " rank=" << i;
       }
     }

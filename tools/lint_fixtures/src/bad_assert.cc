@@ -1,4 +1,4 @@
-// Known-bad fixture for lint_invariants.py's `assert` rule (core tier):
+// Known-bad fixture for lint_invariants.py's `assert` rule:
 // both the include and the call must be flagged.  Never compiled — the
 // unit test only greps it.
 

@@ -1,4 +1,4 @@
-// Clean fixture: sanctioned idioms only — no rule in any tier may flag
+// Clean fixture: sanctioned idioms only — no rule may flag
 // this file.  Never compiled.
 
 namespace conn {

@@ -1,22 +1,17 @@
 #!/usr/bin/env python3
 """Repo-specific invariant lint — the grep tier.
 
-Since PR 7 the semantic versions of most of these rules live in the
-clang-tidy plugin under tools/conn-tidy/, which tracks aliases through the
-AST instead of pattern-matching lines and is what CI's `lint` job enforces
-as a hard error.  This script remains for two reasons:
-
-  * the `core` tier holds the rules the plugin cannot express (macro
-    hygiene is invisible to AST matchers once the preprocessor has run);
-  * the `fallback` tier keeps the superseded textual rules runnable on
-    toolchains without Clang (`--fallback`), where a grep is still better
-    than nothing.  Expect false positives the plugin would not produce.
+The semantic invariants (lock discipline, page-borrow escapes, arena epoch
+stamps) live in the clang-tidy plugin under tools/conn-tidy/, which tracks
+aliases through the AST and is what CI's `lint` job enforces as a hard
+error.  This script holds the rules the plugin cannot express: macro
+hygiene is invisible to AST matchers once the preprocessor has run.
 
 Run from anywhere:  python3 tools/lint_invariants.py  (exits non-zero and
 prints file:line findings when an invariant is violated).  `--list-rules`
-prints every rule with its tier and, for fallback rules, the conn-tidy
-check that supersedes it.  `--root` points the scan at another tree — the
-unit test aims it at known-bad fixtures under tools/lint_fixtures/.
+prints every rule and what it enforces.  `--root` points the scan at
+another tree — the unit test aims it at known-bad fixtures under
+tools/lint_fixtures/.
 """
 
 from __future__ import annotations
@@ -35,16 +30,12 @@ CC_SUFFIXES = {".h", ".hpp", ".cc", ".cpp"}
 @dataclass(frozen=True)
 class Rule:
     name: str
-    tier: str  # "core" (always runs) or "fallback" (--fallback only)
-    superseded_by: str | None
     summary: str
 
 
 RULES = [
     Rule(
         name="assert",
-        tier="core",
-        superseded_by=None,
         summary=(
             "src/ uses CONN_CHECK / CONN_CHECK_MSG / CONN_DCHECK, never "
             "<cassert> assert(): assert vanishes under NDEBUG, so the "
@@ -54,59 +45,11 @@ RULES = [
             "AST, so this stays a grep."
         ),
     ),
-    Rule(
-        name="raw-lock",
-        tier="fallback",
-        superseded_by="conn-raw-sync-primitive",
-        summary=(
-            "Raw std:: lock primitives only inside src/common/mutex.h; "
-            "everywhere else uses the capability-annotated conn::Mutex / "
-            "conn::MutexLock / conn::CondVar wrappers."
-        ),
-    ),
-    Rule(
-        name="page-escape",
-        tier="fallback",
-        superseded_by="conn-pinnedpage-escape",
-        summary=(
-            "A Page*/Page& must not be bound to a named variable from a "
-            "PinnedPage::page() call outside src/storage/ — the borrow "
-            "dies with the pin.  The conn-tidy check additionally tracks "
-            "aliases and the actual escape (return/field/lambda)."
-        ),
-    ),
-    Rule(
-        name="epoch-reset",
-        tier="fallback",
-        superseded_by="conn-arena-epoch-reset",
-        summary=(
-            "ScanArena's epoch-stamp arrays are touched only by "
-            "src/vis/dijkstra.{h,cc} and never bulk-reset: clearing "
-            "stamps is an O(1) epoch bump, not an O(V) wipe."
-        ),
-    ),
 ]
 
-RAW_LOCK_RE = re.compile(
-    r"std::(mutex|shared_mutex|recursive_mutex|timed_mutex|lock_guard|"
-    r"unique_lock|scoped_lock|shared_lock|condition_variable(_any)?)\b"
-)
 ASSERT_RE = re.compile(
     r"(^|[^\w.])assert\s*\(|#\s*include\s*<(cassert|assert\.h)>"
 )
-# `Page* p = ...page()` / `const Page& r = ...page()` / `auto* p = &x.page()`
-PAGE_BIND_RE = re.compile(
-    r"(const\s+)?Page\s*[*&]\s*\w+\s*=|"
-    r"auto\s*[*&]?\s*\w+\s*=\s*&[\w.\->()]*page\(\)"
-)
-STAMP_MEMBER_RE = re.compile(
-    r"\b(dist_stamp_|settled_stamp_|seeded_stamp_|target_stamp_)\b"
-)
-STAMP_RESET_RE = re.compile(
-    r"\w*stamp_\w*\.(assign|clear)\s*\(|std::fill\s*\([^)]*stamp_"
-)
-
-STAMP_HOME = {"src/vis/dijkstra.h", "src/vis/dijkstra.cc"}
 
 
 def strip_comments(line: str) -> str:
@@ -125,65 +68,19 @@ def iter_sources(repo: Path, *roots: str):
                 yield path
 
 
-def scan(repo: Path, include_fallback: bool) -> list[str]:
+def scan(repo: Path) -> list[str]:
     findings: list[str] = []
-    seen: set[str] = set()
-
-    def flag(path: Path, lineno: int, rule: str, text: str) -> None:
+    for path in iter_sources(repo, "src"):
         rel = path.relative_to(repo)
-        entry = f"{rel}:{lineno}: [{rule}] {text.strip()}"
-        if entry not in seen:
-            seen.add(entry)
-            findings.append(entry)
-
-    for path in iter_sources(repo, "src", "tests", "bench", "examples"):
-        rel = str(path.relative_to(repo))
-        in_src = rel.startswith("src/")
-        is_mutex_home = rel == "src/common/mutex.h"
-        # Negative-compilation fixtures violate the rules on purpose.
-        is_compile_fail = rel.startswith("tests/compile_fail/")
-        page_rule_applies = in_src and not rel.startswith("src/storage/")
-        stamp_is_home = rel in STAMP_HOME
-
         for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-            line = strip_comments(raw)
-            if not line.strip():
-                continue
-
-            if in_src and ASSERT_RE.search(line):
-                flag(path, lineno, "assert", raw)
-
-            if not include_fallback:
-                continue
-
-            if (
-                not is_mutex_home
-                and not is_compile_fail
-                and RAW_LOCK_RE.search(line)
-            ):
-                flag(path, lineno, "raw-lock", raw)
-
-            if (
-                page_rule_applies
-                and "page()" in line
-                and PAGE_BIND_RE.search(line)
-            ):
-                flag(path, lineno, "page-escape", raw)
-
-            if not stamp_is_home and not is_compile_fail:
-                if STAMP_MEMBER_RE.search(line):
-                    flag(path, lineno, "epoch-reset", raw)
-                if STAMP_RESET_RE.search(line):
-                    flag(path, lineno, "epoch-reset", raw)
-
+            if ASSERT_RE.search(strip_comments(raw)):
+                findings.append(f"{rel}:{lineno}: [assert] {raw.strip()}")
     return findings
 
 
 def list_rules() -> None:
     for rule in RULES:
-        print(f"{rule.name}  [{rule.tier}]")
-        if rule.superseded_by is not None:
-            print(f"  superseded by: {rule.superseded_by} (tools/conn-tidy)")
+        print(rule.name)
         print(f"  {rule.summary}")
 
 
@@ -194,14 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="print every rule with its tier and superseding conn-tidy "
-        "check, then exit",
-    )
-    parser.add_argument(
-        "--fallback",
-        action="store_true",
-        help="also run the fallback rules superseded by conn-tidy (for "
-        "toolchains without Clang)",
+        help="print every rule and what it enforces, then exit",
     )
     parser.add_argument(
         "--root",
@@ -216,18 +106,14 @@ def main(argv: list[str] | None = None) -> int:
         list_rules()
         return 0
 
-    findings = scan(args.root.resolve(), include_fallback=args.fallback)
+    findings = scan(args.root.resolve())
     if findings:
         print(f"lint_invariants: {len(findings)} finding(s)\n")
         for finding in findings:
             print(finding)
-        print(
-            "\nRun with --list-rules for what each rule enforces and which"
-            " conn-tidy check supersedes it."
-        )
+        print("\nRun with --list-rules for what each rule enforces.")
         return 1
-    tier = "core+fallback" if args.fallback else "core"
-    print(f"lint_invariants: OK ({tier} rules)")
+    print("lint_invariants: OK")
     return 0
 
 

@@ -2,10 +2,9 @@
 """Unit test for tools/lint_invariants.py, run via ctest.
 
 Points the linter at the known-bad tree under tools/lint_fixtures/ and
-asserts (a) the core tier flags exactly the assert fixture, (b) the
-fallback tier flags each superseded rule's fixture, (c) the clean fixture
-is never flagged, and (d) --list-rules names every rule and its
-superseding conn-tidy check.
+asserts (a) it flags exactly the assert fixture's include and call,
+(b) the clean fixture is never flagged, and (c) --list-rules names every
+rule.
 """
 
 from __future__ import annotations
@@ -17,12 +16,6 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent
 LINT = TOOLS / "lint_invariants.py"
 FIXTURES = TOOLS / "lint_fixtures"
-
-FALLBACK_EXPECTATIONS = {
-    "raw-lock": "bad_raw_lock.cc",
-    "page-escape": "bad_page_escape.cc",
-    "epoch-reset": "bad_epoch_reset.cc",
-}
 
 
 def run_lint(*args: str) -> subprocess.CompletedProcess:
@@ -41,55 +34,28 @@ def main() -> int:
         if not cond:
             failures.append(what)
 
-    # Core tier: only the assert rule runs, and it fires on both the
-    # include and the call in bad_assert.cc.
-    core = run_lint("--root", str(FIXTURES))
-    expect(core.returncode == 1, "core: expected exit 1 on bad fixtures")
+    # The assert rule fires on both the include and the call in
+    # bad_assert.cc, and on nothing else.
+    lint = run_lint("--root", str(FIXTURES))
+    expect(lint.returncode == 1, "expected exit 1 on bad fixtures")
+    findings = [line for line in lint.stdout.splitlines() if ": [" in line]
     expect(
-        core.stdout.count("[assert]") == 2,
-        f"core: expected 2 assert findings, got:\n{core.stdout}",
+        len(findings) == 2
+        and all("bad_assert.cc" in f and "[assert]" in f for f in findings),
+        f"expected 2 assert findings in bad_assert.cc, got:\n{lint.stdout}",
     )
-    for rule in FALLBACK_EXPECTATIONS:
-        expect(
-            f"[{rule}]" not in core.stdout,
-            f"core: fallback rule {rule} must not run by default",
-        )
-
-    # Fallback tier: every superseded rule fires on its fixture.
-    fallback = run_lint("--root", str(FIXTURES), "--fallback")
-    expect(fallback.returncode == 1, "fallback: expected exit 1")
-    for rule, fixture in FALLBACK_EXPECTATIONS.items():
-        expect(
-            any(
-                fixture in line and f"[{rule}]" in line
-                for line in fallback.stdout.splitlines()
-            ),
-            f"fallback: expected a [{rule}] finding in {fixture}, got:\n"
-            f"{fallback.stdout}",
-        )
     expect(
-        "clean_ok.cc" not in fallback.stdout,
+        "clean_ok.cc" not in lint.stdout,
         "the clean fixture must never be flagged",
     )
 
-    # --list-rules: every rule, its tier, and the superseding check.
+    # --list-rules: every rule.
     listing = run_lint("--list-rules")
     expect(listing.returncode == 0, "--list-rules: expected exit 0")
-    for token in (
-        "assert",
-        "[core]",
-        "raw-lock",
-        "page-escape",
-        "epoch-reset",
-        "[fallback]",
-        "conn-raw-sync-primitive",
-        "conn-pinnedpage-escape",
-        "conn-arena-epoch-reset",
-    ):
-        expect(
-            token in listing.stdout,
-            f"--list-rules output missing {token!r}:\n{listing.stdout}",
-        )
+    expect(
+        "assert" in listing.stdout,
+        f"--list-rules output missing 'assert':\n{listing.stdout}",
+    )
 
     if failures:
         print(f"lint_invariants_test: {len(failures)} failure(s)")
