@@ -1,4 +1,5 @@
-// Ablation study: contribution of each pruning rule to CONN performance.
+// Ablation study: contribution of each pruning rule to COkNN (k = 5)
+// performance.  CONN runs the same main loop and the same rules.
 //
 // Not a figure of the paper, but a direct validation of its design claims:
 //   * Lemma 1  — endpoint-dominance fast path in RLU/CPLC updates;

@@ -1,18 +1,11 @@
 #include "core/cnn.h"
 
-#include <limits>
-
-#include "common/check.h"
 #include "common/timer.h"
 #include "core/engine_internal.h"
 #include "rtree/best_first.h"
 
 namespace conn {
 namespace core {
-
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
 
 ConnResult CnnQuery(const rtree::RStarTree& data_tree, const geom::Segment& q,
                     const ConnOptions& opts) {
@@ -22,33 +15,20 @@ ConnResult CnnQuery(const rtree::RStarTree& data_tree, const geom::Segment& q,
 
   ConnResult result;
   result.query = q;
-  const geom::SegmentFrame frame(q);
-  const geom::IntervalSet reachable{geom::Interval(0.0, q.Length())};
-
+  const geom::Interval all_of_q(0.0, q.Length());
+  const geom::IntervalSet reachable{all_of_q};
   ResultList rl(reachable);
   rtree::BestFirstIterator points(data_tree, q);
-  rtree::DataObject obj;
-  double dist = 0.0;
-  while (true) {
-    const double peek = points.PeekDist();
-    if (peek == kInf) break;
-    if (opts.use_rlmax_terminate && peek > rl.RlMax(frame)) {
-      ++stats.lemma2_terminations;
-      break;
-    }
-    CONN_CHECK(points.Next(&obj, &dist));
-    CONN_CHECK_MSG(obj.kind == rtree::ObjectKind::kPoint,
-                   "data tree contains a non-point entry");
-    ++stats.points_evaluated;
-    // Obstacle-free space: p is its own control point over all of q.
-    ControlPointList cpl = {CplEntry{true, obj.AsPoint(), 0.0,
-                                     geom::Interval(0.0, q.Length())}};
-    rl.Update(static_cast<int64_t>(obj.id), cpl, frame, opts, &stats);
-  }
-  for (const RlEntry& e : rl.entries()) {
-    result.tuples.push_back(
-        ConnTuple{e.pid, e.cp, e.offset, e.range});
-  }
+  auto next_point = [&](double bound, rtree::DataObject* out, double* dist) {
+    return internal::PopPointWithin(&points, bound, out, dist);
+  };
+  // Obstacle-free space: p is its own control point over all of q.
+  auto control_points = [&](geom::Vec2 p) {
+    return ControlPointList{CplEntry{true, p, 0.0, all_of_q}};
+  };
+  internal::RunMainLoop(reachable, geom::SegmentFrame(q), opts, &stats, &rl,
+                        next_point, control_points);
+  result.tuples = internal::ConnTuples(rl);
 
   stats.data_page_reads = data_io.faults();
   stats.buffer_hits = data_io.hits();

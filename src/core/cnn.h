@@ -3,13 +3,13 @@
 // Figure 1 of the paper.
 //
 // In an obstacle-free space every data point is its own control point with
-// offset zero, so CNN is exactly the CONN machinery with trivial control
-// point lists: best-first browsing by mindist(p, q), split points at
-// perpendicular-bisector crossings (a special case of the quadratic of
-// Theorem 1), and RLMAX termination.  Besides being useful on its own, it
-// anchors two correctness properties exercised by tests: CONN with an
-// empty obstacle set must equal CNN, and CNN must match brute-force
-// sampling.
+// offset zero, so CNN runs CONN's main loop (internal::RunMainLoop) with
+// trivial control point lists: best-first browsing by mindist(p, q), split
+// points at perpendicular-bisector crossings (a special case of the
+// quadratic of Theorem 1), and RLMAX termination.  Besides being useful on
+// its own, it anchors two correctness properties exercised by tests: CONN
+// with an empty obstacle set must equal CNN, and CNN must match
+// brute-force sampling.
 
 #ifndef CONN_CORE_CNN_H_
 #define CONN_CORE_CNN_H_

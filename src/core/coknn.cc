@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "core/engine_internal.h"
-#include "core/odist.h"
 #include "core/workspace.h"
 
 namespace conn {
@@ -249,91 +248,6 @@ double CoknnResult::OdistAt(double t, size_t j) const {
 
 namespace {
 
-/// Differential-repair wiring for one RunCoknn invocation: the carried
-/// workspace's settlement log (null = repair off) and the owner tag its
-/// published capsule carries.
-struct RepairHooks {
-  vis::SettlementLog* log = nullptr;
-  int64_t client_tag = -1;
-};
-
-/// Main loop (Algorithm 4 with the k-NN result list) for both tree
-/// configurations.
-CoknnResult RunCoknn(const geom::Segment& q, size_t k,
-                     internal::QueryScope* scope, const ConnOptions& opts,
-                     const RepairHooks& repair) {
-  QueryStats* stats = scope->stats();
-  vis::VisGraph* vg = scope->graph();
-  CoknnResult result;
-  result.query = q;
-  result.k = k;
-
-  const geom::SegmentFrame frame(q);
-  const geom::IntervalSet reachable = internal::ReachablePieces(
-      scope->Blocked(), q.Length(), &result.unreachable);
-  vis::QuerySession session(vg);
-  const std::vector<vis::VertexId> targets =
-      internal::AddTargetVertices(&session, reachable, q);
-
-  // Repair mode: retrieval waves already proven covered by the workspace's
-  // settlement log skip the obstacle stream (the guard answers "nothing
-  // new within the bound", which the capsule makes literally true).
-  CoverageGuardedSource guarded(scope->obstacles(), repair.log, q,
-                                repair.client_tag, stats);
-  ObstacleSource* source =
-      repair.log != nullptr ? static_cast<ObstacleSource*>(&guarded)
-                            : scope->obstacles();
-  if (repair.log != nullptr) stats->repairs_applied = 1;
-
-  KnnResultList rl(reachable, k);
-  VisibleRegionCache vr_cache;
-  double retrieved = 0.0;
-  rtree::DataObject obj;
-  double dist = 0.0;
-  while (true) {
-    const double bound = opts.use_rlmax_terminate ? rl.RlMax(frame) : kInf;
-    const StreamOutcome outcome = scope->NextPointWithin(bound, &obj, &dist);
-    if (outcome != StreamOutcome::kYielded) {
-      // Lemma 2 gets credit only when RLMAX pruned points that remained;
-      // an exhausted iterator stopping the loop is not a pruning win.
-      if (outcome == StreamOutcome::kBoundReached) {
-        ++stats->lemma2_terminations;
-      }
-      break;
-    }
-    ++stats->points_evaluated;
-    const geom::Vec2 p = obj.AsPoint();
-    std::unique_ptr<vis::DijkstraScan> scan;
-    const uint64_t yields_before = guarded.yields();
-    IncrementalObstacleRetrieval(source, vg, targets, p, &retrieved, stats,
-                                 &scan, scope->arena(),
-                                 opts.use_warm_scan_restarts);
-    if (repair.log != nullptr) {
-      // Carried vs re-scored at retrieval granularity: a point whose whole
-      // search range was served by carried coverage (or by earlier waves
-      // of this query) never touched the tree; a boundary point streamed.
-      if (guarded.yields() != yields_before) {
-        ++stats->tuples_rescored;
-      } else {
-        ++stats->tuples_carried;
-      }
-    }
-    const ControlPointList cpl = ComputeControlPointList(
-        vg, scan.get(), p, frame, reachable, opts, stats, &vr_cache);
-    rl.Update(static_cast<int64_t>(obj.id), cpl, frame, stats);
-  }
-  stats->vr_cache_evictions += vr_cache.evictions();
-  // Publish this query's proven coverage: after the loop, every obstacle
-  // with mindist(o, q) <= retrieved is in the graph (streamed waves by the
-  // ascending source, covered waves by their proving capsule).  The next
-  // repair on this workspace reads it — same client or a shard sibling.
-  if (repair.log != nullptr) {
-    repair.log->Publish(q, retrieved, repair.client_tag);
-  }
-  result.tuples = rl.tuples();
-  return result;
-}
-
 /// Stationary-segment memo guard: the prior answer is reusable only for
 /// the bit-identical (segment, k) query, under the warm-start gate.
 bool TickMemoApplies(const TickWarmStart& warm, const geom::Segment& q,
@@ -371,12 +285,19 @@ CoknnResult CoknnQuery(const rtree::RStarTree& data_tree,
                        const ConnOptions& opts, QueryWorkspace* workspace,
                        const TickWarmStart& warm) {
   if (TickMemoApplies(warm, q, k, opts)) return TickMemoResult(*warm.prior);
-  RepairHooks repair;
+  internal::RepairHooks repair;
   if (RepairApplies(opts, workspace)) {
     repair = {workspace->settlement_log(), warm.client_tag};
   }
   internal::QueryScope scope(data_tree, obstacle_tree, q, workspace);
-  CoknnResult result = RunCoknn(q, k, &scope, opts, repair);
+  CoknnResult result;
+  result.query = q;
+  result.k = k;
+  const geom::IntervalSet reachable = internal::ReachablePieces(
+      scope.Blocked(), q.Length(), &result.unreachable);
+  KnnResultList rl(reachable, k);
+  scope.RunAlgorithm4(reachable, opts, repair, &rl);
+  result.tuples = rl.tuples();
   result.stats = scope.Finish();
   return result;
 }

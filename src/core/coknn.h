@@ -12,6 +12,9 @@
 // The Lemma 2 pruning bound becomes RLMAX = max_i maxodist(ONNS_i, R_i
 // endpoints), +infinity while any interval holds fewer than k candidates
 // (distance curves are convex, so endpoint values bound the interval).
+// Everything else is CONN's: the same main loop and per-point step
+// (internal::QueryScope::RunAlgorithm4) run with KnnResultList as the
+// result list.
 
 #ifndef CONN_CORE_COKNN_H_
 #define CONN_CORE_COKNN_H_

@@ -6,12 +6,15 @@
 // interval> tuples.  Data points are consumed in ascending mindist(p, q)
 // order (best-first browsing); each one runs IOR (obstacle completion),
 // CPLC (control point list) and RLU (result merge); the loop stops at the
-// Lemma 2 bound RLMAX.
+// Lemma 2 bound RLMAX.  COkNN and CNN run the same loop
+// (internal::RunMainLoop in core/engine_internal.h) with their own result
+// list or control point lists.
 //
 // Degenerate and adversarial inputs are first-class:
 //   * zero-length q degrades to an ONN point query;
 //   * parts of q inside obstacle interiors are detected up front, reported
-//     in ConnResult::unreachable, and excluded from the RLMAX bound;
+//     in ConnResult::unreachable, and excluded from the RLMAX bound; when
+//     that is all of q, the loop does not run and there are no tuples;
 //   * data points unreachable from q (walled off) never become ONN; if
 //     every point is unreachable the tuples keep pid == kNoPoint.
 

@@ -1,27 +1,39 @@
 // Shared plumbing of the CONN-family query engines (conn.cc, coknn.cc,
 // cnn.cc) and the obstructed point queries (onn.cc, obstructed_range.cc,
 // obstructed_join.cc).  Internal header — not part of the public API.
+//
+// The segment queries share one copy of Algorithm 4's main loop
+// (RunMainLoop); CONN and COkNN run it through QueryScope::RunAlgorithm4,
+// whose per-point step is IOR + CPLC, and CNN plugs in its trivial control
+// point list.
 
 #ifndef CONN_CORE_ENGINE_INTERNAL_H_
 #define CONN_CORE_ENGINE_INTERNAL_H_
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/check.h"
 #include "common/stats.h"
 #include "common/timer.h"
+#include "core/coknn.h"
+#include "core/conn.h"
+#include "core/cpl.h"
 #include "core/odist.h"
 #include "core/onn.h"
 #include "core/options.h"
+#include "core/result_list.h"
 #include "core/workspace.h"
 #include "geom/interval_set.h"
 #include "geom/predicates.h"
 #include "geom/segment.h"
+#include "rtree/best_first.h"
 #include "rtree/rstar_tree.h"
 #include "storage/pager.h"
+#include "vis/settlement_log.h"
 #include "vis/vis_graph.h"
 
 namespace conn {
@@ -201,6 +213,83 @@ inline void AddPrefetchStats(const PagerDelta& io, QueryStats* stats) {
   stats->prefetch_wasted += io.prefetch_wasted();
 }
 
+/// Pops the next point of the best-first stream \p points if its mindist
+/// to the query lies within \p bound, which may be +infinity (see
+/// StreamOutcome).  A finite peek guarantees an object, so exhaustion and
+/// the Lemma-2 stop are cleanly separable.
+inline StreamOutcome PopPointWithin(rtree::BestFirstIterator* points,
+                                    double bound, rtree::DataObject* out,
+                                    double* dist) {
+  const double peek = points->PeekDist();
+  if (peek == std::numeric_limits<double>::infinity()) {
+    return StreamOutcome::kExhausted;
+  }
+  if (peek > bound) return StreamOutcome::kBoundReached;
+  CONN_CHECK(points->Next(out, dist));
+  CONN_CHECK_MSG(out->kind == rtree::ObjectKind::kPoint,
+                 "data tree contains a non-point entry");
+  return StreamOutcome::kYielded;
+}
+
+/// RLU for the main loop's two result lists (only CONN's reads the Lemma 1
+/// option).
+inline void MergeInto(ResultList* rl, int64_t pid, const ControlPointList& cpl,
+                      const geom::SegmentFrame& frame, const ConnOptions& opts,
+                      QueryStats* stats) {
+  rl->Update(pid, cpl, frame, opts, stats);
+}
+inline void MergeInto(KnnResultList* rl, int64_t pid,
+                      const ControlPointList& cpl,
+                      const geom::SegmentFrame& frame,
+                      const ConnOptions& /*opts*/, QueryStats* stats) {
+  rl->Update(pid, cpl, frame, stats);
+}
+
+/// Algorithm 4's main loop, the one copy CONN, COkNN and CNN run.  Pops data
+/// points in ascending mindist(p, q) order through \p next_point while they
+/// lie within the Lemma 2 bound RLMAX of \p rl (+infinity with
+/// use_rlmax_terminate off), turns each into its control point list with
+/// \p control_points, and merges that into \p rl.  A stop with points left
+/// beyond the bound counts one lemma2_terminations; a drained stream counts
+/// none.
+///
+/// A segment of positive length with no \p reachable piece lies wholly
+/// inside obstacles: the loop does not run, since there is nothing to
+/// answer and IOR would have no target.  A zero-length segment (which
+/// COkNN and CNN pass through) keeps the loop: its empty result list has
+/// RLMAX 0, so the loop stops at the first point off q.  perfbench's
+/// traced replay copies that behaviour and checks the counters against it.
+template <typename List, typename NextPoint, typename ControlPoints>
+void RunMainLoop(const geom::IntervalSet& reachable,
+                 const geom::SegmentFrame& frame, const ConnOptions& opts,
+                 QueryStats* stats, List* rl, NextPoint next_point,
+                 ControlPoints control_points) {
+  if (reachable.IsEmpty() && frame.length() > 0.0) return;
+  rtree::DataObject obj;
+  double dist = 0.0;
+  while (true) {
+    const double bound = opts.use_rlmax_terminate
+                             ? rl->RlMax(frame)
+                             : std::numeric_limits<double>::infinity();
+    const StreamOutcome outcome = next_point(bound, &obj, &dist);
+    if (outcome == StreamOutcome::kBoundReached) {
+      ++stats->lemma2_terminations;
+    }
+    if (outcome != StreamOutcome::kYielded) return;
+    ++stats->points_evaluated;
+    MergeInto(rl, static_cast<int64_t>(obj.id), control_points(obj.AsPoint()),
+              frame, opts, stats);
+  }
+}
+
+/// Differential-repair wiring of one COkNN query: the carried workspace's
+/// settlement log (null = repair off, always for CONN) and the owner tag
+/// its published capsule carries.
+struct RepairHooks {
+  vis::SettlementLog* log = nullptr;
+  int64_t client_tag = -1;
+};
+
 /// Set-up and stats finish of one CONN, COkNN, ONN or range query (the
 /// point queries run on the zero-length segment [p, p]).  Passing the same
 /// tree as data and obstacle tree selects the unified traversal of Section
@@ -254,29 +343,75 @@ class QueryScope {
     return BlockedIntervals(obstacle_tree_, q_);
   }
 
-  /// Pops the next data point in ascending mindist(p, q) order if it lies
-  /// within \p bound, which may be +infinity (see StreamOutcome).
-  StreamOutcome NextPointWithin(double bound, rtree::DataObject* out,
-                                double* dist) {
-    if (one_tree_) return unified_->NextPointWithin(bound, out, dist);
-    // A finite peek guarantees an object, so exhaustion and the Lemma-2
-    // stop are cleanly separable.
-    const double peek = points_->PeekDist();
-    if (peek == std::numeric_limits<double>::infinity()) {
-      return StreamOutcome::kExhausted;
+  /// Algorithm 4 for CONN and COkNN: the main loop over \p rl, a result
+  /// list built on \p reachable (this query's reachable pieces), with the
+  /// obstructed per-point step.  IOR completes the graph up to the pieces'
+  /// endpoint vertices, then CPLC computes the control point list over the
+  /// pieces, sharing one visible-region cache across points.  Obstacles the
+  /// unified point stream already loaded count as retrieved, so IOR skips a
+  /// wave they cover without touching the tree.
+  ///
+  /// With \p repair.log set, IOR waves a settlement-log capsule covers skip
+  /// the obstacle stream, each point counts as carried or rescored, and
+  /// the query's final retrieval radius is published back to the log.
+  template <typename List>
+  void RunAlgorithm4(const geom::IntervalSet& reachable,
+                     const ConnOptions& opts, const RepairHooks& repair,
+                     List* rl) {
+    vis::VisGraph* vg = graph();
+    const geom::SegmentFrame frame(q_);
+    vis::QuerySession session(vg);
+    const std::vector<vis::VertexId> targets =
+        AddTargetVertices(&session, reachable, q_);
+    // Repair mode: retrieval waves already proven covered by the
+    // workspace's settlement log skip the obstacle stream (the guard
+    // answers "nothing new within the bound", which the capsule makes
+    // literally true).
+    CoverageGuardedSource guarded(obstacles(), repair.log, q_,
+                                  repair.client_tag, &stats_);
+    ObstacleSource* source = obstacles();
+    if (repair.log != nullptr) {
+      source = &guarded;
+      stats_.repairs_applied = 1;
     }
-    if (peek > bound) return StreamOutcome::kBoundReached;
-    CONN_CHECK(points_->Next(out, dist));
-    CONN_CHECK_MSG(out->kind == rtree::ObjectKind::kPoint,
-                   "data tree contains a non-point entry");
-    return StreamOutcome::kYielded;
-  }
-
-  /// Search distance up to which the point stream itself has already
-  /// loaded every obstacle into the graph: the unified stream's popped
-  /// prefix, 0 for two trees.
-  double points_retrieved_up_to() const {
-    return one_tree_ ? unified_->retrieved_up_to() : 0.0;
+    VisibleRegionCache vr_cache;
+    double retrieved = 0.0;
+    auto next_point = [&](double bound, rtree::DataObject* out, double* dist) {
+      if (one_tree_) return unified_->NextPointWithin(bound, out, dist);
+      return PopPointWithin(&*points_, bound, out, dist);
+    };
+    auto control_points = [&](geom::Vec2 p) {
+      if (one_tree_) {
+        retrieved = std::max(retrieved, unified_->retrieved_up_to());
+      }
+      std::unique_ptr<vis::DijkstraScan> scan;
+      const uint64_t yields_before = guarded.yields();
+      IncrementalObstacleRetrieval(source, vg, targets, p, &retrieved, &stats_,
+                                   &scan, arena(), opts.use_warm_scan_restarts);
+      if (repair.log != nullptr) {
+        // Carried vs re-scored at retrieval granularity: a point whose whole
+        // search range was served by carried coverage (or by earlier waves
+        // of this query) never touched the tree; a boundary point streamed.
+        if (guarded.yields() != yields_before) {
+          ++stats_.tuples_rescored;
+        } else {
+          ++stats_.tuples_carried;
+        }
+      }
+      return ComputeControlPointList(vg, scan.get(), p, frame, reachable, opts,
+                                     &stats_, &vr_cache);
+    };
+    RunMainLoop(reachable, frame, opts, &stats_, rl, next_point,
+                control_points);
+    stats_.vr_cache_evictions += vr_cache.evictions();
+    // Publish this query's proven coverage: after the loop, every obstacle
+    // with mindist(o, q) <= retrieved is in the graph (streamed waves by
+    // the ascending source, covered waves by their proving capsule).  The
+    // next repair on this workspace reads it — same client or a shard
+    // sibling.
+    if (repair.log != nullptr) {
+      repair.log->Publish(q_, retrieved, repair.client_tag);
+    }
   }
 
   /// Folds the graph size, the trees' I/O deltas and the elapsed time into
@@ -392,6 +527,15 @@ inline std::vector<OnnNeighbor> NearestByOdist(QueryScope* scope, size_t k,
   return KNearest<OnnNeighbor>(k, NearerFirst, [&](auto within, auto visit) {
     ForEachPointByOdist(scope, opts, within, visit);
   });
+}
+
+/// CONN's (and CNN's) answer tuples from the final result list.
+inline std::vector<ConnTuple> ConnTuples(const ResultList& rl) {
+  std::vector<ConnTuple> tuples;
+  for (const RlEntry& e : rl.entries()) {
+    tuples.push_back(ConnTuple{e.pid, e.cp, e.offset, e.range});
+  }
+  return tuples;
 }
 
 }  // namespace internal

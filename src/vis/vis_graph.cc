@@ -18,7 +18,6 @@ VertexId VisGraph::AddVertexInternal(geom::Vec2 p) {
     free_slots_.pop_back();
     vertices_[id] = p;
     adj_[id].clear();
-    adj_computed_[id] = false;
     reach_[id] = geom::Rect::FromPoint(p);
     corner_[id] = CornerInfo{};
     alive_[id] = true;
@@ -28,7 +27,6 @@ VertexId VisGraph::AddVertexInternal(geom::Vec2 p) {
   const VertexId id = static_cast<VertexId>(vertices_.size());
   vertices_.push_back(p);
   adj_.emplace_back();
-  adj_computed_.push_back(false);
   reach_.push_back(geom::Rect::FromPoint(p));
   corner_.emplace_back();
   alive_.push_back(true);
@@ -37,7 +35,6 @@ VertexId VisGraph::AddVertexInternal(geom::Vec2 p) {
 }
 
 void VisGraph::PushReciprocal(VertexId u, VertexId v, double length) {
-  if (!adj_computed_[u]) return;
   adj_[u].push_back({v, length});
   reach_[u] = reach_[u].ExpandedToCover(vertices_[v]);
 }
@@ -46,7 +43,7 @@ VertexId VisGraph::AddFixedVertex(geom::Vec2 p) {
   const VertexId id = AddVertexInternal(p);
   // Eager adjacency + reciprocal patching: a fixed vertex added *after*
   // obstacles (a later query's targets on a shard-shared graph) must appear
-  // in every already-computed list, or cached-adjacency Dijkstra walks
+  // in every existing list, or cached-adjacency Dijkstra walks
   // could never reach it.
   RecomputeAdjacency(id);
   for (const VisEdge& e : adj_[id]) PushReciprocal(e.to, id, e.length);
@@ -60,15 +57,11 @@ void VisGraph::RemoveFixedVertices(const std::vector<VertexId>& ids) {
     CONN_CHECK_MSG(!corner_[v].is_corner,
                    "obstacle corners are persistent; only fixed vertices "
                    "can be removed");
-    // Symmetry invariant: the computed lists holding an edge to v are
-    // exactly v's own neighbors with computed lists (a fixed vertex's own
-    // list is computed when it is added).
+    // Symmetry invariant: exactly v's own neighbors hold an edge to v.
     for (const VisEdge& e : adj_[v]) {
-      if (!adj_computed_[e.to]) continue;
       std::erase_if(adj_[e.to], [v](const VisEdge& r) { return r.to == v; });
     }
     adj_[v].clear();
-    adj_computed_[v] = false;
     alive_[v] = false;
     vertex_grid_.RemovePoint(v, vertices_[v]);
     free_slots_.push_back(v);
@@ -88,7 +81,8 @@ bool VisGraph::AddObstacle(const geom::Rect& rect, rtree::ObjectId id) {
   // whose bounding box meets the rectangle can be affected (cheap
   // pre-filter); a list whose reach box misses the rectangle holds none.
   for (VertexId v = 0; v < vertices_.size(); ++v) {
-    if (!adj_computed_[v] || !reach_[v].Intersects(rect)) continue;
+    // A dead (recycled) slot keeps its stale reach box; skip it.
+    if (!alive_[v] || !reach_[v].Intersects(rect)) continue;
     const geom::Vec2 vpos = vertices_[v];
     std::erase_if(adj_[v], [&](const VisEdge& e) {
       const geom::Vec2 upos = vertices_[e.to];
@@ -101,7 +95,7 @@ bool VisGraph::AddObstacle(const geom::Rect& rect, rtree::ObjectId id) {
   }
 
   // (b) Add the four corners, compute their adjacency now and patch the
-  // reciprocal edges into already-computed lists so every cached list
+  // reciprocal edges into the existing lists so every cached list
   // stays complete with respect to the grown graph.
   // Corners() yields (lo,lo), (hi,lo), (hi,hi), (lo,hi); inward axis signs
   // point from each corner into the rectangle.
@@ -153,19 +147,7 @@ void VisGraph::RecomputeAdjacency(VertexId v) {
     edges.push_back({u, len});
     reach = reach.ExpandedToCover(other);
   }
-  adj_computed_[v] = true;
   reach_[v] = reach;
-}
-
-const std::vector<VisEdge>& VisGraph::Neighbors(VertexId v) {
-  if (!adj_computed_[v]) RecomputeAdjacency(v);
-  return adj_[v];
-}
-
-void VisGraph::MaterializeAllAdjacency() {
-  for (VertexId v = 0; v < vertices_.size(); ++v) {
-    if (alive_[v]) Neighbors(v);
-  }
 }
 
 }  // namespace vis

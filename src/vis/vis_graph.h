@@ -22,9 +22,8 @@
 // (b) eagerly computing the four new corners' edges and patching them into
 // the cached lists of their visible counterparts.  Fixed-vertex insertion
 // and removal patch the same way, relying on the symmetry invariant
-// (u in adj[v] <=> v in adj[u] for computed lists).  Wholesale invalidation
-// (recompute-everything-per-insertion) is the ablation baseline measured
-// in bench/micro_visgraph.
+// (u in adj[v] <=> v in adj[u]).  bench/micro_visgraph measures this
+// against rebuilding the graph from scratch at every query checkpoint.
 //
 // Both steps of an insertion skip work that cannot change their result.
 // (a) only visits lists whose reach box — a rectangle covering the vertex
@@ -122,12 +121,9 @@ class VisGraph {
   /// obstacle set (counted into stats).
   bool Visible(geom::Vec2 a, geom::Vec2 b) const;
 
-  /// Adjacency list of \p v: computed on first touch, thereafter kept
+  /// Adjacency list of \p v: computed when v is added, thereafter kept
   /// valid across AddObstacle calls by incremental patching.
-  const std::vector<VisEdge>& Neighbors(VertexId v);
-
-  /// Eagerly materializes adjacency for all live vertices.
-  void MaterializeAllAdjacency();
+  const std::vector<VisEdge>& Neighbors(VertexId v) const { return adj_[v]; }
 
  private:
   /// Per-vertex corner metadata for the O(1) own-rectangle rejection: an
@@ -146,7 +142,7 @@ class VisGraph {
   }
 
   void RecomputeAdjacency(VertexId v);
-  /// Appends the reciprocal edge u -> v to u's cached list, if it has one.
+  /// Appends the reciprocal edge u -> v to u's list.
   void PushReciprocal(VertexId u, VertexId v, double length);
   VertexId AddVertexInternal(geom::Vec2 p);
 
@@ -154,7 +150,6 @@ class VisGraph {
 
   std::vector<geom::Vec2> vertices_;
   std::vector<std::vector<VisEdge>> adj_;
-  std::vector<bool> adj_computed_;
   /// Covers vertices_[v] and every vertex in adj_[v] (a superset once
   /// edges are erased): the prune skips lists whose box misses the rect.
   std::vector<geom::Rect> reach_;

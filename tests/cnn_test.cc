@@ -76,6 +76,9 @@ TEST_P(CnnEquivalence, ConnWithNoObstaclesEqualsCnn) {
     EXPECT_NEAR(cnn.OdistAt(t), conn.OdistAt(t), 1e-9) << "t=" << t;
     EXPECT_EQ(cnn.OnnAt(t), conn.OnnAt(t)) << "t=" << t;
   }
+  // One main loop: the same points evaluated, the same termination.
+  EXPECT_EQ(cnn.stats.points_evaluated, conn.stats.points_evaluated);
+  EXPECT_EQ(cnn.stats.lemma2_terminations, conn.stats.lemma2_terminations);
 }
 
 TEST_P(CnnEquivalence, CnnMatchesDenseSampling) {

@@ -275,6 +275,47 @@ TEST(FailureInjectionTest, TickLoopQuarantinesFailingClientWithoutPoison) {
   EXPECT_GT(warm_starts, 0u) << "warm path never engaged; test is vacuous";
 }
 
+/// A query segment lying wholly inside an obstacle's interior has no
+/// reachable piece.  CONN and COkNN must return no tuples, report all of q
+/// unreachable and evaluate no point, in both tree configurations, with
+/// RLMAX on or off, and whether the data point lies on q (inside the
+/// obstacle too) or off it.
+class FullyBlockedQuery : public ::testing::TestWithParam<int> {};
+
+TEST_P(FullyBlockedQuery, AnswersEmptyWithoutEvaluatingPoints) {
+  // Bits of the parameter: one tree, RLMAX on, data point on q.
+  const bool one_tree = (GetParam() & 1) != 0;
+  const bool rlmax = (GetParam() & 2) != 0;
+  const bool point_on_q = (GetParam() & 4) != 0;
+  testutil::Scene scene;
+  scene.points = {point_on_q ? geom::Vec2{50, 50} : geom::Vec2{50, 70}};
+  scene.obstacles = {geom::Rect({0, 0}, {100, 100})};
+  const geom::Segment q({10, 50}, {90, 50});
+  const rtree::RStarTree tp = testutil::MakePointTree(scene);
+  const rtree::RStarTree to = testutil::MakeObstacleTree(scene);
+  const rtree::RStarTree unified = testutil::MakeUnifiedTree(scene);
+  const rtree::RStarTree& data = one_tree ? unified : tp;
+  const rtree::RStarTree& obstacles = one_tree ? unified : to;
+  ConnOptions opts;
+  opts.use_rlmax_terminate = rlmax;
+  const geom::IntervalSet all_of_q(geom::Interval(0.0, q.Length()));
+
+  const ConnResult conn = ConnQuery(data, obstacles, q, opts);
+  EXPECT_TRUE(conn.tuples.empty());
+  EXPECT_EQ(conn.unreachable, all_of_q);
+  EXPECT_EQ(conn.stats.points_evaluated, 0u);
+  EXPECT_EQ(conn.stats.lemma2_terminations, 0u);
+
+  const CoknnResult coknn = CoknnQuery(data, obstacles, q, 2, opts);
+  EXPECT_TRUE(coknn.tuples.empty());
+  EXPECT_EQ(coknn.unreachable, all_of_q);
+  EXPECT_EQ(coknn.stats.points_evaluated, 0u);
+  EXPECT_EQ(coknn.stats.lemma2_terminations, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(TreesRlmaxPoint, FullyBlockedQuery,
+                         ::testing::Range(0, 8));
+
 TEST(FailureInjectionTest, ReversedQuerySegmentIsSymmetric) {
   const testutil::Scene scene = testutil::MakeScene(88, 40, 12);
   const rtree::RStarTree tp = testutil::MakePointTree(scene);

@@ -1,14 +1,15 @@
-// Regression tests for the Lemma-2 termination statistic: the main loops
-// used to credit lemma2_terminations whenever they stopped while the RLMAX
-// bound was finite — including when the best-first stream had simply run
-// out of points.  The statistic must count only genuine prunes (points
-// remained beyond RLMAX), or published pruning-effectiveness numbers would
-// be corrupted.
+// Regression tests for the Lemma-2 termination statistic of the main loop
+// CONN, COkNN and CNN share: it used to credit lemma2_terminations whenever
+// it stopped while the RLMAX bound was finite — including when the
+// best-first stream had simply run out of points.  The statistic must count
+// only genuine prunes (points remained beyond RLMAX), or published
+// pruning-effectiveness numbers would be corrupted.
 
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/cnn.h"
 #include "core/coknn.h"
 #include "core/conn.h"
 #include "test_util.h"
@@ -84,6 +85,48 @@ TEST(TerminationStats, OneTreeConnDrawsTheSameDistinction) {
   const ConnResult pruned = ConnQuery(u2, u2, with_far.query);
   EXPECT_LT(pruned.stats.points_evaluated, 3u);
   EXPECT_EQ(pruned.stats.lemma2_terminations, 1u);
+}
+
+/// CNN runs the same main loop with trivial control point lists, so it
+/// draws the same distinction and drains the stream with RLMAX off.
+TEST(TerminationStats, CnnDrawsTheSameDistinction) {
+  const testutil::Scene near_only = TwoNearPoints();
+  const rtree::RStarTree tp1 = testutil::MakePointTree(near_only);
+  const ConnResult exhausted = CnnQuery(tp1, near_only.query);
+  EXPECT_EQ(exhausted.stats.points_evaluated, 2u);
+  EXPECT_EQ(exhausted.stats.lemma2_terminations, 0u);
+
+  const testutil::Scene with_far = TwoNearOneFarPoint();
+  const rtree::RStarTree tp2 = testutil::MakePointTree(with_far);
+  const ConnResult pruned = CnnQuery(tp2, with_far.query);
+  EXPECT_LT(pruned.stats.points_evaluated, 3u);
+  EXPECT_EQ(pruned.stats.lemma2_terminations, 1u);
+
+  ConnOptions no_prune;
+  no_prune.use_rlmax_terminate = false;
+  const ConnResult drained = CnnQuery(tp2, with_far.query, no_prune);
+  EXPECT_EQ(drained.stats.points_evaluated, 3u);
+  EXPECT_EQ(drained.stats.lemma2_terminations, 0u);
+}
+
+/// A zero-length segment has no reachable piece of positive length, but
+/// unlike a segment inside obstacles it keeps the loop: the empty result
+/// list's RLMAX is 0, so the first point off q is a Lemma-2 stop.
+TEST(TerminationStats, ZeroLengthSegmentStopsAtTheFirstPointOffQ) {
+  const testutil::Scene s = TwoNearPoints();
+  const rtree::RStarTree tp = testutil::MakePointTree(s);
+  const rtree::RStarTree to = testutil::MakeObstacleTree(s);
+  const geom::Segment point(s.query.a, s.query.a);
+
+  const CoknnResult coknn = CoknnQuery(tp, to, point, 1);
+  EXPECT_TRUE(coknn.tuples.empty());
+  EXPECT_EQ(coknn.stats.points_evaluated, 0u);
+  EXPECT_EQ(coknn.stats.lemma2_terminations, 1u);
+
+  const ConnResult cnn = CnnQuery(tp, point);
+  EXPECT_TRUE(cnn.tuples.empty());
+  EXPECT_EQ(cnn.stats.points_evaluated, 0u);
+  EXPECT_EQ(cnn.stats.lemma2_terminations, 1u);
 }
 
 /// Metamorphic invariant over random scenes: with the fix, exactly one of

@@ -96,7 +96,6 @@ TEST_P(IncrementalEquivalence, NeighborsAreSymmetricAndVisible) {
     // Touch a random vertex's adjacency mid-build.
     g.Neighbors(static_cast<VertexId>(rng.UniformU64(g.VertexCount())));
   }
-  g.MaterializeAllAdjacency();
 
   for (VertexId v = 0; v < g.VertexCount(); ++v) {
     for (const VisEdge& e : g.Neighbors(v)) {

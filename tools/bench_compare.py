@@ -57,6 +57,8 @@ EXACT_COUNTERS = [
     "rescored",
     "frontier_shares",
     "adopted",
+    "splits",
+    "l1_hits",
 ]
 
 
