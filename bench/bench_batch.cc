@@ -7,9 +7,9 @@
 //   BM_CoknnSequential      — the paper's model: one query at a time, each
 //                             rebuilding its visibility graph from scratch.
 //   BM_CoknnBatched         — BatchRunner: STR locality shards, one shared
-//                             obstacle workspace per shard, worker pool.
+//                             obstacle workspace per shard, worker threads.
 //   BM_CoknnBatchedNoShare  — BatchRunner with sharing disabled: isolates
-//                             the thread-pool contribution from the
+//                             the worker threads' contribution from the
 //                             workspace-reuse contribution.
 //
 // Counters: qps (queries/sec), reuse_hits (obstacle insertions skipped via

@@ -13,7 +13,7 @@
 //   BM_TicksDispersed — uniform fleet, warm gate on, default locality
 //                       guard: the guard declines the dispersed shards, so
 //                       their queries run as independent fresh queries
-//                       spread over the worker pool.
+//                       spread over the worker threads.
 //
 // The equivalence suite proves warm and fresh produce bit-identical
 // answers, so the counters here are a pure performance statement.

@@ -1,6 +1,6 @@
 // Capability-annotated mutex wrappers: the only lock primitives allowed in
-// src/ (tools/lint_invariants.py enforces that raw std::mutex and friends
-// never appear outside this header).
+// src/ (conn-tidy's conn-raw-sync-primitive check rejects raw std::mutex,
+// std::condition_variable and friends outside this header).
 //
 // The annotation macros drive Clang's thread-safety analysis
 // (-Wthread-safety): each latch declares which fields it guards
@@ -9,7 +9,7 @@
 // latch-held-only helper without the latch is a *compile error* in the
 // thread-safety CI configuration instead of a TSan roll of the dice.  Off
 // Clang the macros expand to nothing and the wrappers cost exactly one
-// std::mutex / std::condition_variable.
+// std::mutex.
 //
 // Macro names follow Clang's official thread-safety documentation (the
 // same set Abseil ships); see
@@ -18,7 +18,6 @@
 #ifndef CONN_COMMON_MUTEX_H_
 #define CONN_COMMON_MUTEX_H_
 
-#include <condition_variable>
 #include <mutex>
 
 #if defined(__clang__) && (!defined(SWIG))
@@ -30,25 +29,16 @@
 #define CAPABILITY(x) CONN_THREAD_ANNOTATION(capability(x))
 #define SCOPED_CAPABILITY CONN_THREAD_ANNOTATION(scoped_lockable)
 #define GUARDED_BY(x) CONN_THREAD_ANNOTATION(guarded_by(x))
-#define PT_GUARDED_BY(x) CONN_THREAD_ANNOTATION(pt_guarded_by(x))
 #define REQUIRES(...) \
   CONN_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define EXCLUDES(...) CONN_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 #define ACQUIRE(...) CONN_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 #define RELEASE(...) CONN_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define TRY_ACQUIRE(...) \
-  CONN_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-#define RETURN_CAPABILITY(x) CONN_THREAD_ANNOTATION(lock_returned(x))
-#define NO_THREAD_SAFETY_ANALYSIS \
-  CONN_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 namespace conn {
 
-class CondVar;
-
 /// A std::mutex carrying the "mutex" capability for Clang's analysis.
-/// Prefer the RAII MutexLock; Lock()/Unlock() exist for the rare manual
-/// protocol (and for the analysis to see the acquire/release points).
+/// Take it through the RAII MutexLock; Lock()/Unlock() carry the acquire
+/// and release annotations the analysis tracks.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -58,80 +48,22 @@ class CAPABILITY("mutex") Mutex {
 
   void Lock() ACQUIRE() { mu_.lock(); }
   void Unlock() RELEASE() { mu_.unlock(); }
-  bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
-/// RAII lock over a Mutex (SCOPED_CAPABILITY).  Supports the
-/// std::unique_lock-style temporary Unlock()/Lock() protocol around
-/// long-running work — Clang tracks the relock through the annotations.
+/// RAII lock over a Mutex (SCOPED_CAPABILITY).
 class SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) ACQUIRE(mu) : mu_(mu) { mu_.Lock(); }
-  ~MutexLock() RELEASE() {
-    if (held_) mu_.Unlock();
-  }
+  ~MutexLock() RELEASE() { mu_.Unlock(); }
 
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  /// Temporarily releases the latch (e.g. while running a task).
-  void Unlock() RELEASE() {
-    mu_.Unlock();
-    held_ = false;
-  }
-
-  /// Reacquires after a temporary Unlock().
-  void Lock() ACQUIRE() {
-    mu_.Lock();
-    held_ = true;
-  }
-
  private:
-  friend class CondVar;
   Mutex& mu_;
-  bool held_ = true;
-};
-
-/// Condition variable bound to conn::Mutex.  Wait() atomically releases
-/// and reacquires the caller's latch, so the capability set is unchanged
-/// across the call — which is exactly what REQUIRES(mu) expresses.
-class CondVar {
- public:
-  CondVar() = default;
-
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Blocks until notified.  The caller must hold \p mu (typically via a
-  /// MutexLock on it); spurious wakeups happen — use the predicate
-  /// overload.
-  void Wait(Mutex& mu) REQUIRES(mu) {
-    // Adopt the already-held native mutex for the wait, then hand
-    // ownership back so the caller's MutexLock stays the sole owner.
-    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-    cv_.wait(native);
-    native.release();
-  }
-
-  /// Blocks until \p pred() holds.  Body analysis is suppressed: \p pred
-  /// carries its own REQUIRES annotation naming the *caller's* latch
-  /// expression, which the analysis cannot unify with the parameter alias
-  /// \p mu here; the REQUIRES contract on this declaration is still
-  /// enforced at every call site.
-  template <typename Predicate>
-  void Wait(Mutex& mu, Predicate pred) REQUIRES(mu) NO_THREAD_SAFETY_ANALYSIS {
-    while (!pred()) Wait(mu);
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace conn

@@ -1,16 +1,17 @@
 #include "exec/batch.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <exception>
 #include <thread>
 #include <utility>
 
 #include "common/check.h"
-#include "common/mutex.h"
 #include "common/timer.h"
 #include "core/workspace.h"
 #include "exec/sharder.h"
-#include "exec/thread_pool.h"
 #include "geom/box.h"
 
 namespace conn {
@@ -20,8 +21,8 @@ namespace {
 
 /// Typical spacing between neighboring obstacles in \p tree — the natural
 /// length scale of a query's obstacle neighborhood.  Zero/short queries
-/// (DegenerateConn point lookups) have no extent of their own, so the
-/// locality guard measures their spread in units of this instead.  For the
+/// (point lookups) have no extent of their own, so the locality guard
+/// measures their spread in units of this instead.  For the
 /// unified tree (1-tree mode) size() also counts data points, so the value
 /// underestimates the true spacing — the guard then errs toward *not*
 /// sharing, which is the safe direction; callers needing exact control set
@@ -45,6 +46,11 @@ bool ShardIsLocal(const std::vector<BatchQuery>& queries,
     max_extent = std::max({max_extent, b.Width(), b.Height()});
   }
   return std::max(cover.Width(), cover.Height()) <= factor * max_extent;
+}
+
+/// The stats of whichever engine answered \p out.
+QueryStats& OutcomeStats(QueryOutcome& out) {
+  return out.conn.has_value() ? out.conn->stats : out.coknn->stats;
 }
 
 /// Extent floor: a few obstacle spacings — queries that close together
@@ -194,41 +200,44 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
   threads = std::min(threads, items.size());
   result.stats.threads_used = threads;
 
-  // Runs query \p idx on \p ws (null: the engine's own fresh graph) and
-  // returns its stats, marked as warm when \p ws was carried across runs.
-  auto run_query = [&](size_t idx, core::QueryWorkspace* ws,
-                       bool carried) -> const QueryStats& {
+  // Runs query \p idx on \p ws (null: the engine's own fresh graph) into
+  // its outcome slot, marked as warm when \p ws was carried across runs.
+  auto run_query = [&](size_t idx, core::QueryWorkspace* ws, bool carried) {
     const BatchQuery& q = queries[idx];
     QueryOutcome& out = result.outcomes[idx];
-    QueryStats* out_stats = nullptr;
     if (q.kind == BatchQuery::Kind::kConn) {
       out.conn =
           core::ConnQuery(*data_, *obstacles_, q.segment, opts_.query, ws);
-      out_stats = &out.conn->stats;
     } else {
       out.coknn = core::CoknnQuery(*data_, *obstacles_, q.segment, q.k,
                                    opts_.query, ws, {q.prior, q.client_tag});
-      out_stats = &out.coknn->stats;
     }
     if (carried) {
       // The query ran on cross-run state: mark it (unless the
       // stationary-segment memo already did) and credit its Dijkstra
       // scans to the carried arena.
-      if (out_stats->tick_warm_starts == 0) out_stats->tick_warm_starts = 1;
-      out_stats->tick_frontier_reuse += out_stats->dijkstra_runs;
+      QueryStats& stats = OutcomeStats(out);
+      if (stats.tick_warm_starts == 0) stats.tick_warm_starts = 1;
+      stats.tick_frontier_reuse += stats.dijkstra_runs;
     }
-    return *out_stats;
   };
 
-  Mutex stats_mu;
-  auto run_shard = [&](BatchPlan::ShardState& state, const geom::Rect& cover) {
-    bool carried = false;
+  // An item writes only its queries' outcome slots, its own shard state
+  // and its shard's carried flag, so the items need no lock between them.
+  std::vector<uint8_t> carried(plan->states_.size(), 0);
+  auto run_item = [&](const WorkItem& item) {
+    if (item.query != kWholeShard) {
+      run_query(item.query, nullptr, false);
+      return;
+    }
+    BatchPlan::ShardState& state = plan->states_[item.shard];
+    const geom::Rect& cover = covers[item.shard];
     if (warm_gate && state.workspace != nullptr &&
         state.workspace->Covers(cover)) {
       // Cross-run warm path: the carried workspace's domain still covers
       // the (moved) queries, so its graph — a superset of every member's
       // Theorem-2 obstacle set — and its scan arena serve this run as-is.
-      carried = true;
+      carried[item.shard] = 1;
     } else {
       state.workspace =
           std::make_unique<core::QueryWorkspace>(data_, obstacles_, cover);
@@ -236,56 +245,52 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
       state.obstacles_mark = 0;
     }
     state.last_cover = cover;
-
-    QueryStats shard_totals;
     for (size_t idx : state.members) {
-      shard_totals += run_query(idx, state.workspace.get(), carried);
+      run_query(idx, state.workspace.get(), carried[item.shard] != 0);
     }
+  };
 
-    MutexLock lock(stats_mu);
-    result.stats.per_query_totals += shard_totals;
-    result.stats.shards_carried += carried ? 1 : 0;
+  // Workers claim items in order from a shared cursor, so a single worker
+  // runs them in exactly the order they were planned.  The calling thread
+  // is the last worker.  A worker that throws drains the cursor, so the
+  // others stop claiming; the first failure is rethrown after the join.
+  std::atomic<size_t> next_item{0};
+  std::vector<std::exception_ptr> failures(threads);
+  auto worker = [&](size_t w) {
+    try {
+      for (size_t i = next_item++; i < items.size(); i = next_item++) {
+        run_item(items[i]);
+      }
+    } catch (...) {
+      failures[w] = std::current_exception();
+      next_item = items.size();
+    }
+  };
+  {
+    std::vector<std::jthread> helpers;  // joined when this block ends
+    helpers.reserve(threads - 1);
+    for (size_t w = 1; w < threads; ++w) helpers.emplace_back(worker, w);
+    worker(0);
+  }
+  for (const std::exception_ptr& failure : failures) {
+    if (failure != nullptr) std::rethrow_exception(failure);
+  }
+
+  // Fold the run's accounting on this thread, in shard order and then
+  // query order.  A shard without a workspace was declined by the guard.
+  for (size_t s = 0; s < plan->states_.size(); ++s) {
+    BatchPlan::ShardState& state = plan->states_[s];
+    for (size_t idx : state.members) {
+      result.stats.per_query_totals += OutcomeStats(result.outcomes[idx]);
+    }
+    if (state.workspace == nullptr) continue;
+    result.stats.shards_carried += carried[s];
     result.stats.obstacle_reuse_hits +=
         state.workspace->ObstacleReuseHits() - state.reuse_hits_mark;
     result.stats.obstacles_inserted +=
         state.workspace->ObstacleCount() - state.obstacles_mark;
     state.reuse_hits_mark = state.workspace->ObstacleReuseHits();
     state.obstacles_mark = state.workspace->ObstacleCount();
-  };
-
-  auto run_item = [&](const WorkItem& item) {
-    if (item.query == kWholeShard) {
-      run_shard(plan->states_[item.shard], covers[item.shard]);
-      return;
-    }
-    const QueryStats& stats = run_query(item.query, nullptr, false);
-    MutexLock lock(stats_mu);
-    result.stats.per_query_totals += stats;
-  };
-
-  // Workers claim items in order from a shared cursor, so a single worker
-  // runs them in exactly the order they were planned.
-  Mutex next_mu;
-  size_t next_item = 0;  // guarded by next_mu
-  auto worker = [&]() {
-    while (true) {
-      size_t i = 0;
-      {
-        MutexLock lock(next_mu);
-        if (next_item == items.size()) return;
-        i = next_item++;
-      }
-      run_item(items[i]);
-    }
-  };
-
-  if (threads <= 1) {
-    // Single worker: run inline, sparing the pool round-trip.
-    worker();
-  } else {
-    ThreadPool pool(threads);
-    for (size_t t = 0; t < threads; ++t) pool.Submit(worker);
-    pool.WaitIdle();
   }
 
   result.stats.data_page_faults = data_->pager().faults() - data_faults0;

@@ -5,8 +5,8 @@
 // visibility graph per query and re-retrieves every obstacle that several
 // nearby queries share.  BatchRunner amortizes that work the way the
 // mesh-based successors amortize their precomputed structure: queries are
-// sharded by spatial locality (exec/sharder.h), shards run on a worker
-// pool (exec/thread_pool.h), and every shard's queries share one
+// sharded by spatial locality (exec/sharder.h), shards run on plain worker
+// threads that claim them in order, and every shard's queries share one
 // core::QueryWorkspace, so incremental obstacle retrieval accumulates
 // across the shard instead of restarting per query.  The workspace also
 // carries the shard's vis::ScanArena: every Dijkstra scan of every query
@@ -16,7 +16,7 @@
 // Shards the adaptive locality guard declines to share fall back to the
 // paper's own model — every query on its own fresh local visibility graph
 // — and are scheduled per query: each of their queries is a separate work
-// item, so a dispersed batch spreads over the whole pool instead of
+// item, so a dispersed batch spreads over every worker instead of
 // running one shard's queries back to back on one worker.
 //
 // Correctness bar: results are identical to the single-query engine — the

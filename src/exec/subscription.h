@@ -16,7 +16,7 @@
 // independently evaluating each tick (the superset argument of
 // core/workspace.h, proven by the subscription equivalence suite).
 // Clients the locality guard declines to share run as plain fresh
-// queries, one work item each, across the whole worker pool (see
+// queries, one work item each, across every worker thread (see
 // exec/batch.h).
 //
 // Failure isolation: a client whose tick fails (see

@@ -201,7 +201,7 @@ TEST_P(BatchEquivalence, SharedAndUnsharedWorkspacesAgree) {
 }
 
 TEST(BatchLocalityGuard, ClusteredPointQueriesStillShare) {
-  // Zero-length CONN queries (DegenerateConn point lookups) have no MBR
+  // Zero-length CONN queries (obstructed point lookups) have no MBR
   // extent of their own; the guard's obstacle-spacing floor must keep a
   // tight cluster of them on the sharing path under *default* options.
   // Hand-built scene: the lone data point sits behind a wall, so every

@@ -1,14 +1,11 @@
-// Tests for the batch executor's plumbing: STR locality sharding and the
-// worker pool.
+// Tests for the batch executor's STR locality sharding.
 
-#include <atomic>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exec/sharder.h"
-#include "exec/thread_pool.h"
 
 namespace conn {
 namespace exec {
@@ -77,29 +74,6 @@ TEST(SharderTest, ZeroTargetIsClampedToOne) {
   std::vector<geom::Segment> queries = {Seg(0, 0), Seg(100, 100)};
   const auto shards = ShardByLocality(queries, 0);
   EXPECT_EQ(shards.size(), 2u);
-}
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 100);
-
-  // The pool stays usable after an idle round-trip.
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 150);
-}
-
-TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.WaitIdle();
-  SUCCEED();
 }
 
 }  // namespace

@@ -348,7 +348,7 @@ TEST_P(DispatchRules, WorkspaceWithoutRepairOptionRunsWarmNotRepaired) {
 TEST_P(DispatchRules, SameTreeTwiceChargesOneTreeAndMatchesTwoTrees) {
   const geom::Vec2 p{4300.0, 5200.0};
   for (const geom::Segment& q : {steps_[0], geom::Segment(p, p)}) {
-    SCOPED_TRACE(q.Length() > 0.0 ? "segment" : "zero-length (DegenerateConn)");
+    SCOPED_TRACE(q.Length() > 0.0 ? "segment" : "zero-length (point lookup)");
     const core::ConnResult conn = core::ConnQuery(data(), obstacles(), q);
     const core::CoknnResult coknn = core::CoknnQuery(data(), obstacles(), q, 3);
     if (GetParam()) {

@@ -11,10 +11,14 @@
 // warm starts on and off, 1 and 4 worker threads, with mid-run membership
 // churn (subscribe + unsubscribe) and stationary clients (completed routes)
 // so resharding and the memo both participate.
+//
+// SubscriptionFold checks the tick's accounting instead of its answers: the
+// stats a tick folds are the same at 1 and 4 worker threads.
 
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -183,6 +187,134 @@ TEST_P(SubscriptionEquivalence, TickLoopMatchesIndependentEvaluation) {
     EXPECT_GT(warm_starts, 0u) << "warm path never engaged";
   } else {
     EXPECT_EQ(warm_starts, 0u) << "warm path ran despite the gate";
+  }
+}
+
+/// Every integer field of QueryStats, by name.  \p with_io false drops the
+/// per-query I/O deltas: they read process-wide pager counters, so with
+/// more than one worker a query's deltas also count its siblings' page
+/// touches, and only the batch-level BatchStats I/O totals are exact.
+std::vector<std::pair<std::string, uint64_t>> IntegerFields(
+    const QueryStats& s, bool with_io) {
+  std::vector<std::pair<std::string, uint64_t>> f;
+  if (with_io) {
+    f = {{"data_page_reads", s.data_page_reads},
+         {"obstacle_page_reads", s.obstacle_page_reads},
+         {"buffer_hits", s.buffer_hits},
+         {"prefetch_issued", s.prefetch_issued},
+         {"prefetch_hits", s.prefetch_hits},
+         {"prefetch_wasted", s.prefetch_wasted}};
+  }
+  f.insert(f.end(),
+           {{"points_evaluated", s.points_evaluated},
+            {"obstacles_evaluated", s.obstacles_evaluated},
+            {"vis_graph_vertices", s.vis_graph_vertices},
+            {"dijkstra_runs", s.dijkstra_runs},
+            {"dijkstra_settled", s.dijkstra_settled},
+            {"visibility_tests", s.visibility_tests},
+            {"seed_tests", s.seed_tests},
+            {"scan_warm_restarts", s.scan_warm_restarts},
+            {"tick_warm_starts", s.tick_warm_starts},
+            {"tick_frontier_reuse", s.tick_frontier_reuse},
+            {"cross_shard_store_hits", s.cross_shard_store_hits},
+            {"repairs_applied", s.repairs_applied},
+            {"tuples_carried", s.tuples_carried},
+            {"tuples_rescored", s.tuples_rescored},
+            {"frontier_shares", s.frontier_shares},
+            {"vr_cache_evictions", s.vr_cache_evictions},
+            {"split_evaluations", s.split_evaluations},
+            {"lemma1_prunes", s.lemma1_prunes},
+            {"lemma7_terminations", s.lemma7_terminations},
+            {"lemma2_terminations", s.lemma2_terminations}});
+  return f;
+}
+
+/// Every integer field of BatchStats except threads_used, which differs
+/// between thread counts by definition.
+std::vector<std::pair<std::string, uint64_t>> IntegerFields(
+    const BatchStats& s) {
+  return {{"query_count", s.query_count},
+          {"shard_count", s.shard_count},
+          {"obstacle_reuse_hits", s.obstacle_reuse_hits},
+          {"obstacles_inserted", s.obstacles_inserted},
+          {"shards_carried", s.shards_carried},
+          {"cross_shard_store_hits", s.cross_shard_store_hits},
+          {"workspaces_adopted", s.workspaces_adopted},
+          {"data_page_faults", s.data_page_faults},
+          {"obstacle_page_faults", s.obstacle_page_faults},
+          {"buffer_hits", s.buffer_hits}};
+}
+
+TEST(SubscriptionFold, StatsAreTheSameAtOneAndFourThreads) {
+  // RunPlan folds its accounting after the workers join, in shard order
+  // and then query order.  One clustered group (left) that shares and
+  // carries its workspace tick over tick, and one dispersed group (right)
+  // that the locality guard declines: the folded stats must not depend on
+  // how many workers ran the items, and per_query_totals must be exactly
+  // the sum of the clients' own stats.  The trees are unbuffered, so the
+  // batch-level fault counts are deterministic too.
+  const Scene scene =
+      MakeScene(41, datagen::PointDistribution::kUniform, 140, 400, 0);
+  std::vector<RouteSpec> routes;
+  for (int i = 0; i < 8; ++i) {
+    const geom::Vec2 a{1000.0 + 20.0 * i, 1200.0 + 15.0 * i};
+    // Every fourth client is stationary, so the memo takes part.
+    if (i % 4 == 3) {
+      routes.push_back(RouteSpec{{a}, 10.0});
+    } else {
+      routes.push_back(RouteSpec{{a, {a.x + 60.0, a.y + 45.0}}, 10.0});
+    }
+  }
+  for (int i = 0; i < 8; ++i) {
+    const geom::Vec2 a{5500.0 + 550.0 * i, 800.0 + 1150.0 * i};
+    routes.push_back(RouteSpec{{a, {a.x + 300.0, a.y - 200.0}}, 60.0});
+  }
+
+  SubscriptionOptions opts;
+  opts.batch.target_shard_size = 8;
+  opts.batch.locality_extent_floor = 100.0;
+  opts.batch.query.use_differential_repair = true;
+  opts.reshard_period = 0;
+
+  std::vector<TickResult> single_worker;
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    opts.batch.num_threads = threads;
+    SubscriptionService service(scene.tp, scene.to, opts);
+    for (const RouteSpec& r : routes) {
+      ASSERT_TRUE(service.Subscribe(r, 2).ok());
+    }
+    size_t shards_carried = 0;
+    for (uint64_t tick = 0; tick < 4; ++tick) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, tick " +
+                   std::to_string(tick));
+      TickResult result = service.Tick();
+      const BatchStats& stats = result.stats;
+      ASSERT_EQ(stats.shard_count, 2u);
+      // One item for the sharing shard plus eight for the declined one.
+      EXPECT_EQ(stats.threads_used, threads);
+      shards_carried += stats.shards_carried;
+
+      QueryStats sum;
+      for (const ClientUpdate& u : result.updates) {
+        ASSERT_TRUE(u.result.has_value());
+        sum += u.result->stats;
+      }
+      EXPECT_EQ(IntegerFields(stats.per_query_totals, /*with_io=*/true),
+                IntegerFields(sum, /*with_io=*/true));
+      // The fold adds in shard order, this loop in client order.
+      EXPECT_NEAR(stats.per_query_totals.cpu_seconds, sum.cpu_seconds,
+                  1e-9 * sum.cpu_seconds);
+
+      if (threads == 1) {
+        single_worker.push_back(std::move(result));
+        continue;
+      }
+      const TickResult& want = single_worker[tick];
+      EXPECT_EQ(IntegerFields(stats), IntegerFields(want.stats));
+      EXPECT_EQ(IntegerFields(stats.per_query_totals, /*with_io=*/false),
+                IntegerFields(want.stats.per_query_totals, /*with_io=*/false));
+    }
+    EXPECT_GT(shards_carried, 0u) << "the clustered shard never carried";
   }
 }
 

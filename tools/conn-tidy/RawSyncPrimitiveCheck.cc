@@ -48,8 +48,7 @@ void RawSyncPrimitiveCheck::check(const MatchFinder::MatchResult& result) {
   diag(loc,
        "raw standard synchronization primitive %0; use the "
        "capability-annotated wrappers in common/mutex.h (conn::Mutex, "
-       "conn::MutexLock, conn::CondVar) so -Wthread-safety sees the "
-       "acquisition")
+       "conn::MutexLock) so -Wthread-safety sees the acquisition")
       << use->getType().getAsString();
 }
 

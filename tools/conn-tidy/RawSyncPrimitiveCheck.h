@@ -1,9 +1,9 @@
 // conn-raw-sync-primitive: flags any use of the raw standard
 // synchronization primitives (std::mutex, std::condition_variable,
 // std::lock_guard, ...) outside common/mutex.h.  The repo's locking rule
-// (PR 5) is that all latches go through the capability-annotated wrappers
-// conn::Mutex / conn::MutexLock / conn::CondVar so Clang's -Wthread-safety
-// analysis can see every acquisition; a bare std::mutex is invisible to it.
+// is that all latches go through the capability-annotated wrappers
+// conn::Mutex / conn::MutexLock so Clang's -Wthread-safety analysis can see
+// every acquisition; a bare std::mutex is invisible to it.
 //
 // Options:
 //   AllowedFiles  ';'-separated path suffixes where the raw types are

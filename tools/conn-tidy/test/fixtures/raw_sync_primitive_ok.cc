@@ -9,7 +9,6 @@ namespace {
 
 struct Queue {
   conn::Mutex mu;
-  conn::CondVar ready;
   int depth GUARDED_BY(mu) = 0;
 };
 
