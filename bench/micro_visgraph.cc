@@ -5,8 +5,11 @@
 // binary isolates that claim:
 //   * Incremental (shipped): one graph, adjacency cached and patched in
 //     place across insertions; queries interleave with growth.  The prune
-//     visits only lists whose reach box meets the new rectangle, and the
-//     corner sweep tries the last blocker first.
+//     visits only lists whose reach box meets the new rectangle; the
+//     corner sweep skips candidates its angular shadow map proves hidden
+//     behind a closer obstacle and walks the rest, last blocker first.
+//     `vis_tests` (exact segment-vs-rectangle tests per AddObstacle) and
+//     `SVG` (vertices of the grown graph) are deterministic.
 //   * RebuildEachQuery: a fresh graph is constructed from the obstacles
 //     retrieved so far at every query checkpoint — the cost profile of NOT
 //     reusing the local graph across data points.
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "datagen/datasets.h"
 #include "vis/dijkstra.h"
 #include "vis/full_vis_graph.h"
@@ -48,11 +52,15 @@ constexpr int kQueryEvery = 16;  // insertions between re-queries (IOR-like)
 // The shipped design: grow one graph, re-query as it grows.
 void BM_IncrementalGrowAndQuery(benchmark::State& state) {
   const auto rects = LocalObstacles(state.range(0), 1);
+  QueryStats stats;  // insertions only; every iteration grows the same graph
+  size_t svg = 0;
   for (auto _ : state) {
     vis::VisGraph g(geom::Rect({0, 0}, {10000, 10000}));
     const vis::VertexId t = g.AddFixedVertex({9000, 9000});
     for (size_t i = 0; i < rects.size(); ++i) {
+      g.set_stats(&stats);
       g.AddObstacle(rects[i], i);
+      g.set_stats(nullptr);
       if ((i % kQueryEvery) == 0) {
         vis::DijkstraScan scan(&g, {500, 500});
         benchmark::DoNotOptimize(scan.SettleTargets({t}));
@@ -60,7 +68,13 @@ void BM_IncrementalGrowAndQuery(benchmark::State& state) {
     }
     vis::DijkstraScan scan(&g, {500, 500});
     benchmark::DoNotOptimize(scan.SettleTargets({t}));
+    svg = g.VertexCount();
   }
+  const double insertions =
+      static_cast<double>(state.iterations()) * rects.size();
+  state.counters["vis_tests"] =
+      static_cast<double>(stats.visibility_tests) / insertions;
+  state.counters["SVG"] = static_cast<double>(svg);
 }
 BENCHMARK(BM_IncrementalGrowAndQuery)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);

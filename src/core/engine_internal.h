@@ -173,19 +173,22 @@ class ScopedQueryGraph {
   GraphStatsScope stats_scope_;
 };
 
-/// Snapshot of a Pager's fault/hit/prefetch counters for delta accounting.
+/// A query's I/O on one pager: the faults and hits of the calling thread's
+/// Fetch()es since construction (a query runs wholly on one thread, so
+/// these are its own even while other threads share the pager), and the
+/// process-wide readahead counters' deltas.  Construct and destroy it on
+/// the query's thread.
 class PagerDelta {
  public:
   explicit PagerDelta(const storage::Pager& pager)
       : pager_(pager),
-        faults0_(pager.faults()),
-        hits0_(pager.hits()),
+        fetches_(pager),
         prefetch_issued0_(pager.prefetch_issued()),
         prefetch_hits0_(pager.prefetch_hits()),
         prefetch_wasted0_(pager.prefetch_wasted()) {}
 
-  uint64_t faults() const { return pager_.faults() - faults0_; }
-  uint64_t hits() const { return pager_.hits() - hits0_; }
+  uint64_t faults() const { return fetches_.faults(); }
+  uint64_t hits() const { return fetches_.hits(); }
   uint64_t prefetch_issued() const {
     return pager_.prefetch_issued() - prefetch_issued0_;
   }
@@ -198,8 +201,7 @@ class PagerDelta {
 
  private:
   const storage::Pager& pager_;
-  uint64_t faults0_;
-  uint64_t hits0_;
+  storage::ThreadFetchCounter fetches_;
   uint64_t prefetch_issued0_;
   uint64_t prefetch_hits0_;
   uint64_t prefetch_wasted0_;

@@ -1,7 +1,37 @@
 #include "storage/pager.h"
 
+#include "common/check.h"
+
 namespace conn {
 namespace storage {
+
+namespace {
+
+/// Head of the calling thread's list of live ThreadFetchCounters.
+thread_local ThreadFetchCounter* thread_counters = nullptr;
+
+}  // namespace
+
+ThreadFetchCounter::ThreadFetchCounter(const Pager& pager)
+    : pager_(&pager), next_(thread_counters) {
+  thread_counters = this;
+}
+
+ThreadFetchCounter::~ThreadFetchCounter() {
+  ThreadFetchCounter** link = &thread_counters;
+  while (*link != this) {
+    CONN_CHECK_MSG(*link != nullptr,
+                   "ThreadFetchCounter destroyed off its own thread");
+    link = &(*link)->next_;
+  }
+  *link = next_;
+}
+
+void Pager::CountOnThread(bool fault) const {
+  for (ThreadFetchCounter* c = thread_counters; c != nullptr; c = c->next_) {
+    if (c->pager_ == this) ++(fault ? c->faults_ : c->hits_);
+  }
+}
 
 void Pager::ResetCounters() {
   faults_.store(0, std::memory_order_relaxed);
@@ -17,18 +47,21 @@ StatusOr<PinnedPage> Pager::Fetch(PageId id) {
     const Page* view = nullptr;
     CONN_RETURN_IF_ERROR(file_.View(id, &view));
     faults_.fetch_add(1, std::memory_order_relaxed);
+    CountOnThread(/*fault=*/true);
     return PinnedPage::Direct(id, view);
   }
 
   PinnedPage out;
   if (pool_.TryGet(id, &out)) {
     hits_.fetch_add(1, std::memory_order_relaxed);
+    CountOnThread(/*fault=*/false);
     return out;
   }
 
   const Page* src = nullptr;
   CONN_RETURN_IF_ERROR(file_.View(id, &src));
   faults_.fetch_add(1, std::memory_order_relaxed);
+  CountOnThread(/*fault=*/true);
   if (!pool_.Insert(id, *src, &out)) {
     // Every candidate frame is pinned: serve a handle-owned copy without
     // caching it (and skip readahead — further staging attempts would

@@ -18,11 +18,13 @@
 //
 // Concurrent Fetch()es from several query threads (the batch executor's
 // shards) are safe: counters are atomic and the pool takes per-shard
-// latches.  Structural mutation (Allocate / Write / ConfigureBuffer) is a
-// single-threaded operation: trees are built before queries run against
-// them.  A Pager is pinned in place (non-copyable, non-movable) — owners
-// hold it behind a stable handle (see RStarTree) so in-flight pins and
-// counter readers never observe a relocation.
+// latches.  The counters are process-wide; a ThreadFetchCounter counts
+// only its own thread's faults and hits, which is one query's I/O when
+// queries run one per thread.  Structural mutation (Allocate / Write /
+// ConfigureBuffer) is a single-threaded operation: trees are built before
+// queries run against them.  A Pager is pinned in place (non-copyable,
+// non-movable) — owners hold it behind a stable handle (see RStarTree) so
+// in-flight pins and counter readers never observe a relocation.
 
 #ifndef CONN_STORAGE_PAGER_H_
 #define CONN_STORAGE_PAGER_H_
@@ -36,6 +38,32 @@
 
 namespace conn {
 namespace storage {
+
+class Pager;
+
+/// Counts the faults and hits of the Pager::Fetch() calls the constructing
+/// thread makes on one pager while the counter lives.  Counters live on a
+/// per-thread list, so one must be destroyed on the thread that made it;
+/// several may watch the same pager.
+class ThreadFetchCounter {
+ public:
+  explicit ThreadFetchCounter(const Pager& pager);
+  ~ThreadFetchCounter();
+
+  ThreadFetchCounter(const ThreadFetchCounter&) = delete;
+  ThreadFetchCounter& operator=(const ThreadFetchCounter&) = delete;
+
+  uint64_t faults() const { return faults_; }
+  uint64_t hits() const { return hits_; }
+
+ private:
+  friend class Pager;
+
+  const Pager* pager_;
+  ThreadFetchCounter* next_;  ///< the thread's next live counter
+  uint64_t faults_ = 0;
+  uint64_t hits_ = 0;
+};
 
 /// Buffered page accessor with fault accounting.
 class Pager {
@@ -113,6 +141,9 @@ class Pager {
   const PageFile& file() const { return file_; }
 
  private:
+  /// Counts one fault or hit on the calling thread's live counters.
+  void CountOnThread(bool fault) const;
+
   PageFile file_;
   BufferPool pool_;
   std::atomic<uint64_t> faults_{0};

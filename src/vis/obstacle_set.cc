@@ -17,34 +17,19 @@ uint32_t ObstacleSet::Add(const geom::Rect& rect, rtree::ObjectId id) {
   return index;
 }
 
-uint32_t ObstacleSet::Blocker(geom::Vec2 a, geom::Vec2 b, uint32_t hint,
-                              uint64_t* test_counter) const {
-  const geom::Segment sight(a, b);
-  uint64_t tests = 0;
-  uint32_t blocker = kNoBlocker;
-  if (hint < rects_.size()) {
-    ++tests;
-    if (geom::SegmentCrossesInterior(sight, rects_[hint])) blocker = hint;
-  }
-  if (blocker == kNoBlocker) {
-    // Streaming walk from a toward b: the first blocking obstacle ends the
-    // test, so long blocked sight-lines (the common case in dense fields)
-    // cost only the distance to their first blocker.
-    grid_.VisitAlongSegment(sight, [&](uint32_t i) {
-      if (i == hint) return true;
-      ++tests;
-      if (!geom::SegmentCrossesInterior(sight, rects_[i])) return true;
-      blocker = i;
-      return false;
-    });
-  }
-  if (test_counter != nullptr) *test_counter += tests;
-  return blocker;
-}
-
 bool ObstacleSet::Visible(geom::Vec2 a, geom::Vec2 b,
                           uint64_t* test_counter) const {
-  return Blocker(a, b, kNoBlocker, test_counter) == kNoBlocker;
+  const geom::Segment sight(a, b);
+  uint64_t tests = 0;
+  // Streaming walk from a toward b: the first blocking obstacle ends the
+  // test, so long blocked sight-lines (the common case in dense fields)
+  // cost only the distance to their first blocker.
+  const bool visible = grid_.VisitAlongSegment(sight, [&](uint32_t i) {
+    ++tests;
+    return !geom::SegmentCrossesInterior(sight, rects_[i]);
+  });
+  if (test_counter != nullptr) *test_counter += tests;
+  return visible;
 }
 
 bool ObstacleSet::PointInAnyInterior(geom::Vec2 p) const {

@@ -31,24 +31,13 @@ class ObstacleSet {
   const geom::Rect& rect(uint32_t i) const { return rects_[i]; }
   rtree::ObjectId id(uint32_t i) const { return ids_[i]; }
 
-  /// Blocker() result when nothing blocks the segment.
-  static constexpr uint32_t kNoBlocker = UINT32_MAX;
-
   /// True iff the open segment (a, b) is not blocked by any obstacle
-  /// interior (Definition 1).  \p test_counter, when non-null, is
-  /// incremented once per exact segment-vs-obstacle test performed.
+  /// interior (Definition 1).  A grid walk from a toward b tests the
+  /// obstacles it meets and stops at the first that blocks.
+  /// \p test_counter, when non-null, is incremented once per exact
+  /// segment-vs-obstacle test performed.
   bool Visible(geom::Vec2 a, geom::Vec2 b,
                uint64_t* test_counter = nullptr) const;
-
-  /// Index of an obstacle whose interior the open segment (a, b) crosses,
-  /// or kNoBlocker when the segment is visible.  A valid \p hint is tested
-  /// first: sight lines from one vertex to neighbouring candidates are
-  /// mostly blocked by the same obstacle, and a hint that blocks proves
-  /// the answer with one test.  Otherwise the grid walk decides, skipping
-  /// the hint instead of testing it twice, so the visible/blocked answer
-  /// never depends on the hint.  \p test_counter as for Visible.
-  uint32_t Blocker(geom::Vec2 a, geom::Vec2 b, uint32_t hint,
-                   uint64_t* test_counter = nullptr) const;
 
   /// True iff \p p lies strictly inside some obstacle.
   bool PointInAnyInterior(geom::Vec2 p) const;

@@ -1,11 +1,48 @@
 #include "vis/vis_graph.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
 namespace conn {
 namespace vis {
+
+namespace {
+
+// The angular shadow map of RecomputeAdjacency (see vis_graph.h).
+// Directions are binned by diamond pseudo-angle in [0, 4): it is monotone
+// in the true angle, a half-turn is exactly 2, and its slope against the
+// angle is at most 1, so a margin in pseudo-angle is at least as large in
+// radians.
+constexpr int kShadowBins = 512;
+constexpr double kBinsPerUnit = kShadowBins / 4.0;
+// An obstacle covers a bin only if its span reaches this far past both bin
+// edges: every direction in the bin then passes its silhouette corners at
+// an angle whose sine (>= ~1e-7) bounds the relative gap between the
+// Liang-Barsky entry and exit parameters far above their rounding error.
+constexpr double kShadowMargin = 1e-7;
+// A candidate is hidden only if its squared distance exceeds the bin's
+// value by this relative slack, so the crossing ends well before it.
+constexpr double kShadowSlack = 1e-9;
+// Obstacles whose shrunk side is below this fraction of their distance
+// are left out: their entry and exit parameters along the thin axis could
+// round into each other.
+constexpr double kShadowThin = 1e-8;
+
+double DiamondAngle(geom::Vec2 d) {
+  const double s = std::abs(d.x) + std::abs(d.y);
+  if (d.y >= 0.0) return d.x >= 0.0 ? d.y / s : 1.0 - d.x / s;
+  return d.x < 0.0 ? 2.0 - d.y / s : 3.0 + d.x / s;
+}
+
+int ShadowBin(geom::Vec2 d) {
+  return std::min(kShadowBins - 1,
+                  static_cast<int>(DiamondAngle(d) * kBinsPerUnit));
+}
+
+}  // namespace
 
 VisGraph::VisGraph(const geom::Rect& domain, QueryStats* stats)
     : vertex_grid_(domain, /*cells_per_side=*/64),
@@ -101,10 +138,15 @@ bool VisGraph::AddObstacle(const geom::Rect& rect, rtree::ObjectId id) {
   // point from each corner into the rectangle.
   static constexpr geom::Vec2 kInward[4] = {
       {+1.0, +1.0}, {-1.0, +1.0}, {-1.0, -1.0}, {+1.0, -1.0}};
+  // A rectangle thinner than 2*kEpsInterior has no interior to enter.
+  const bool solid = rect.lo.x + geom::kEpsInterior <
+                         rect.hi.x - geom::kEpsInterior &&
+                     rect.lo.y + geom::kEpsInterior <
+                         rect.hi.y - geom::kEpsInterior;
   const auto corners = rect.Corners();
   for (int ci = 0; ci < 4; ++ci) {
     const VertexId c = AddVertexInternal(corners[ci]);
-    corner_[c] = CornerInfo{true, kInward[ci]};
+    corner_[c] = CornerInfo{true, solid ? kInward[ci] : geom::Vec2{0, 0}};
     RecomputeAdjacency(c);
     for (const VisEdge& e : adj_[c]) PushReciprocal(e.to, c, e.length);
   }
@@ -121,13 +163,60 @@ bool VisGraph::Visible(geom::Vec2 a, geom::Vec2 b) const {
                             stats_ ? &stats_->visibility_tests : nullptr);
 }
 
+void VisGraph::BuildShadowMap(geom::Vec2 pos) {
+  constexpr double kTol = 2.0 * geom::kEpsInterior;
+  shadow_.assign(kShadowBins, std::numeric_limits<double>::infinity());
+  for (uint32_t i = 0; i < obstacles_.size(); ++i) {
+    const geom::Rect& r = obstacles_.rect(i);
+    // The shrunk rectangle SegmentCrossesInterior clips against, relative
+    // to pos and rounded exactly like its Liang-Barsky terms.
+    const double x0 = (r.lo.x + geom::kEpsInterior) - pos.x;
+    const double x1 = (r.hi.x - geom::kEpsInterior) - pos.x;
+    const double y0 = (r.lo.y + geom::kEpsInterior) - pos.y;
+    const double y1 = (r.hi.y - geom::kEpsInterior) - pos.y;
+    if (!(x0 < x1 && y0 < y1)) continue;  // thinner than 2*kEpsInterior
+    // Contains pos or lies within tolerance of it: no proper span.
+    if (x0 < kTol && x1 > -kTol && y0 < kTol && y1 > -kTol) continue;
+    const double max_d2 =
+        std::max(x0 * x0, x1 * x1) + std::max(y0 * y0, y1 * y1);
+    const double thin = std::min(x1 - x0, y1 - y0);
+    if (thin * thin <= kShadowThin * kShadowThin * max_d2) continue;
+    // The span of corner pseudo-angles, unwrapped around the first
+    // corner's: pos lies outside, so the span is below a half-turn and
+    // every corner is within 2 of the first.
+    const double base = DiamondAngle({x0, y0});
+    double lo = 0.0, hi = 0.0;
+    for (const geom::Vec2 c : {geom::Vec2{x1, y0}, geom::Vec2{x1, y1},
+                               geom::Vec2{x0, y1}}) {
+      double d = DiamondAngle(c) - base;
+      if (d >= 2.0) {
+        d -= 4.0;
+      } else if (d < -2.0) {
+        d += 4.0;
+      }
+      lo = std::min(lo, d);
+      hi = std::max(hi, d);
+    }
+    if (hi - lo >= 2.0 - kShadowMargin) continue;  // near a half-turn
+    // Bins [first, end) lie inside the span by the margin; the indices may
+    // run below 0 or past the last bin when the span wraps through 0.
+    const int first = static_cast<int>(
+        std::ceil((base + lo + kShadowMargin) * kBinsPerUnit));
+    const int end = static_cast<int>(
+        std::floor((base + hi - kShadowMargin) * kBinsPerUnit));
+    for (int k = first; k < end; ++k) {
+      double& bin = shadow_[(k + kShadowBins) % kShadowBins];
+      bin = std::min(bin, max_d2);
+    }
+  }
+}
+
 void VisGraph::RecomputeAdjacency(VertexId v) {
   std::vector<VisEdge>& edges = adj_[v];
   edges.clear();
   const geom::Vec2 pos = vertices_[v];
+  BuildShadowMap(pos);
   geom::Rect reach = geom::Rect::FromPoint(pos);
-  uint64_t* const counter = stats_ ? &stats_->visibility_tests : nullptr;
-  uint32_t hint = ObstacleSet::kNoBlocker;  // the last blocker found
   for (VertexId u = 0; u < vertices_.size(); ++u) {
     if (u == v || !alive_[u]) continue;
     const geom::Vec2 other = vertices_[u];
@@ -135,15 +224,14 @@ void VisGraph::RecomputeAdjacency(VertexId v) {
     if (len <= geom::kEpsDist) continue;  // coincident vertices: skip
     // O(1) rejection: the edge dives straight into either endpoint's own
     // rectangle (it would fail the sight-line walk anyway).
-    if (DirectionEntersCorner(v, other - pos) ||
-        DirectionEntersCorner(u, pos - other)) {
+    const geom::Vec2 d = other - pos;
+    if (DirectionEntersCorner(v, d) || DirectionEntersCorner(u, pos - other)) {
       continue;
     }
-    const uint32_t blocker = obstacles_.Blocker(pos, other, hint, counter);
-    if (blocker != ObstacleSet::kNoBlocker) {
-      hint = blocker;
-      continue;
-    }
+    // Beyond an obstacle that covers its whole bin: the sight line crosses
+    // that obstacle's interior before reaching u.
+    if (d.Norm2() > shadow_[ShadowBin(d)] * (1.0 + kShadowSlack)) continue;
+    if (!Visible(pos, other)) continue;
     edges.push_back({u, len});
     reach = reach.ExpandedToCover(other);
   }

@@ -29,9 +29,27 @@
 // (a) only visits lists whose reach box — a rectangle covering the vertex
 // and every vertex in its list, grown on every append and never shrunk —
 // meets the new rectangle; any other list holds no edge the bbox
-// pre-filter would pass.  (b) tests the blocker of the previous candidate
-// first (ObstacleSet::Blocker): consecutive candidates are usually corners
-// of one rectangle, hidden behind the same obstacle.
+// pre-filter would pass.  (b) computes a corner's list (RecomputeAdjacency,
+// also run for fixed vertices) in three steps per candidate:
+//   1. the O(1) own-rectangle test (DirectionEntersCorner);
+//   2. the angular shadow map: before the candidates, the directions
+//      around the new vertex v are split into bins of diamond
+//      pseudo-angle, and each bin records the smallest squared distance
+//      to the farthest corner of any obstacle's kEpsInterior-shrunk
+//      rectangle that covers the whole bin with a margin.  A candidate
+//      farther than its bin's value is hidden: the sight line runs
+//      strictly inside that rectangle's angular span, so it crosses the
+//      rectangle, and it leaves it before reaching the candidate.  The
+//      margin keeps the Liang-Barsky parameters of that crossing apart
+//      by far more than their rounding, so SegmentCrossesInterior — and
+//      with it the sight-line walk — would answer "blocked" as well.
+//      Obstacles that contain v or touch it within tolerance, that are
+//      thin against their distance, or whose span nears a half-turn are
+//      left out of the map;
+//   3. otherwise the sight-line walk (ObstacleSet::Visible).
+// The map only skips walks whose answer it proves, so every list, its
+// order and its lengths are the same as with the walk alone; only the
+// visibility-test count falls.
 
 #ifndef CONN_VIS_VIS_GRAPH_H_
 #define CONN_VIS_VIS_GRAPH_H_
@@ -131,7 +149,8 @@ class VisGraph {
   /// quadrant crosses that interior, so the sight-line walk can be skipped.
   struct CornerInfo {
     bool is_corner = false;
-    geom::Vec2 inward;  // axis signs pointing into the rectangle
+    geom::Vec2 inward;  // axis signs into the rectangle; 0 if it has no
+                        // interior (thinner than 2*kEpsInterior)
   };
 
   bool DirectionEntersCorner(VertexId v, geom::Vec2 away) const {
@@ -141,6 +160,10 @@ class VisGraph {
     return away.x * ci.inward.x > tol && away.y * ci.inward.y > tol;
   }
 
+  /// Fills shadow_ for a viewer at \p pos: per bin of directions, the
+  /// squared distance beyond which an obstacle covering the whole bin
+  /// hides every point.
+  void BuildShadowMap(geom::Vec2 pos);
   void RecomputeAdjacency(VertexId v);
   /// Appends the reciprocal edge u -> v to u's list.
   void PushReciprocal(VertexId u, VertexId v, double length);
@@ -162,6 +185,7 @@ class VisGraph {
   std::unordered_set<rtree::ObjectId> obstacle_ids_;
   uint64_t duplicate_obstacle_skips_ = 0;
   QueryStats* stats_;
+  std::vector<double> shadow_;  // BuildShadowMap's bins, per recompute
 };
 
 /// Scopes one query's fixed vertices on a (possibly shard-shared) graph:

@@ -1,8 +1,8 @@
 // Unit tests for the uniform grid over local obstacles: candidate queries
 // must be supersets of the exact answers (conservativeness) and deduplicated,
 // the sight-line walk must visit exactly the crossed cells, in order,
-// without ever changing what ObstacleSet::Visible answers, and a blocker
-// hint must never change what ObstacleSet::Blocker answers.
+// without ever changing what ObstacleSet::Visible answers, and Visible must
+// stop at the first blocker on the walk.
 
 #include <algorithm>
 #include <cmath>
@@ -221,23 +221,16 @@ TEST(GridWalkTest, VerticalAndZeroLengthSegments) {
             (std::vector<uint32_t>{90}));
 }
 
-// The ObstacleSet::Blocker contract on one sight line, given the brute-force
-// answer: no hint finds a blocker exactly when the line is blocked, any
-// returned index really crosses the line, a blocking hint costs exactly one
-// test, and a non-blocking or invalid hint changes neither the answer nor
-// the walk (the hint is skipped there, never tested twice).
-void ExpectBlockerContract(const ObstacleSet& set,
-                           const std::vector<geom::Rect>& rects,
-                           geom::Vec2 a, geom::Vec2 b, bool visible) {
+// The ObstacleSet::Visible walk on one sight line: it tests the candidates
+// in CandidatesAlongSegment order and stops at the first that blocks.
+void ExpectWalkStopsAtFirstBlocker(const ObstacleSet& set,
+                                   const std::vector<geom::Rect>& rects,
+                                   geom::Vec2 a, geom::Vec2 b) {
   const geom::Segment sight(a, b);
   SCOPED_TRACE(::testing::Message() << "sight line (" << a.x << ", " << a.y
                                     << ") -> (" << b.x << ", " << b.y << ")");
   uint64_t tests = 0;
-  const uint32_t blocker = set.Blocker(a, b, ObstacleSet::kNoBlocker, &tests);
-  ASSERT_EQ(blocker == ObstacleSet::kNoBlocker, visible);
-
-  // The walk tests candidates in CandidatesAlongSegment order and stops at
-  // the first that blocks.
+  const bool visible = set.Visible(a, b, &tests);
   std::vector<uint32_t> walk;
   set.CandidatesAlongSegment(sight, &walk);
   size_t stop = walk.size();
@@ -247,43 +240,13 @@ void ExpectBlockerContract(const ObstacleSet& set,
       break;
     }
   }
+  EXPECT_EQ(visible, stop == walk.size());
   EXPECT_EQ(tests, visible ? walk.size() : stop + 1);
-  if (!visible) {
-    ASSERT_LT(stop, walk.size());
-    EXPECT_EQ(blocker, walk[stop]) << "the first blocker on the walk";
-    EXPECT_TRUE(geom::SegmentCrossesInterior(sight, rects[blocker]));
-    uint64_t hinted_tests = 0;
-    EXPECT_EQ(set.Blocker(a, b, blocker, &hinted_tests), blocker);
-    EXPECT_EQ(hinted_tests, 1u);
-  }
-
-  // An invalid hint is no hint.
-  uint64_t invalid_tests = 0;
-  EXPECT_EQ(set.Blocker(a, b, static_cast<uint32_t>(set.size()),
-                        &invalid_tests),
-            blocker);
-  EXPECT_EQ(invalid_tests, tests);
-
-  // A non-blocking hint: one extra test, minus the walk's own test of it
-  // when the walk reaches it before stopping.
-  for (uint32_t hint : {walk.empty() ? 0u : walk.front(),
-                        static_cast<uint32_t>(set.size() / 2)}) {
-    if (hint >= set.size() ||
-        geom::SegmentCrossesInterior(sight, rects[hint])) {
-      continue;
-    }
-    const bool walked = std::find(walk.begin(), walk.begin() + stop, hint) !=
-                        walk.begin() + stop;
-    uint64_t hinted_tests = 0;
-    EXPECT_EQ(set.Blocker(a, b, hint, &hinted_tests), blocker)
-        << "hint " << hint;
-    EXPECT_EQ(hinted_tests, tests + 1 - (walked ? 1 : 0)) << "hint " << hint;
-  }
 }
 
 // Brute force (the FullVisGraph::Visible loop) against the grid-walk
-// predicate over every ordered pair of \p points, and the Blocker contract
-// on each pair.  Returns the number of blocked pairs so callers can assert
+// predicate over every ordered pair of \p points, and the walk's first-
+// blocker stop on each pair.  Returns the number of blocked pairs so callers can assert
 // the scene is not vacuous.
 size_t ExpectVisibleMatchesOracle(const ObstacleSet& set,
                                   const std::vector<geom::Rect>& rects,
@@ -297,7 +260,7 @@ size_t ExpectVisibleMatchesOracle(const ObstacleSet& set,
       EXPECT_EQ(set.Visible(a, b), expected)
           << "sight line (" << a.x << ", " << a.y << ") -> (" << b.x << ", "
           << b.y << ")";
-      ExpectBlockerContract(set, rects, a, b, expected);
+      ExpectWalkStopsAtFirstBlocker(set, rects, a, b);
     }
   }
   return blocked;
@@ -380,7 +343,7 @@ TEST(GridWalkVisibilityTest, AdversarialScenesMatchBruteForce) {
         EXPECT_EQ(set.Visible(a, b), expected)
             << "sight line (" << a.x << ", " << a.y << ") -> (" << b.x
             << ", " << b.y << ")";
-        ExpectBlockerContract(set, rects, a, b, expected);
+        ExpectWalkStopsAtFirstBlocker(set, rects, a, b);
       }
     }
   }

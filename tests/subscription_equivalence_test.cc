@@ -190,43 +190,37 @@ TEST_P(SubscriptionEquivalence, TickLoopMatchesIndependentEvaluation) {
   }
 }
 
-/// Every integer field of QueryStats, by name.  \p with_io false drops the
-/// per-query I/O deltas: they read process-wide pager counters, so with
-/// more than one worker a query's deltas also count its siblings' page
-/// touches, and only the batch-level BatchStats I/O totals are exact.
+/// Every integer field of QueryStats, by name.  A query's I/O fields count
+/// only its own thread's page fetches; the prefetch_* fields are process-
+/// wide but stay 0 without readahead.
 std::vector<std::pair<std::string, uint64_t>> IntegerFields(
-    const QueryStats& s, bool with_io) {
-  std::vector<std::pair<std::string, uint64_t>> f;
-  if (with_io) {
-    f = {{"data_page_reads", s.data_page_reads},
-         {"obstacle_page_reads", s.obstacle_page_reads},
-         {"buffer_hits", s.buffer_hits},
-         {"prefetch_issued", s.prefetch_issued},
-         {"prefetch_hits", s.prefetch_hits},
-         {"prefetch_wasted", s.prefetch_wasted}};
-  }
-  f.insert(f.end(),
-           {{"points_evaluated", s.points_evaluated},
-            {"obstacles_evaluated", s.obstacles_evaluated},
-            {"vis_graph_vertices", s.vis_graph_vertices},
-            {"dijkstra_runs", s.dijkstra_runs},
-            {"dijkstra_settled", s.dijkstra_settled},
-            {"visibility_tests", s.visibility_tests},
-            {"seed_tests", s.seed_tests},
-            {"scan_warm_restarts", s.scan_warm_restarts},
-            {"tick_warm_starts", s.tick_warm_starts},
-            {"tick_frontier_reuse", s.tick_frontier_reuse},
-            {"cross_shard_store_hits", s.cross_shard_store_hits},
-            {"repairs_applied", s.repairs_applied},
-            {"tuples_carried", s.tuples_carried},
-            {"tuples_rescored", s.tuples_rescored},
-            {"frontier_shares", s.frontier_shares},
-            {"vr_cache_evictions", s.vr_cache_evictions},
-            {"split_evaluations", s.split_evaluations},
-            {"lemma1_prunes", s.lemma1_prunes},
-            {"lemma7_terminations", s.lemma7_terminations},
-            {"lemma2_terminations", s.lemma2_terminations}});
-  return f;
+    const QueryStats& s) {
+  return {{"data_page_reads", s.data_page_reads},
+          {"obstacle_page_reads", s.obstacle_page_reads},
+          {"buffer_hits", s.buffer_hits},
+          {"prefetch_issued", s.prefetch_issued},
+          {"prefetch_hits", s.prefetch_hits},
+          {"prefetch_wasted", s.prefetch_wasted},
+          {"points_evaluated", s.points_evaluated},
+          {"obstacles_evaluated", s.obstacles_evaluated},
+          {"vis_graph_vertices", s.vis_graph_vertices},
+          {"dijkstra_runs", s.dijkstra_runs},
+          {"dijkstra_settled", s.dijkstra_settled},
+          {"visibility_tests", s.visibility_tests},
+          {"seed_tests", s.seed_tests},
+          {"scan_warm_restarts", s.scan_warm_restarts},
+          {"tick_warm_starts", s.tick_warm_starts},
+          {"tick_frontier_reuse", s.tick_frontier_reuse},
+          {"cross_shard_store_hits", s.cross_shard_store_hits},
+          {"repairs_applied", s.repairs_applied},
+          {"tuples_carried", s.tuples_carried},
+          {"tuples_rescored", s.tuples_rescored},
+          {"frontier_shares", s.frontier_shares},
+          {"vr_cache_evictions", s.vr_cache_evictions},
+          {"split_evaluations", s.split_evaluations},
+          {"lemma1_prunes", s.lemma1_prunes},
+          {"lemma7_terminations", s.lemma7_terminations},
+          {"lemma2_terminations", s.lemma2_terminations}};
 }
 
 /// Every integer field of BatchStats except threads_used, which differs
@@ -252,7 +246,8 @@ TEST(SubscriptionFold, StatsAreTheSameAtOneAndFourThreads) {
   // that the locality guard declines: the folded stats must not depend on
   // how many workers ran the items, and per_query_totals must be exactly
   // the sum of the clients' own stats.  The trees are unbuffered, so the
-  // batch-level fault counts are deterministic too.
+  // batch-level fault counts are deterministic too, and so is each
+  // query's own I/O: it counts only its own thread's page fetches.
   const Scene scene =
       MakeScene(41, datagen::PointDistribution::kUniform, 140, 400, 0);
   std::vector<RouteSpec> routes;
@@ -299,8 +294,8 @@ TEST(SubscriptionFold, StatsAreTheSameAtOneAndFourThreads) {
         ASSERT_TRUE(u.result.has_value());
         sum += u.result->stats;
       }
-      EXPECT_EQ(IntegerFields(stats.per_query_totals, /*with_io=*/true),
-                IntegerFields(sum, /*with_io=*/true));
+      EXPECT_EQ(IntegerFields(stats.per_query_totals),
+                IntegerFields(sum));
       // The fold adds in shard order, this loop in client order.
       EXPECT_NEAR(stats.per_query_totals.cpu_seconds, sum.cpu_seconds,
                   1e-9 * sum.cpu_seconds);
@@ -311,8 +306,8 @@ TEST(SubscriptionFold, StatsAreTheSameAtOneAndFourThreads) {
       }
       const TickResult& want = single_worker[tick];
       EXPECT_EQ(IntegerFields(stats), IntegerFields(want.stats));
-      EXPECT_EQ(IntegerFields(stats.per_query_totals, /*with_io=*/false),
-                IntegerFields(want.stats.per_query_totals, /*with_io=*/false));
+      EXPECT_EQ(IntegerFields(stats.per_query_totals),
+                IntegerFields(want.stats.per_query_totals));
     }
     EXPECT_GT(shards_carried, 0u) << "the clustered shard never carried";
   }

@@ -4,13 +4,17 @@
 
 #include <cmath>
 #include <map>
+#include <ostream>
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "geom/predicates.h"
 #include "vis/dijkstra.h"
 #include "vis/full_vis_graph.h"
 #include "vis/vis_graph.h"
@@ -285,6 +289,228 @@ TEST_P(ReachBoxChurnVsFresh, NeighborSetsMatchFreshGraph) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReachBoxChurnVsFresh,
                          ::testing::Range<uint64_t>(1, 9));
+
+// The angular shadow map of RecomputeAdjacency skips sight-line walks it
+// proves blocked.  After every insertion each live vertex's list must be
+// exactly the per-pair recompute: every other live vertex in id order that
+// is farther than kEpsDist and ObstacleSet::Visible, with bit-equal
+// lengths (no slot is recycled here, so cached lists stay in id order).
+// The edge sets must also match FullVisGraph's brute-force build.  Each
+// scene targets one way the map could wrongly hide a visible candidate.
+struct ShadowScene {
+  std::string name;
+  std::vector<geom::Rect> rects;
+  /// Fixed vertices, each added after obstacle `after` (-1: before any).
+  std::vector<std::pair<int, geom::Vec2>> fixed;
+};
+
+void PrintTo(const ShadowScene& scene, std::ostream* os) { *os << scene.name; }
+
+/// \p owner names each local vertex across graphs: its obstacle's index,
+/// or -1 - k for the k-th fixed vertex.
+void ExpectListsMatchOracle(const VisGraph& g,
+                            const std::vector<geom::Rect>& rects,
+                            const std::vector<geom::Vec2>& fixed,
+                            const std::vector<int>& owner,
+                            const std::string& when) {
+  ASSERT_EQ(owner.size(), g.VertexCount()) << when;
+  for (VertexId v = 0; v < g.VertexCount(); ++v) {
+    const geom::Vec2 pos = g.VertexPos(v);
+    std::vector<VertexId> want_ids, got_ids;
+    std::vector<double> want_len, got_len;
+    for (VertexId u = 0; u < g.VertexCount(); ++u) {
+      const double len = geom::Dist(pos, g.VertexPos(u));
+      if (u == v || len <= geom::kEpsDist) continue;
+      if (!g.obstacles().Visible(pos, g.VertexPos(u))) continue;
+      want_ids.push_back(u);
+      want_len.push_back(len);
+    }
+    for (const VisEdge& e : g.Neighbors(v)) {
+      got_ids.push_back(e.to);
+      got_len.push_back(e.length);
+    }
+    ASSERT_EQ(got_ids, want_ids) << "vertex " << v << " at (" << pos.x
+                                 << ", " << pos.y << ") " << when;
+    ASSERT_EQ(got_len, want_len) << "vertex " << v << " " << when;
+  }
+
+  // The same edge sets as the complete graph.
+  using Key = std::tuple<int, double, double>;
+  FullVisGraph full(rects);
+  for (const geom::Vec2& p : fixed) full.AddPoint(p);
+  full.Build();
+  ASSERT_EQ(full.VertexCount(), g.VertexCount()) << when;
+  auto full_key = [&](VertexId v) {
+    const int full_owner = v < 4 * rects.size()
+                               ? static_cast<int>(v / 4)
+                               : -1 - static_cast<int>(v - 4 * rects.size());
+    return Key{full_owner, full.VertexPos(v).x, full.VertexPos(v).y};
+  };
+  auto local_key = [&](VertexId v) {
+    return Key{owner[v], g.VertexPos(v).x, g.VertexPos(v).y};
+  };
+  std::map<Key, VertexId> full_id;
+  for (VertexId v = 0; v < full.VertexCount(); ++v) full_id[full_key(v)] = v;
+  for (VertexId v = 0; v < g.VertexCount(); ++v) {
+    ASSERT_EQ(full_id.count(local_key(v)), 1u) << "vertex " << v << " " << when;
+    std::set<Key> got, want;
+    for (const VisEdge& e : g.Neighbors(v)) got.insert(local_key(e.to));
+    for (const VisEdge& e : full.Neighbors(full_id[local_key(v)])) {
+      want.insert(full_key(e.to));
+    }
+    EXPECT_EQ(got, want) << "vertex " << v << " " << when;
+  }
+}
+
+class ShadowMapVsOracle : public ::testing::TestWithParam<ShadowScene> {};
+
+TEST_P(ShadowMapVsOracle, ListsMatchPerPairRecomputeAfterEveryInsertion) {
+  const ShadowScene& scene = GetParam();
+  VisGraph g(kDomain);
+  std::vector<geom::Rect> rects;
+  std::vector<geom::Vec2> fixed;
+  std::vector<int> owner;
+  auto add_fixed_after = [&](int after) {
+    for (const auto& [when, p] : scene.fixed) {
+      if (when != after) continue;
+      ASSERT_EQ(g.AddFixedVertex(p), owner.size());
+      owner.push_back(-1 - static_cast<int>(fixed.size()));
+      fixed.push_back(p);
+      ExpectListsMatchOracle(g, rects, fixed, owner,
+                             "after fixed vertex " +
+                                 std::to_string(fixed.size() - 1));
+    }
+  };
+  add_fixed_after(-1);
+  for (size_t i = 0; i < scene.rects.size(); ++i) {
+    ASSERT_TRUE(g.AddObstacle(scene.rects[i], i));
+    rects.push_back(scene.rects[i]);
+    owner.insert(owner.end(), 4, static_cast<int>(i));
+    ExpectListsMatchOracle(g, rects, fixed, owner,
+                           "after obstacle " + std::to_string(i));
+    add_fixed_after(static_cast<int>(i));
+  }
+}
+
+std::vector<ShadowScene> ShadowScenes() {
+  std::vector<ShadowScene> scenes;
+  // A wall straddling angle 0 (the +x axis) from the corner (200, 500) of
+  // the first rectangle and from a fixed vertex, candidates behind it on
+  // both sides of the axis and beside it.
+  scenes.push_back(
+      {"WrapThroughAngleZero",
+       {{{190, 490}, {200, 500}},
+        {{300, 450}, {320, 550}},
+        {{500, 480}, {510, 490}},
+        {{500, 510}, {510, 520}},
+        {{600, 495}, {610, 505}},
+        {{450, 455}, {460, 465}},
+        {{700, 560}, {720, 580}},
+        {{700, 420}, {720, 440}}},
+       {{1, {250, 510}}, {7, {150, 500}}, {7, {250, 500}}}});
+  // Edge-sharing, overlapping and nested rectangles: sight lines graze
+  // shared edges and run through corners inside other obstacles.
+  scenes.push_back(
+      {"TouchingOverlappingNested",
+       {{{200, 200}, {300, 300}},
+        {{300, 200}, {350, 260}},
+        {{320, 240}, {400, 320}},
+        {{220, 220}, {260, 260}},
+        {{230, 230}, {240, 240}},
+        {{300, 300}, {340, 330}},
+        {{600, 600}, {650, 650}},
+        {{100, 600}, {150, 650}},
+        {{450, 100}, {500, 150}},
+        {{150, 150}, {200, 200}}},
+       {{5, {500, 500}}, {9, {120, 120}}, {9, {420, 420}}}});
+  // Rectangles thinner than 2*kEpsInterior (no interior, so nothing
+  // blocks), one exactly that thick, and one thicker but thin against its
+  // distance, between candidates.
+  const double e = geom::kEpsInterior;
+  scenes.push_back({"ThinRectangles",
+                    {{{400, 100}, {400 + e, 300}},
+                     {{420, 100}, {420 + 2 * e, 300}},
+                     {{440, 100}, {440 + 1.5 * e, 300}},
+                     {{100, 350}, {300, 350 + 1e-6}},
+                     {{600, 150}, {620, 170}},
+                     {{600, 220}, {620, 240}},
+                     {{150, 500}, {170, 520}},
+                     {{250, 200}, {270, 220}}},
+                    {{7, {300, 180}}, {7, {200, 300}}, {7, {700, 200}}}});
+  // Fixed vertices on an edge, on a corner and inside an obstacle.
+  scenes.push_back({"FixedVerticesOnObstacles",
+                    {{{300, 300}, {400, 400}},
+                     {{500, 300}, {520, 420}},
+                     {{200, 450}, {260, 470}},
+                     {{650, 350}, {700, 380}}},
+                    {{0, {350, 300}},
+                     {0, {400, 400}},
+                     {0, {350, 350}},
+                     {3, {350, 400}},
+                     {3, {300, 350}},
+                     {3, {500, 360}},
+                     {3, {520, 300}},
+                     {3, {360, 340}},
+                     {3, {100, 100}}}});
+  // A shadow edge through another corner.  The viewer sits so that the
+  // wall's shrunk lower-right corner lies exactly at 45 degrees from it,
+  // the lower edge of the wall's span and a bin edge of pseudo-angle; the
+  // corner (c) of a rectangle farther along that line is seen grazing it.
+  // Coordinates stay in [256, 1024) so every difference below is exact.
+  {
+    const geom::Rect wall({540, 600}, {640, 700});
+    const geom::Vec2 inner_corner{wall.hi.x - e, wall.lo.y + e};
+    const geom::Vec2 viewer{inner_corner.x - 100, inner_corner.y - 100};
+    const geom::Vec2 c{viewer.x + 300, viewer.y + 300};
+    scenes.push_back({"ShadowEdgeThroughCorner",
+                      {wall,
+                       {c, {c.x + 20, c.y + 20}},
+                       {{viewer.x - 20, viewer.y - 20}, viewer},
+                       {{700, 720}, {720, 740}}},
+                      // A vertex in front of the wall inside its span, and
+                      // the viewer again as a fixed vertex.
+                      {{3, {viewer.x + 60, viewer.y + 90}}, {3, viewer}}});
+  }
+  // A viewer 1e-6 below a wide rectangle sees it across nearly a
+  // half-turn; a second one 1e-3 below, where the map does apply.
+  scenes.push_back({"NearHalfTurn",
+                    {{{100, 700}, {900, 710}},
+                     {{300, 800}, {320, 820}},
+                     {{700, 750}, {720, 770}},
+                     {{50, 650}, {70, 670}},
+                     {{950, 690}, {970, 705}},
+                     {{400, 600}, {420, 620}}},
+                    {{5, {500, 700 - 1e-6}},
+                     {5, {300, 700 - 1e-3}},
+                     {5, {900 + 1e-6, 705}}}});
+  return scenes;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scenes, ShadowMapVsOracle, ::testing::ValuesIn(ShadowScenes()),
+    [](const ::testing::TestParamInfo<ShadowScene>& info) {
+      return info.param.name;
+    });
+
+// The map fires across angle 0: a viewer whose nearest wall straddles the
+// +x axis pays no sight-line walk for the corners hidden behind it.
+TEST(ShadowMapTest, HiddenCandidatesAcrossAngleZeroCostNoWalk) {
+  VisGraph g(kDomain);
+  g.AddObstacle({{300, 450}, {320, 550}}, 0);
+  for (int i = 0; i < 4; ++i) {
+    const double y = 460.0 + 20.0 * i;  // below and above the axis y = 500
+    g.AddObstacle({{500, y}, {510, y + 10}}, 1 + i);
+  }
+  QueryStats stats;
+  g.set_stats(&stats);
+  const VertexId viewer = g.AddFixedVertex({200, 500});
+  // Only the wall's two near corners are in sight.  Of the rest, the far
+  // corners of the small rectangles face away from the viewer and cost no
+  // walk; the wall's far corners and the eight near corners of the small
+  // rectangles would cost a test each without the map.
+  EXPECT_EQ(g.Neighbors(viewer).size(), 2u);
+  EXPECT_LT(stats.visibility_tests, 10u) << stats.visibility_tests;
+}
 
 }  // namespace
 }  // namespace vis
