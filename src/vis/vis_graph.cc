@@ -1,6 +1,7 @@
 #include "vis/vis_graph.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -40,6 +41,61 @@ double DiamondAngle(geom::Vec2 d) {
 int ShadowBin(geom::Vec2 d) {
   return std::min(kShadowBins - 1,
                   static_cast<int>(DiamondAngle(d) * kBinsPerUnit));
+}
+
+/// Per bin of directions around a viewer at \p pos, the squared distance
+/// beyond which an obstacle of \p obstacles covering the whole bin hides
+/// every point (+infinity where none does).
+using ShadowMap = std::array<double, kShadowBins>;
+
+ShadowMap BuildShadowMap(const ObstacleSet& obstacles, geom::Vec2 pos) {
+  constexpr double kTol = 2.0 * geom::kEpsInterior;
+  ShadowMap shadow;
+  shadow.fill(std::numeric_limits<double>::infinity());
+  for (uint32_t i = 0; i < obstacles.size(); ++i) {
+    const geom::Rect& r = obstacles.rect(i);
+    // The shrunk rectangle SegmentCrossesInterior clips against, relative
+    // to pos and rounded exactly like its Liang-Barsky terms.
+    const double x0 = (r.lo.x + geom::kEpsInterior) - pos.x;
+    const double x1 = (r.hi.x - geom::kEpsInterior) - pos.x;
+    const double y0 = (r.lo.y + geom::kEpsInterior) - pos.y;
+    const double y1 = (r.hi.y - geom::kEpsInterior) - pos.y;
+    if (!(x0 < x1 && y0 < y1)) continue;  // thinner than 2*kEpsInterior
+    // Contains pos or lies within tolerance of it: no proper span.
+    if (x0 < kTol && x1 > -kTol && y0 < kTol && y1 > -kTol) continue;
+    const double max_d2 =
+        std::max(x0 * x0, x1 * x1) + std::max(y0 * y0, y1 * y1);
+    const double thin = std::min(x1 - x0, y1 - y0);
+    if (thin * thin <= kShadowThin * kShadowThin * max_d2) continue;
+    // The span of corner pseudo-angles, unwrapped around the first
+    // corner's: pos lies outside, so the span is below a half-turn and
+    // every corner is within 2 of the first.
+    const double base = DiamondAngle({x0, y0});
+    double lo = 0.0, hi = 0.0;
+    for (const geom::Vec2 c : {geom::Vec2{x1, y0}, geom::Vec2{x1, y1},
+                               geom::Vec2{x0, y1}}) {
+      double d = DiamondAngle(c) - base;
+      if (d >= 2.0) {
+        d -= 4.0;
+      } else if (d < -2.0) {
+        d += 4.0;
+      }
+      lo = std::min(lo, d);
+      hi = std::max(hi, d);
+    }
+    if (hi - lo >= 2.0 - kShadowMargin) continue;  // near a half-turn
+    // Bins [first, end) lie inside the span by the margin; the indices may
+    // run below 0 or past the last bin when the span wraps through 0.
+    const int first = static_cast<int>(
+        std::ceil((base + lo + kShadowMargin) * kBinsPerUnit));
+    const int end = static_cast<int>(
+        std::floor((base + hi - kShadowMargin) * kBinsPerUnit));
+    for (int k = first; k < end; ++k) {
+      double& bin = shadow[(k + kShadowBins) % kShadowBins];
+      bin = std::min(bin, max_d2);
+    }
+  }
+  return shadow;
 }
 
 }  // namespace
@@ -163,59 +219,11 @@ bool VisGraph::Visible(geom::Vec2 a, geom::Vec2 b) const {
                             stats_ ? &stats_->visibility_tests : nullptr);
 }
 
-void VisGraph::BuildShadowMap(geom::Vec2 pos) {
-  constexpr double kTol = 2.0 * geom::kEpsInterior;
-  shadow_.assign(kShadowBins, std::numeric_limits<double>::infinity());
-  for (uint32_t i = 0; i < obstacles_.size(); ++i) {
-    const geom::Rect& r = obstacles_.rect(i);
-    // The shrunk rectangle SegmentCrossesInterior clips against, relative
-    // to pos and rounded exactly like its Liang-Barsky terms.
-    const double x0 = (r.lo.x + geom::kEpsInterior) - pos.x;
-    const double x1 = (r.hi.x - geom::kEpsInterior) - pos.x;
-    const double y0 = (r.lo.y + geom::kEpsInterior) - pos.y;
-    const double y1 = (r.hi.y - geom::kEpsInterior) - pos.y;
-    if (!(x0 < x1 && y0 < y1)) continue;  // thinner than 2*kEpsInterior
-    // Contains pos or lies within tolerance of it: no proper span.
-    if (x0 < kTol && x1 > -kTol && y0 < kTol && y1 > -kTol) continue;
-    const double max_d2 =
-        std::max(x0 * x0, x1 * x1) + std::max(y0 * y0, y1 * y1);
-    const double thin = std::min(x1 - x0, y1 - y0);
-    if (thin * thin <= kShadowThin * kShadowThin * max_d2) continue;
-    // The span of corner pseudo-angles, unwrapped around the first
-    // corner's: pos lies outside, so the span is below a half-turn and
-    // every corner is within 2 of the first.
-    const double base = DiamondAngle({x0, y0});
-    double lo = 0.0, hi = 0.0;
-    for (const geom::Vec2 c : {geom::Vec2{x1, y0}, geom::Vec2{x1, y1},
-                               geom::Vec2{x0, y1}}) {
-      double d = DiamondAngle(c) - base;
-      if (d >= 2.0) {
-        d -= 4.0;
-      } else if (d < -2.0) {
-        d += 4.0;
-      }
-      lo = std::min(lo, d);
-      hi = std::max(hi, d);
-    }
-    if (hi - lo >= 2.0 - kShadowMargin) continue;  // near a half-turn
-    // Bins [first, end) lie inside the span by the margin; the indices may
-    // run below 0 or past the last bin when the span wraps through 0.
-    const int first = static_cast<int>(
-        std::ceil((base + lo + kShadowMargin) * kBinsPerUnit));
-    const int end = static_cast<int>(
-        std::floor((base + hi - kShadowMargin) * kBinsPerUnit));
-    for (int k = first; k < end; ++k) {
-      double& bin = shadow_[(k + kShadowBins) % kShadowBins];
-      bin = std::min(bin, max_d2);
-    }
-  }
-}
-
 void VisGraph::RecomputeAdjacency(VertexId v) {
   std::vector<VisEdge>& edges = adj_[v];
   edges.clear();
   const geom::Vec2 pos = vertices_[v];
-  BuildShadowMap(pos);
+  const ShadowMap shadow = BuildShadowMap(obstacles_, pos);
   geom::Rect reach = geom::Rect::FromPoint(pos);
   for (VertexId u = 0; u < vertices_.size(); ++u) {
     if (u == v || !alive_[u]) continue;
@@ -230,7 +238,7 @@ void VisGraph::RecomputeAdjacency(VertexId v) {
     }
     // Beyond an obstacle that covers its whole bin: the sight line crosses
     // that obstacle's interior before reaching u.
-    if (d.Norm2() > shadow_[ShadowBin(d)] * (1.0 + kShadowSlack)) continue;
+    if (d.Norm2() > shadow[ShadowBin(d)] * (1.0 + kShadowSlack)) continue;
     if (!Visible(pos, other)) continue;
     edges.push_back({u, len});
     reach = reach.ExpandedToCover(other);

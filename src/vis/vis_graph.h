@@ -160,10 +160,6 @@ class VisGraph {
     return away.x * ci.inward.x > tol && away.y * ci.inward.y > tol;
   }
 
-  /// Fills shadow_ for a viewer at \p pos: per bin of directions, the
-  /// squared distance beyond which an obstacle covering the whole bin
-  /// hides every point.
-  void BuildShadowMap(geom::Vec2 pos);
   void RecomputeAdjacency(VertexId v);
   /// Appends the reciprocal edge u -> v to u's list.
   void PushReciprocal(VertexId u, VertexId v, double length);
@@ -185,7 +181,6 @@ class VisGraph {
   std::unordered_set<rtree::ObjectId> obstacle_ids_;
   uint64_t duplicate_obstacle_skips_ = 0;
   QueryStats* stats_;
-  std::vector<double> shadow_;  // BuildShadowMap's bins, per recompute
 };
 
 /// Scopes one query's fixed vertices on a (possibly shard-shared) graph:
