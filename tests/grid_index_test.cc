@@ -245,9 +245,9 @@ void ExpectWalkStopsAtFirstBlocker(const ObstacleSet& set,
 }
 
 // Brute force (the FullVisGraph::Visible loop) against the grid-walk
-// predicate over every ordered pair of \p points, and the walk's first-
-// blocker stop on each pair.  Returns the number of blocked pairs so callers can assert
-// the scene is not vacuous.
+// predicate over every ordered pair of \p points, and the walk's stop at
+// the first blocker on each pair.  Returns the number of blocked pairs so
+// callers can assert the scene is not vacuous.
 size_t ExpectVisibleMatchesOracle(const ObstacleSet& set,
                                   const std::vector<geom::Rect>& rects,
                                   const std::vector<geom::Vec2>& points) {
