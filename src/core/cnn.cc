@@ -17,14 +17,14 @@ ConnResult CnnQuery(const rtree::RStarTree& data_tree, const geom::Segment& q,
   result.query = q;
   const geom::Interval all_of_q(0.0, q.Length());
   const geom::IntervalSet reachable{all_of_q};
-  ResultList rl(reachable);
+  ResultList rl(reachable, opts.use_lemma1_prune);
   rtree::BestFirstIterator points(data_tree, q);
   auto next_point = [&](double bound, rtree::DataObject* out, double* dist) {
     return internal::PopPointWithin(&points, bound, out, dist);
   };
   // Obstacle-free space: p is its own control point over all of q.
   auto control_points = [&](geom::Vec2 p) {
-    return ControlPointList{CplEntry{true, p, 0.0, all_of_q}};
+    return ControlPointList{CplEntry{kThisPoint, p, 0.0, all_of_q}};
   };
   internal::RunMainLoop(reachable, geom::SegmentFrame(q), opts, &stats, &rl,
                         next_point, control_points);

@@ -184,7 +184,7 @@ void KnnResultList::Update(int64_t pid, const ControlPointList& cpl,
                            const geom::SegmentFrame& frame,
                            QueryStats* stats) {
   for (const CplEntry& ce : cpl) {
-    if (!ce.has_cp) continue;
+    if (!ce.has_value()) continue;
     KnnCandidate cand;
     cand.pid = pid;
     cand.cp = ce.cp;

@@ -76,7 +76,7 @@ ConnResult ConnQuery(const rtree::RStarTree& data_tree,
   } else {
     const geom::IntervalSet reachable = internal::ReachablePieces(
         scope.Blocked(), q.Length(), &result.unreachable);
-    ResultList rl(reachable);
+    ResultList rl(reachable, opts.use_lemma1_prune);
     scope.RunAlgorithm4(reachable, opts, internal::RepairHooks{}, &rl);
     result.tuples = internal::ConnTuples(rl);
   }

@@ -18,55 +18,69 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Merges adjacent entries carrying the same control point and absorbs
-/// boundary slivers (an eps-sized control-point-less leftover would keep
-/// CPLMAX infinite and defeat the Lemma 7 termination).
-void MergeAdjacent(ControlPointList* cpl) {
-  ControlPointList merged;
-  for (const CplEntry& e : *cpl) {
-    if (!merged.empty()) {
-      CplEntry& prev = merged.back();
+/// Merges adjacent entries held by the same curve and absorbs boundary
+/// slivers (an eps-sized unheld leftover would keep CPLMAX / RLMAX infinite
+/// and defeat the Lemma 7 / Lemma 2 termination).  In place: an entry is
+/// only ever written at or before the one being read.
+void MergeAdjacent(ControlPointList* list) {
+  size_t kept = 0;
+  for (const CplEntry& e : *list) {
+    if (kept > 0) {
+      CplEntry& prev = (*list)[kept - 1];
       const bool adjacent =
           std::abs(prev.range.hi - e.range.lo) <= geom::kEpsParam;
       const bool same =
-          prev.has_cp == e.has_cp &&
-          (!e.has_cp || (prev.cp == e.cp && prev.offset == e.offset));
+          prev.pid == e.pid &&
+          (!e.has_value() || (prev.cp == e.cp && prev.offset == e.offset));
       if (adjacent && same) {
         prev.range.hi = e.range.hi;
         continue;
       }
-      if (adjacent && e.range.Length() <= geom::kEpsSliver && prev.has_cp) {
+      if (adjacent && e.range.Length() <= geom::kEpsSliver &&
+          prev.has_value()) {
         prev.range.hi = e.range.hi;
         continue;
       }
-      if (adjacent && prev.range.Length() <= geom::kEpsSliver && e.has_cp) {
-        CplEntry grown = e;
-        grown.range.lo = prev.range.lo;
-        prev = grown;
+      if (adjacent && prev.range.Length() <= geom::kEpsSliver &&
+          e.has_value()) {
+        const double lo = prev.range.lo;
+        prev = e;
+        prev.range.lo = lo;
         continue;
       }
     }
-    merged.push_back(e);
+    (*list)[kept++] = e;
   }
-  *cpl = std::move(merged);
+  list->resize(kept);
 }
 
-/// Merges candidate (cp, offset) into the list over `regions`, competing
-/// with incumbents by exact curve comparison.  Returns whether any entry
-/// was contested (false => the list is untouched, and any cached CPLMAX
-/// stays valid).
-bool AssignCandidate(ControlPointList* cpl, geom::Vec2 cp, double offset,
-                     const geom::IntervalSet& regions,
-                     const geom::SegmentFrame& frame, const ConnOptions& opts,
-                     QueryStats* stats) {
+}  // namespace
+
+ControlPointList UnheldPieces(const geom::IntervalSet& domain) {
+  ControlPointList list;
+  for (const geom::Interval& piece : domain.intervals()) {
+    CplEntry& e = list.emplace_back();
+    e.range = piece;
+  }
+  return list;
+}
+
+bool ContestEntries(ControlPointList* list, int64_t pid, geom::Vec2 cp,
+                    double offset, const geom::IntervalSet& regions,
+                    const geom::SegmentFrame& frame, bool use_lemma1_prune,
+                    QueryStats* stats) {
   if (regions.IsEmpty()) return false;
   const geom::DistanceCurve challenger =
       geom::DistanceCurve::FromControlPoint(frame, cp, offset);
+  CplEntry won;
+  won.pid = pid;
+  won.cp = cp;
+  won.offset = offset;
 
   bool any_contested = false;
   ControlPointList next;
-  next.reserve(cpl->size() + 2);
-  for (const CplEntry& entry : *cpl) {
+  next.reserve(list->size() + 2);
+  for (const CplEntry& entry : *list) {
     const geom::IntervalSet contested = regions.Intersect(entry.range);
     if (contested.IsEmpty()) {
       next.push_back(entry);
@@ -75,11 +89,12 @@ bool AssignCandidate(ControlPointList* cpl, geom::Vec2 cp, double offset,
     any_contested = true;
     // Walk the entry's range, alternating kept and contested pieces.
     double cursor = entry.range.lo;
+    auto push = [&](const CplEntry& holder, geom::Interval range) {
+      next.push_back(holder);
+      next.back().range = range;
+    };
     auto push_kept = [&](double lo, double hi) {
-      if (hi - lo <= geom::kEpsParam) return;
-      CplEntry kept = entry;
-      kept.range = geom::Interval(lo, hi);
-      next.push_back(kept);
+      if (hi - lo > geom::kEpsParam) push(entry, geom::Interval(lo, hi));
     };
     for (const geom::Interval& piece : contested.intervals()) {
       push_kept(cursor, piece.lo);
@@ -87,52 +102,38 @@ bool AssignCandidate(ControlPointList* cpl, geom::Vec2 cp, double offset,
       const geom::Interval sub(std::max(piece.lo, entry.range.lo),
                                std::min(piece.hi, entry.range.hi));
       if (sub.Length() <= geom::kEpsParam) continue;
-      if (!entry.has_cp) {
-        // Line 11-12 of Algorithm 2: unassigned interval, candidate takes it.
-        CplEntry taken;
-        taken.has_cp = true;
-        taken.cp = cp;
-        taken.offset = offset;
-        taken.range = sub;
-        next.push_back(taken);
+      if (!entry.has_value()) {
+        push(won, sub);  // Algorithm 2 lines 11-12: an unheld piece is taken
         continue;
       }
       const geom::DistanceCurve incumbent = entry.Curve(frame);
-      if (opts.use_lemma1_prune &&
+      // Algorithm 3 line 7 (Lemma 1): the incumbent keeps the whole piece if
+      // it dominates the challenger at both endpoints (with the
+      // perpendicular-distance soundness condition of split.h).
+      if (use_lemma1_prune &&
           geom::EndpointDominancePrune(incumbent, challenger, sub)) {
         if (stats != nullptr) ++stats->lemma1_prunes;
-        CplEntry kept = entry;
-        kept.range = sub;
-        next.push_back(kept);
+        push(entry, sub);
         continue;
       }
       if (stats != nullptr) ++stats->split_evaluations;
       for (const geom::LabeledInterval& li :
            geom::CompareCurves(incumbent, challenger, sub)) {
-        CplEntry piece_entry = entry;
-        if (li.winner == geom::CurveWinner::kChallenger) {
-          piece_entry.has_cp = true;
-          piece_entry.cp = cp;
-          piece_entry.offset = offset;
-        }
-        piece_entry.range = li.interval;
-        next.push_back(piece_entry);
+        push(li.winner == geom::CurveWinner::kChallenger ? won : entry,
+             li.interval);
       }
     }
     push_kept(cursor, entry.range.hi);
   }
-  if (!any_contested) return false;
-  *cpl = std::move(next);
-  MergeAdjacent(cpl);
-  return true;
+  if (any_contested) *list = std::move(next);
+  MergeAdjacent(list);
+  return any_contested;
 }
-
-}  // namespace
 
 double CplMax(const ControlPointList& cpl, const geom::SegmentFrame& frame) {
   double max_val = 0.0;
   for (const CplEntry& e : cpl) {
-    if (!e.has_cp) return kInf;
+    if (!e.has_value()) return kInf;
     const geom::DistanceCurve c = e.Curve(frame);
     max_val = std::max({max_val, c.Eval(e.range.lo), c.Eval(e.range.hi)});
   }
@@ -201,10 +202,7 @@ ControlPointList ComputeControlPointList(vis::VisGraph* vg,
                                          QueryStats* stats,
                                          VisibleRegionCache* vr_cache) {
   CONN_CHECK(scan != nullptr && vr_cache != nullptr);
-  ControlPointList cpl;
-  for (const geom::Interval& piece : domain.intervals()) {
-    cpl.push_back(CplEntry{false, {}, 0.0, piece});
-  }
+  ControlPointList cpl = UnheldPieces(domain);
   if (cpl.empty()) return cpl;
 
   uint64_t* vis_counter = stats ? &stats->visibility_tests : nullptr;
@@ -213,9 +211,10 @@ ControlPointList ComputeControlPointList(vis::VisGraph* vg,
   // (the scan iterates graph vertices; p is the scan's source).
   const geom::IntervalSet vr_p =
       vis::VisibleRegion(vg->obstacles(), p, frame, vis_counter);
-  AssignCandidate(&cpl, p, 0.0, vr_p, frame, opts, stats);
+  ContestEntries(&cpl, kThisPoint, p, 0.0, vr_p, frame, opts.use_lemma1_prune,
+                 stats);
 
-  // CPLMAX (Lemma 7) changes only when AssignCandidate actually contests
+  // CPLMAX (Lemma 7) changes only when ContestEntries actually contests
   // an entry; cache it across the (mostly pruned) settled vertices instead
   // of rescanning the whole list per vertex.
   double cplmax = CplMax(cpl, frame);
@@ -269,8 +268,8 @@ ControlPointList ComputeControlPointList(vis::VisGraph* vg,
       if (candidate_region.IsEmpty()) continue;
     }
 
-    if (AssignCandidate(&cpl, vpos, dist_v, candidate_region, frame, opts,
-                        stats)) {
+    if (ContestEntries(&cpl, kThisPoint, vpos, dist_v, candidate_region, frame,
+                       opts.use_lemma1_prune, stats)) {
       cplmax = CplMax(cpl, frame);
     }
   }

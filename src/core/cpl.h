@@ -15,10 +15,20 @@
 //   * stops the scan at ||p, v|| >= CPLMAX           (Lemma 7),
 // merging each surviving candidate into the list via the robust curve
 // comparison of geom/split.h.
+//
+// That merge step — ContestEntries — is also RLU's (Algorithm 3, see
+// core/result_list.h): a control point list and the result list are the
+// same object, an ordered partition of q's reachable pieces, each held by
+// one curve ||., cp|| + dist(cp, q(t)).  A challenger curve contests the
+// pieces it overlaps: an incumbent the Lemma 1 endpoint test shows
+// dominant keeps its piece, any other piece splits at the at most two
+// crossings of the curves (Theorem 1).  The lists differ only in who holds
+// a piece: CPLC's pieces carry kThisPoint, RLU's the id of the data point.
 
 #ifndef CONN_CORE_CPL_H_
 #define CONN_CORE_CPL_H_
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -33,13 +43,25 @@
 namespace conn {
 namespace core {
 
-/// One tuple <cp, R> of a control point list.  `has_cp == false` marks an
-/// interval p cannot reach (no vertex sees it, or blocked entirely).
+/// Sentinel point id for "no ONN known yet".
+inline constexpr int64_t kNoPoint = -1;
+
+/// The holder of every claimed entry of a control point list: the list
+/// belongs to one data point, whose id RLU supplies when it merges it.
+inline constexpr int64_t kThisPoint = 0;
+
+/// One tuple <pid, cp, R> of a control point list or of the result list:
+/// data point pid reaches every point of R through control point cp, at
+/// obstructed distance ||pid, cp|| + dist(cp, q(t)).  `pid == kNoPoint`
+/// marks an interval nobody reaches yet (in a control point list: no
+/// vertex sees it, or it is blocked entirely).
 struct CplEntry {
-  bool has_cp = false;
+  int64_t pid = kNoPoint;
   geom::Vec2 cp;        ///< control point position
-  double offset = 0.0;  ///< ||p, cp||
+  double offset = 0.0;  ///< ||pid, cp||
   geom::Interval range;
+
+  bool has_value() const { return pid != kNoPoint; }
 
   /// Distance curve of this entry over the frame.
   geom::DistanceCurve Curve(const geom::SegmentFrame& frame) const {
@@ -101,8 +123,28 @@ ControlPointList ComputeControlPointList(vis::VisGraph* vg, geom::Vec2 p,
                                          const ConnOptions& opts,
                                          QueryStats* stats);
 
-/// CPLMAX of Lemma 7: the largest endpoint value over all entries
-/// (+infinity while some interval has no control point yet).
+/// The starting partition of CPLC and RLU: one unheld entry per piece of
+/// \p domain.
+ControlPointList UnheldPieces(const geom::IntervalSet& domain);
+
+/// The merge step of CPLC and RLU: point \p pid's curve through \p cp at
+/// \p offset contests every entry of \p list over \p regions.  An unheld
+/// piece goes to the challenger (Algorithm 2, lines 11-12); a held one stays
+/// whole if the incumbent dominates at both ends (Lemma 1, when
+/// \p use_lemma1_prune) and is otherwise split at the curves' crossings.
+/// Then adjacent entries of one curve merge and eps-slivers are absorbed.
+/// Returns whether any entry was contested.  The merge pass runs either way
+/// (for empty \p regions, neither step runs); an uncontested list is one
+/// the pass has merged before, or a fresh partition of a domain within
+/// [0, len] whose pieces IntervalSet keeps more than kEpsParam apart, so it
+/// comes back unchanged and a cached CPLMAX stays valid.
+bool ContestEntries(ControlPointList* list, int64_t pid, geom::Vec2 cp,
+                    double offset, const geom::IntervalSet& regions,
+                    const geom::SegmentFrame& frame, bool use_lemma1_prune,
+                    QueryStats* stats);
+
+/// CPLMAX of Lemma 7 (and RLMAX of Lemma 2): the largest endpoint value over
+/// all entries (+infinity while some interval is not held yet).
 double CplMax(const ControlPointList& cpl, const geom::SegmentFrame& frame);
 
 /// Sanity check for tests: entries tile \p domain in order.

@@ -62,19 +62,11 @@ inline geom::IntervalSet BlockedIntervals(const rtree::RStarTree& tree,
                                           const geom::Segment& q) {
   std::vector<rtree::DataObject> hits;
   CONN_CHECK(tree.SegmentIntersectionQuery(q, &hits).ok());
-  const double len = q.Length();
   std::vector<geom::Interval> blocked;
   for (const rtree::DataObject& obj : hits) {
     if (obj.kind != rtree::ObjectKind::kObstacle) continue;
-    const geom::Rect& r = obj.rect;
-    const geom::Rect inner{
-        {r.lo.x + geom::kEpsInterior, r.lo.y + geom::kEpsInterior},
-        {r.hi.x - geom::kEpsInterior, r.hi.y - geom::kEpsInterior}};
-    if (!inner.IsValid()) continue;
-    double t0, t1;
-    if (!geom::ClipSegmentToRect(q, inner, &t0, &t1)) continue;
-    if (t1 - t0 <= 0.0) continue;
-    blocked.push_back(geom::Interval(t0 * len, t1 * len));
+    const geom::Interval span = geom::InteriorSpan(q, obj.rect);
+    if (!span.IsEmpty()) blocked.push_back(span);
   }
   return geom::IntervalSet(std::move(blocked));
 }
@@ -233,20 +225,6 @@ inline StreamOutcome PopPointWithin(rtree::BestFirstIterator* points,
   return StreamOutcome::kYielded;
 }
 
-/// RLU for the main loop's two result lists (only CONN's reads the Lemma 1
-/// option).
-inline void MergeInto(ResultList* rl, int64_t pid, const ControlPointList& cpl,
-                      const geom::SegmentFrame& frame, const ConnOptions& opts,
-                      QueryStats* stats) {
-  rl->Update(pid, cpl, frame, opts, stats);
-}
-inline void MergeInto(KnnResultList* rl, int64_t pid,
-                      const ControlPointList& cpl,
-                      const geom::SegmentFrame& frame,
-                      const ConnOptions& /*opts*/, QueryStats* stats) {
-  rl->Update(pid, cpl, frame, stats);
-}
-
 /// Algorithm 4's main loop, the one copy CONN, COkNN and CNN run.  Pops data
 /// points in ascending mindist(p, q) order through \p next_point while they
 /// lie within the Lemma 2 bound RLMAX of \p rl (+infinity with
@@ -279,8 +257,8 @@ void RunMainLoop(const geom::IntervalSet& reachable,
     }
     if (outcome != StreamOutcome::kYielded) return;
     ++stats->points_evaluated;
-    MergeInto(rl, static_cast<int64_t>(obj.id), control_points(obj.AsPoint()),
-              frame, opts, stats);
+    rl->Update(static_cast<int64_t>(obj.id), control_points(obj.AsPoint()),
+               frame, stats);
   }
 }
 
@@ -534,7 +512,7 @@ inline std::vector<OnnNeighbor> NearestByOdist(QueryScope* scope, size_t k,
 /// CONN's (and CNN's) answer tuples from the final result list.
 inline std::vector<ConnTuple> ConnTuples(const ResultList& rl) {
   std::vector<ConnTuple> tuples;
-  for (const RlEntry& e : rl.entries()) {
+  for (const CplEntry& e : rl.entries()) {
     tuples.push_back(ConnTuple{e.pid, e.cp, e.offset, e.range});
   }
   return tuples;

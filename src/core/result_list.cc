@@ -1,11 +1,6 @@
 #include "core/result_list.h"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
-
-#include "common/check.h"
-#include "geom/split.h"
 
 namespace conn {
 namespace core {
@@ -14,139 +9,25 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
-ResultList::ResultList(const geom::IntervalSet& domain) {
-  for (const geom::Interval& piece : domain.intervals()) {
-    RlEntry e;
-    e.range = piece;
-    entries_.push_back(e);
-  }
-}
+ResultList::ResultList(const geom::IntervalSet& domain, bool use_lemma1_prune)
+    : entries_(UnheldPieces(domain)), use_lemma1_prune_(use_lemma1_prune) {}
 
 double ResultList::RlMax(const geom::SegmentFrame& frame) const {
-  double max_val = 0.0;
-  for (const RlEntry& e : entries_) {
-    if (!e.has_value()) return kInf;
-    const geom::DistanceCurve c = e.Curve(frame);
-    max_val = std::max({max_val, c.Eval(e.range.lo), c.Eval(e.range.hi)});
-  }
-  return max_val;
-}
-
-void ResultList::MergeAdjacent() {
-  std::vector<RlEntry> merged;
-  for (const RlEntry& e : entries_) {
-    if (!merged.empty()) {
-      RlEntry& prev = merged.back();
-      const bool adjacent =
-          std::abs(prev.range.hi - e.range.lo) <= geom::kEpsParam;
-      const bool same =
-          prev.pid == e.pid &&
-          (!e.has_value() || (prev.cp == e.cp && prev.offset == e.offset));
-      if (adjacent && same) {
-        prev.range.hi = e.range.hi;
-        continue;
-      }
-      // Absorb boundary slivers (see kEpsSliver): an eps-sized leftover —
-      // typically value-less — must not survive, or RLMAX stays infinite.
-      if (adjacent && e.range.Length() <= geom::kEpsSliver &&
-          prev.has_value()) {
-        prev.range.hi = e.range.hi;
-        continue;
-      }
-      if (adjacent && prev.range.Length() <= geom::kEpsSliver &&
-          e.has_value()) {
-        RlEntry grown = e;
-        grown.range.lo = prev.range.lo;
-        prev = grown;
-        continue;
-      }
-    }
-    merged.push_back(e);
-  }
-  entries_ = std::move(merged);
-}
-
-void ResultList::AssignCandidate(int64_t pid, geom::Vec2 cp, double offset,
-                                 const geom::IntervalSet& regions,
-                                 const geom::SegmentFrame& frame,
-                                 const ConnOptions& opts, QueryStats* stats) {
-  if (regions.IsEmpty()) return;
-  const geom::DistanceCurve challenger =
-      geom::DistanceCurve::FromControlPoint(frame, cp, offset);
-
-  std::vector<RlEntry> next;
-  next.reserve(entries_.size() + 2);
-  for (const RlEntry& entry : entries_) {
-    const geom::IntervalSet contested = regions.Intersect(entry.range);
-    if (contested.IsEmpty()) {
-      next.push_back(entry);
-      continue;
-    }
-    double cursor = entry.range.lo;
-    auto push_kept = [&](double lo, double hi) {
-      if (hi - lo <= geom::kEpsParam) return;
-      RlEntry kept = entry;
-      kept.range = geom::Interval(lo, hi);
-      next.push_back(kept);
-    };
-    for (const geom::Interval& piece : contested.intervals()) {
-      push_kept(cursor, piece.lo);
-      cursor = std::max(cursor, piece.hi);
-      const geom::Interval sub(std::max(piece.lo, entry.range.lo),
-                               std::min(piece.hi, entry.range.hi));
-      if (sub.Length() <= geom::kEpsParam) continue;
-      if (!entry.has_value()) {
-        RlEntry taken;
-        taken.pid = pid;
-        taken.cp = cp;
-        taken.offset = offset;
-        taken.range = sub;
-        next.push_back(taken);
-        continue;
-      }
-      const geom::DistanceCurve incumbent = entry.Curve(frame);
-      // Algorithm 3 line 7 (Lemma 1): incumbent keeps the whole interval if
-      // it dominates the challenger at both endpoints (with the
-      // perpendicular-distance soundness condition of split.h).
-      if (opts.use_lemma1_prune &&
-          geom::EndpointDominancePrune(incumbent, challenger, sub)) {
-        if (stats != nullptr) ++stats->lemma1_prunes;
-        RlEntry kept = entry;
-        kept.range = sub;
-        next.push_back(kept);
-        continue;
-      }
-      if (stats != nullptr) ++stats->split_evaluations;
-      for (const geom::LabeledInterval& li :
-           geom::CompareCurves(incumbent, challenger, sub)) {
-        RlEntry piece_entry = entry;
-        if (li.winner == geom::CurveWinner::kChallenger) {
-          piece_entry.pid = pid;
-          piece_entry.cp = cp;
-          piece_entry.offset = offset;
-        }
-        piece_entry.range = li.interval;
-        next.push_back(piece_entry);
-      }
-    }
-    push_kept(cursor, entry.range.hi);
-  }
-  entries_ = std::move(next);
-  MergeAdjacent();
+  return CplMax(entries_, frame);
 }
 
 void ResultList::Update(int64_t pid, const ControlPointList& cpl,
-                        const geom::SegmentFrame& frame,
-                        const ConnOptions& opts, QueryStats* stats) {
+                        const geom::SegmentFrame& frame, QueryStats* stats) {
   for (const CplEntry& ce : cpl) {
-    if (!ce.has_cp) continue;  // p cannot reach this interval at all
-    AssignCandidate(pid, ce.cp, ce.offset, geom::IntervalSet(ce.range), frame,
-                    opts, stats);
+    if (!ce.has_value()) continue;  // p cannot reach this interval at all
+    ContestEntries(&entries_, pid, ce.cp, ce.offset,
+                   geom::IntervalSet(ce.range), frame, use_lemma1_prune_,
+                   stats);
   }
 }
 
 double ResultList::OdistAt(double t, const geom::SegmentFrame& frame) const {
-  for (const RlEntry& e : entries_) {
+  for (const CplEntry& e : entries_) {
     if (e.range.ContainsApprox(t)) {
       if (!e.has_value()) return kInf;
       return e.Curve(frame).Eval(t);
@@ -156,7 +37,7 @@ double ResultList::OdistAt(double t, const geom::SegmentFrame& frame) const {
 }
 
 int64_t ResultList::OnnAt(double t) const {
-  for (const RlEntry& e : entries_) {
+  for (const CplEntry& e : entries_) {
     if (e.range.ContainsApprox(t)) return e.pid;
   }
   return kNoPoint;

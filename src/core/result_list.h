@@ -6,6 +6,10 @@
 // Evaluating a new data point p merges its control point list into RL,
 // splitting intervals at the (at most two per pair, Theorem 1) curve
 // crossings and applying the Lemma 1 endpoint-dominance fast path.
+//
+// RL is a control point list whose entries carry data point ids, and RLU
+// is CPLC's merge step: Algorithms 2 and 3 share ContestEntries and CplMax
+// (core/cpl.h).
 
 #ifndef CONN_CORE_RESULT_LIST_H_
 #define CONN_CORE_RESULT_LIST_H_
@@ -15,38 +19,21 @@
 
 #include "common/stats.h"
 #include "core/cpl.h"
-#include "core/options.h"
 #include "geom/curve.h"
 #include "geom/interval_set.h"
 
 namespace conn {
 namespace core {
 
-/// Sentinel point id for "no ONN known yet".
-inline constexpr int64_t kNoPoint = -1;
-
-/// One tuple <p, cp, R> of the result list.
-struct RlEntry {
-  int64_t pid = kNoPoint;  ///< data point id (kNoPoint while unset)
-  geom::Vec2 cp;           ///< control point of pid over range
-  double offset = 0.0;     ///< ||pid, cp||
-  geom::Interval range;
-
-  bool has_value() const { return pid != kNoPoint; }
-
-  /// Obstructed-distance curve of this entry.
-  geom::DistanceCurve Curve(const geom::SegmentFrame& frame) const {
-    return geom::DistanceCurve::FromControlPoint(frame, cp, offset);
-  }
-};
-
 /// The running CONN result over the reachable domain of q.
 class ResultList {
  public:
   /// Initializes one unset entry per reachable piece of the query segment.
-  explicit ResultList(const geom::IntervalSet& domain);
+  /// \p use_lemma1_prune selects the Lemma 1 fast path of every Update.
+  explicit ResultList(const geom::IntervalSet& domain,
+                      bool use_lemma1_prune = true);
 
-  const std::vector<RlEntry>& entries() const { return entries_; }
+  const ControlPointList& entries() const { return entries_; }
 
   /// RLMAX of Lemma 2: the largest endpoint distance over all entries;
   /// +infinity while any reachable interval still lacks an ONN.
@@ -55,8 +42,7 @@ class ResultList {
   /// RLU (Algorithm 3): merges data point \p pid's control point list into
   /// the running result.
   void Update(int64_t pid, const ControlPointList& cpl,
-              const geom::SegmentFrame& frame, const ConnOptions& opts,
-              QueryStats* stats);
+              const geom::SegmentFrame& frame, QueryStats* stats);
 
   /// Obstructed distance of the current ONN at parameter \p t
   /// (+infinity where unset / outside the domain).
@@ -66,13 +52,8 @@ class ResultList {
   int64_t OnnAt(double t) const;
 
  private:
-  void AssignCandidate(int64_t pid, geom::Vec2 cp, double offset,
-                       const geom::IntervalSet& regions,
-                       const geom::SegmentFrame& frame,
-                       const ConnOptions& opts, QueryStats* stats);
-  void MergeAdjacent();
-
-  std::vector<RlEntry> entries_;
+  ControlPointList entries_;
+  bool use_lemma1_prune_;
 };
 
 }  // namespace core

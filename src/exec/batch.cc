@@ -25,8 +25,8 @@ namespace {
 /// measures their spread in units of this instead.  For the
 /// unified tree (1-tree mode) size() also counts data points, so the value
 /// underestimates the true spacing — the guard then errs toward *not*
-/// sharing, which is the safe direction; callers needing exact control set
-/// BatchOptions::locality_extent_floor.
+/// sharing, which is the safe direction; callers needing another threshold
+/// scale it with BatchOptions::share_locality_factor.
 double ObstacleSpacing(const rtree::RStarTree& tree) {
   if (tree.size() == 0) return 0.0;
   const geom::Rect b = tree.Bounds();
@@ -155,9 +155,7 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
       own_obstacles != nullptr ? own_obstacles->pager().hits() : 0;
 
   const double extent_floor =
-      opts_.locality_extent_floor > 0.0
-          ? opts_.locality_extent_floor
-          : kSpacingFloorFactor * ObstacleSpacing(*obstacles_);
+      kSpacingFloorFactor * ObstacleSpacing(*obstacles_);
   const bool warm_gate = opts_.query.use_tick_warm_start;
 
   // The locality guard runs up front, on this thread, and decides the

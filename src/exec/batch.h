@@ -99,14 +99,6 @@ struct BatchOptions {
   /// graphs instead.  <= 0 disables the guard (always share).
   double share_locality_factor = 4.0;
 
-  /// Explicit extent floor for the locality guard, in workspace units.
-  /// <= 0 derives it from the indexed obstacle spacing; in 1-tree mode
-  /// that derivation counts data points too and under-floors (sharing may
-  /// be declined for tight degenerate-query clusters), so batches of
-  /// point queries over a unified tree should set this to the expected
-  /// obstacle-neighborhood radius.
-  double locality_extent_floor = 0.0;
-
   /// Per-query engine options.
   core::ConnOptions query;
 };

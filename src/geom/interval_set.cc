@@ -101,6 +101,18 @@ IntervalSet IntervalSet::ComplementWithin(const Interval& domain) const {
   return IntervalSet(domain).Subtract(*this);
 }
 
+Interval InteriorSpan(const Segment& s, const Rect& r) {
+  const Rect inner{{r.lo.x + kEpsInterior, r.lo.y + kEpsInterior},
+                   {r.hi.x - kEpsInterior, r.hi.y - kEpsInterior}};
+  double t0, t1;
+  if (!inner.IsValid() || !ClipSegmentToRect(s, inner, &t0, &t1) ||
+      t1 - t0 <= 0.0) {
+    return Interval();
+  }
+  const double len = s.Length();
+  return Interval(t0 * len, t1 * len);
+}
+
 std::string IntervalSet::ToString() const {
   if (intervals_.empty()) return "{}";
   std::string out = "{";

@@ -70,6 +70,11 @@ class IntervalSet {
   std::vector<Interval> intervals_;
 };
 
+/// The arc-length span of \p s (in [0, s.Length()]) strictly inside the
+/// kEpsInterior-shrunk interior of \p r: the part of s that
+/// SegmentCrossesInterior calls blocked (empty when there is none).
+Interval InteriorSpan(const Segment& s, const Rect& r);
+
 }  // namespace geom
 }  // namespace conn
 

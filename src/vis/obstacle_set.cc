@@ -53,21 +53,12 @@ void ObstacleSet::CandidatesInRect(const geom::Rect& r,
 
 geom::IntervalSet ObstacleSet::BlockedIntervalsOnSegment(
     const geom::Segment& s) const {
-  const double len = s.Length();
   std::vector<geom::Interval> blocked;
   scratch_.clear();
   grid_.CandidatesAlongSegment(s, &scratch_);
   for (uint32_t i : scratch_) {
-    const geom::Rect& r = rects_[i];
-    const geom::Rect inner{{r.lo.x + geom::kEpsInterior,
-                            r.lo.y + geom::kEpsInterior},
-                           {r.hi.x - geom::kEpsInterior,
-                            r.hi.y - geom::kEpsInterior}};
-    if (!inner.IsValid()) continue;
-    double t0, t1;
-    if (!geom::ClipSegmentToRect(s, inner, &t0, &t1)) continue;
-    if (t1 - t0 <= 0.0) continue;
-    blocked.push_back(geom::Interval(t0 * len, t1 * len));
+    const geom::Interval span = geom::InteriorSpan(s, rects_[i]);
+    if (!span.IsEmpty()) blocked.push_back(span);
   }
   return geom::IntervalSet(std::move(blocked));
 }

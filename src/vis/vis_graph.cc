@@ -194,15 +194,14 @@ bool VisGraph::AddObstacle(const geom::Rect& rect, rtree::ObjectId id) {
   // point from each corner into the rectangle.
   static constexpr geom::Vec2 kInward[4] = {
       {+1.0, +1.0}, {-1.0, +1.0}, {-1.0, -1.0}, {+1.0, -1.0}};
-  // A rectangle thinner than 2*kEpsInterior has no interior to enter.
-  const bool solid = rect.lo.x + geom::kEpsInterior <
-                         rect.hi.x - geom::kEpsInterior &&
-                     rect.lo.y + geom::kEpsInterior <
-                         rect.hi.y - geom::kEpsInterior;
+  const geom::Vec2 inner{rect.Width() - geom::kEpsInterior,
+                         rect.Height() - geom::kEpsInterior};
   const auto corners = rect.Corners();
   for (int ci = 0; ci < 4; ++ci) {
     const VertexId c = AddVertexInternal(corners[ci]);
-    corner_[c] = CornerInfo{true, solid ? kInward[ci] : geom::Vec2{0, 0}};
+    const geom::Vec2 p = corners[ci];
+    const double big = std::max(std::abs(p.x), std::abs(p.y));
+    corner_[c] = CornerInfo{true, kInward[ci], inner, 1e-12 * (1.0 + big)};
     RecomputeAdjacency(c);
     for (const VisEdge& e : adj_[c]) PushReciprocal(e.to, c, e.length);
   }

@@ -54,6 +54,8 @@
 #ifndef CONN_VIS_VIS_GRAPH_H_
 #define CONN_VIS_VIS_GRAPH_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <unordered_set>
 #include <vector>
@@ -144,20 +146,38 @@ class VisGraph {
   const std::vector<VisEdge>& Neighbors(VertexId v) const { return adj_[v]; }
 
  private:
-  /// Per-vertex corner metadata for the O(1) own-rectangle rejection: an
-  /// edge that leaves a corner pointing strictly into its rectangle's open
-  /// quadrant crosses that interior, so the sight-line walk can be skipped.
+  /// Per-vertex corner metadata for the O(1) own-rectangle rejection.
   struct CornerInfo {
     bool is_corner = false;
-    geom::Vec2 inward;  // axis signs into the rectangle; 0 if it has no
-                        // interior (thinner than 2*kEpsInterior)
+    geom::Vec2 inward;    // axis signs into the rectangle
+    geom::Vec2 inner;     // width and height, less kEpsInterior
+    double margin = 0.0;  // 1e-12 * (1 + the corner's largest coordinate)
   };
 
+  /// True iff the segment from corner \p v to vertices_[v] + \p away
+  /// provably crosses the kEpsInterior-shrunk interior of v's rectangle, so
+  /// SegmentCrossesInterior, and with it the sight-line walk, would reject
+  /// it too.  Leaving into the rectangle's quadrant is not enough.  In the
+  /// corner's frame the segment runs from the origin to (ax, ay), positive
+  /// into the rectangle [0, w] x [0, h], whose shrunk interior is
+  /// [e, w - e] x [e, h - e].  It crosses that interior iff every entry
+  /// parameter (e / ax, e / ay) lies below every exit parameter
+  /// ((w - e) / ax, (h - e) / ay, 1).  The checks are those six
+  /// inequalities cross-multiplied, each with a margin m in coordinate
+  /// units: Liang-Barsky's terms are differences of coordinates, so their
+  /// rounding stays a few ulps of the largest coordinate, and m is 1e-12
+  /// of it.  One min, not six branches: directions come in no predictable
+  /// order.
   bool DirectionEntersCorner(VertexId v, geom::Vec2 away) const {
     const CornerInfo& ci = corner_[v];
-    if (!ci.is_corner) return false;
-    const double tol = 1e-9 * (std::abs(away.x) + std::abs(away.y));
-    return away.x * ci.inward.x > tol && away.y * ci.inward.y > tol;
+    const double ax = away.x * ci.inward.x;
+    const double ay = away.y * ci.inward.y;
+    const double m = ci.margin + 1e-12 * (std::abs(away.x) + std::abs(away.y));
+    const double em = geom::kEpsInterior + m;
+    const double ix = ci.inner.x - m;  // w - e - m
+    const double iy = ci.inner.y - m;
+    return std::min({ax - em, ay - em, ix - em, iy - em, ay * ix - ax * em,
+                     ax * iy - ay * em}) > 0.0;
   }
 
   void RecomputeAdjacency(VertexId v);

@@ -286,7 +286,6 @@ TEST(BatchDeclinedTraffic, DispersedQueriesSpreadOverPoolAndRunFresh) {
   BatchOptions opts;
   opts.target_shard_size = 8;
   opts.share_locality_factor = 1e-9;
-  opts.locality_extent_floor = 1e-9;
   for (const bool one_tree : {false, true}) {
     for (const size_t threads : {size_t{1}, size_t{4}}) {
       SCOPED_TRACE((one_tree ? "1-tree, " : "2-tree, ") +
@@ -338,7 +337,10 @@ TEST(BatchDeclinedTraffic, MixedSharingAndDeclinedShards) {
 
   BatchOptions opts;
   opts.target_shard_size = 8;
-  opts.locality_extent_floor = 100.0;  // the cluster's cover is 180 x 135
+  // The guard's extent floor is 8 obstacle spacings (about 3980 here), so
+  // the cluster (cover 180 x 135) shares below 0.1 x 3980 and the
+  // dispersed group (cover 8250 wide) does not.
+  opts.share_locality_factor = 0.1;
   std::vector<QueryStats> single_worker;
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");

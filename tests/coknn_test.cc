@@ -26,11 +26,11 @@ TEST(CoknnTest, FewerThanKCandidatesKeepsInfiniteBound) {
   const geom::SegmentFrame frame(geom::Segment({0, 0}, {100, 0}));
   KnnResultList rl(geom::IntervalSet{geom::Interval(0, 100)}, 2);
   ControlPointList cpl = {
-      CplEntry{true, {50, 10}, 0.0, geom::Interval(0, 100)}};
+      CplEntry{kThisPoint, {50, 10}, 0.0, geom::Interval(0, 100)}};
   rl.Update(1, cpl, frame, nullptr);
   EXPECT_TRUE(std::isinf(rl.RlMax(frame)));  // only 1 of 2 candidates
   ControlPointList cpl2 = {
-      CplEntry{true, {20, 5}, 0.0, geom::Interval(0, 100)}};
+      CplEntry{kThisPoint, {20, 5}, 0.0, geom::Interval(0, 100)}};
   rl.Update(2, cpl2, frame, nullptr);
   EXPECT_TRUE(std::isfinite(rl.RlMax(frame)));
 }
@@ -38,8 +38,10 @@ TEST(CoknnTest, FewerThanKCandidatesKeepsInfiniteBound) {
 TEST(CoknnTest, SetChangesCreateSplits) {
   const geom::SegmentFrame frame(geom::Segment({0, 0}, {100, 0}));
   KnnResultList rl(geom::IntervalSet{geom::Interval(0, 100)}, 1);
-  ControlPointList a = {CplEntry{true, {30, 10}, 0.0, geom::Interval(0, 100)}};
-  ControlPointList b = {CplEntry{true, {70, 10}, 0.0, geom::Interval(0, 100)}};
+  ControlPointList a = {
+      CplEntry{kThisPoint, {30, 10}, 0.0, geom::Interval(0, 100)}};
+  ControlPointList b = {
+      CplEntry{kThisPoint, {70, 10}, 0.0, geom::Interval(0, 100)}};
   rl.Update(1, a, frame, nullptr);
   rl.Update(2, b, frame, nullptr);
   ASSERT_EQ(rl.tuples().size(), 2u);
@@ -51,8 +53,10 @@ TEST(CoknnTest, SetChangesCreateSplits) {
 TEST(CoknnTest, KeepsBothCandidatesWithoutSplitWhenKIs2) {
   const geom::SegmentFrame frame(geom::Segment({0, 0}, {100, 0}));
   KnnResultList rl(geom::IntervalSet{geom::Interval(0, 100)}, 2);
-  ControlPointList a = {CplEntry{true, {30, 10}, 0.0, geom::Interval(0, 100)}};
-  ControlPointList b = {CplEntry{true, {70, 10}, 0.0, geom::Interval(0, 100)}};
+  ControlPointList a = {
+      CplEntry{kThisPoint, {30, 10}, 0.0, geom::Interval(0, 100)}};
+  ControlPointList b = {
+      CplEntry{kThisPoint, {70, 10}, 0.0, geom::Interval(0, 100)}};
   rl.Update(1, a, frame, nullptr);
   rl.Update(2, b, frame, nullptr);
   // The SET {1,2} is constant along q even though the order flips at 50.
@@ -140,9 +144,10 @@ TEST(CoknnTest, CrossingWithinEpsOfIntervalEndDoesNotCreateSliver) {
   // the surviving break onto 100 instead of re-appending an eps-sliver.
   const geom::SegmentFrame frame(geom::Segment({0, 0}, {100, 0}));
   KnnResultList rl(geom::IntervalSet{geom::Interval(0, 100)}, 1);
-  ControlPointList a = {CplEntry{true, {0, 0}, 0.0, geom::Interval(0, 100)}};
+  ControlPointList a = {
+      CplEntry{kThisPoint, {0, 0}, 0.0, geom::Interval(0, 100)}};
   ControlPointList b = {
-      CplEntry{true, {100, 0}, 100.0 - 1e-7, geom::Interval(0, 100)}};
+      CplEntry{kThisPoint, {100, 0}, 100.0 - 1e-7, geom::Interval(0, 100)}};
   rl.Update(1, a, frame, nullptr);
   rl.Update(2, b, frame, nullptr);
 

@@ -42,7 +42,7 @@ TEST(CplTest, NoObstaclesPointIsItsOwnControlPoint) {
   QueryStats stats;
   const ControlPointList cpl = CplFor(scene, p, {}, &stats);
   ASSERT_EQ(cpl.size(), 1u);
-  EXPECT_TRUE(cpl[0].has_cp);
+  EXPECT_TRUE(cpl[0].has_value());
   EXPECT_EQ(cpl[0].cp, p);
   EXPECT_DOUBLE_EQ(cpl[0].offset, 0.0);
   EXPECT_TRUE(CplIsPartition(
@@ -62,7 +62,7 @@ TEST(CplTest, WallCreatesCornerControlPoints) {
   EXPECT_GE(cpl.size(), 3u);  // around-left / shadow pieces / around-right
   // Every entry must have a control point (whole q is reachable from p).
   for (const CplEntry& e : cpl) {
-    EXPECT_TRUE(e.has_cp);
+    EXPECT_TRUE(e.has_value());
   }
   // Shadowed center: control point is one of the wall's lower corners.
   const geom::SegmentFrame frame(scene.query);
@@ -103,7 +103,7 @@ TEST_P(CplVsOracle, CurveEqualsGroundTruthOdist) {
       }
       ASSERT_NE(entry, nullptr) << "t=" << t;
       const double want = oracle.Odist(p, scene.query.At(t));
-      if (!entry->has_cp) {
+      if (!entry->has_value()) {
         // Unreachable from p (or a boundary sliver).
         if (std::isinf(want)) continue;
         // Tolerate eps-boundary mismatches only.
@@ -141,7 +141,7 @@ TEST_P(CplVsOracle, Lemma6AndLemma7DoNotChangeTheResult) {
       auto value = [&](const ControlPointList& cpl) {
         for (const CplEntry& e : cpl) {
           if (e.range.ContainsApprox(t)) {
-            return e.has_cp ? e.Curve(frame).Eval(t)
+            return e.has_value() ? e.Curve(frame).Eval(t)
                             : std::numeric_limits<double>::infinity();
           }
         }

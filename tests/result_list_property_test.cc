@@ -36,11 +36,12 @@ TEST_P(ResultListEnvelope, IsThePointwiseLowerEnvelope) {
             rng.Uniform(0, 300)};
     curves.push_back(c);
     // Each point may arrive as several CPL pieces covering [0, 1000].
-    ControlPointList cpl;
     const double cut = rng.Uniform(100, 900);
-    cpl.push_back(CplEntry{true, c.cp, c.offset, geom::Interval(0, cut)});
-    cpl.push_back(CplEntry{true, c.cp, c.offset, geom::Interval(cut, 1000)});
-    rl.Update(c.pid, cpl, frame, {}, nullptr);
+    CplEntry piece{kThisPoint, c.cp, c.offset, geom::Interval(0, cut)};
+    ControlPointList cpl = {piece};
+    piece.range = geom::Interval(cut, 1000);
+    cpl.push_back(piece);
+    rl.Update(c.pid, cpl, frame, nullptr);
   }
 
   for (int i = 0; i <= 500; ++i) {
@@ -76,13 +77,14 @@ TEST_P(ResultListEnvelope, UpdateOrderDoesNotMatter) {
   ResultList forward(geom::IntervalSet{geom::Interval(0, 500)});
   ResultList backward(geom::IntervalSet{geom::Interval(0, 500)});
   for (int i = 0; i < 8; ++i) {
-    ControlPointList cpl_f = {
-        CplEntry{true, curves[i].cp, curves[i].offset, geom::Interval(0, 500)}};
-    forward.Update(curves[i].pid, cpl_f, frame, {}, nullptr);
-    ControlPointList cpl_b = {CplEntry{true, curves[7 - i].cp,
+    ControlPointList cpl_f = {CplEntry{kThisPoint, curves[i].cp,
+                                       curves[i].offset,
+                                       geom::Interval(0, 500)}};
+    forward.Update(curves[i].pid, cpl_f, frame, nullptr);
+    ControlPointList cpl_b = {CplEntry{kThisPoint, curves[7 - i].cp,
                                        curves[7 - i].offset,
                                        geom::Interval(0, 500)}};
-    backward.Update(curves[7 - i].pid, cpl_b, frame, {}, nullptr);
+    backward.Update(curves[7 - i].pid, cpl_b, frame, nullptr);
   }
   for (int i = 0; i <= 200; ++i) {
     const double t = 500.0 * i / 200.0;

@@ -267,7 +267,10 @@ TEST(SubscriptionFold, StatsAreTheSameAtOneAndFourThreads) {
 
   SubscriptionOptions opts;
   opts.batch.target_shard_size = 8;
-  opts.batch.locality_extent_floor = 100.0;
+  // The guard's extent floor is 8 obstacle spacings (4000 here): the
+  // cluster (cover at most 140 wide) shares below 0.1 x 4000, and the
+  // dispersed group (about 8080 wide) does not.
+  opts.batch.share_locality_factor = 0.1;
   opts.batch.query.use_differential_repair = true;
   opts.reshard_period = 0;
 

@@ -117,6 +117,35 @@ TEST(DijkstraScanTest, YieldsAscendingDistances) {
   }
 }
 
+// Seeding makes the same O(1) own-rectangle test as adjacency: a source
+// whose sight line leaves a thin rectangle's corner into its quadrant, but
+// passes the shrunk interior by, seeds that corner directly, and every
+// distance is FullVisGraph's.
+TEST(DijkstraScanTest, SeedsCornerSeenPastThinInterior) {
+  const std::vector<geom::Rect> rects = {
+      {{440, 100}, {440 + 3 * geom::kEpsInterior, 300}}};
+  VisGraph g(kDomain);
+  g.AddObstacle(rects[0], 0);
+  FullVisGraph full(rects);
+  full.Build();
+  ASSERT_EQ(full.VertexCount(), g.VertexCount());
+  const geom::Vec2 source{600, 150};
+  const std::vector<double> want = full.DistancesFromLocation(source);
+  DijkstraScan scan(&g, source);
+  std::map<VertexId, std::pair<double, int32_t>> got;
+  VertexId v;
+  double dist;
+  int32_t pred;
+  while (scan.Next(&v, &dist, &pred)) got[v] = {dist, pred};
+  ASSERT_EQ(got.size(), g.VertexCount());
+  for (VertexId u = 0; u < g.VertexCount(); ++u) {
+    ASSERT_EQ(g.VertexPos(u), full.VertexPos(u));
+    EXPECT_NEAR(got[u].first, want[u], 1e-12) << "vertex " << u;
+  }
+  ASSERT_EQ(g.VertexPos(0), (geom::Vec2{440, 100}));
+  EXPECT_EQ(got[0].second, kPredSource);
+}
+
 // The local VisGraph must agree with the eager FullVisGraph on obstructed
 // distances between a source and fixed targets.
 class LocalVsFullGraph : public ::testing::TestWithParam<uint64_t> {};
@@ -483,6 +512,14 @@ std::vector<ShadowScene> ShadowScenes() {
                     {{5, {500, 700 - 1e-6}},
                      {5, {300, 700 - 1e-3}},
                      {5, {900 + 1e-6, 705}}}});
+  // Sight lines that leave a corner into its rectangle's quadrant but pass
+  // the shrunk interior by: the rectangle is thicker than 2*kEpsInterior
+  // and thinner than kEpsInterior / tan(angle) of the lines, so the O(1)
+  // own-rectangle test must leave them to the walk.
+  scenes.push_back({"SlantPastThinInterior",
+                    {{{440, 100}, {440 + 3 * e, 300}},
+                     {{700, 120}, {720, 140}}},
+                    {{0, {600, 150}}, {0, {600, 250}}, {1, {300, 130}}}});
   return scenes;
 }
 
