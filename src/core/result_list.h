@@ -15,7 +15,6 @@
 #define CONN_CORE_RESULT_LIST_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "common/stats.h"
 #include "core/cpl.h"
