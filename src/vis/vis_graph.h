@@ -55,7 +55,6 @@
 #define CONN_VIS_VIS_GRAPH_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <unordered_set>
 #include <vector>
@@ -166,14 +165,16 @@ class VisGraph {
   /// inequalities cross-multiplied, each with a margin m in coordinate
   /// units: Liang-Barsky's terms are differences of coordinates, so their
   /// rounding stays a few ulps of the largest coordinate, and m is 1e-12
-  /// of it.  One min, not six branches: directions come in no predictable
-  /// order.
+  /// of it.  A segment that leaves away from the quadrant returns after
+  /// one branch.
   bool DirectionEntersCorner(VertexId v, geom::Vec2 away) const {
     const CornerInfo& ci = corner_[v];
     const double ax = away.x * ci.inward.x;
     const double ay = away.y * ci.inward.y;
-    const double m = ci.margin + 1e-12 * (std::abs(away.x) + std::abs(away.y));
-    const double em = geom::kEpsInterior + m;
+    constexpr double e = geom::kEpsInterior;
+    if (!(ax > e && ay > e)) return false;
+    const double m = ci.margin + 1e-12 * (ax + ay);
+    const double em = e + m;
     const double ix = ci.inner.x - m;  // w - e - m
     const double iy = ci.inner.y - m;
     return std::min({ax - em, ay - em, ix - em, iy - em, ay * ix - ax * em,
