@@ -2,6 +2,10 @@
 // crossings, visible regions, interval algebra, and the blocking predicate.
 // These are the inner loops of CPLC/RLU; regressions here hit every query.
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
@@ -31,47 +35,82 @@ void BM_SolveQuadratic(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveQuadratic);
 
-void BM_CurveCrossings(benchmark::State& state) {
-  Rng rng(2);
-  const geom::SegmentFrame frame(geom::Segment({0, 0}, {1000, 0}));
-  std::vector<std::pair<geom::DistanceCurve, geom::DistanceCurve>> cases;
+// A contested piece as the engine meets it: two curves over a short stretch
+// of the segment (1e-4 to 1e-1 of its length), so most roots of the
+// squared crossing equation lie outside the piece.  Over the whole segment
+// nearly every root would be inside, and the solver's work on the others
+// would not show.
+struct ContestCase {
+  geom::DistanceCurve a, b;
+  geom::Interval domain;
+};
+
+std::vector<ContestCase> ContestCases(uint64_t seed) {
+  Rng rng(seed);
+  const double len = 1000.0;
+  const geom::SegmentFrame frame(geom::Segment({0, 0}, {len, 0}));
+  std::vector<ContestCase> cases;
   for (int i = 0; i < 1024; ++i) {
-    cases.emplace_back(
-        geom::DistanceCurve::FromControlPoint(
-            frame, {rng.Uniform(0, 1000), rng.Uniform(0, 300)},
-            rng.Uniform(0, 400)),
-        geom::DistanceCurve::FromControlPoint(
-            frame, {rng.Uniform(0, 1000), rng.Uniform(0, 300)},
-            rng.Uniform(0, 400)));
+    ContestCase c;
+    c.a = geom::DistanceCurve::FromControlPoint(
+        frame, {rng.Uniform(0, len), rng.Uniform(0, 300)},
+        rng.Uniform(0, 400));
+    c.b = geom::DistanceCurve::FromControlPoint(
+        frame, {rng.Uniform(0, len), rng.Uniform(0, 300)},
+        rng.Uniform(0, 400));
+    const double piece = len * std::pow(10.0, rng.Uniform(-4, -1));
+    // The engine contests pieces where a challenger meets the holder:
+    // centre the piece on the first grid cell where a - b changes sign,
+    // which the piece may or may not reach.
+    double centre = rng.Uniform(0, len);
+    double prev = c.a.Eval(0) - c.b.Eval(0);
+    for (int k = 1; k <= 64; ++k) {
+      const double t = len * k / 64;
+      const double cur = c.a.Eval(t) - c.b.Eval(t);
+      if (prev * cur < 0) {
+        centre = t - len / 128;
+        break;
+      }
+      prev = cur;
+    }
+    const double lo = std::clamp(centre - piece / 2, 0.0, len - piece);
+    c.domain = geom::Interval(lo, lo + piece);
+    cases.push_back(c);
+  }
+  return cases;
+}
+
+// `crossings` (crossings summed over the 1024 cases, computed before the
+// timed loop) is deterministic, so the baseline compare gates the
+// solver's answers.
+void BM_CurveCrossings(benchmark::State& state) {
+  const std::vector<ContestCase> cases = ContestCases(2);
+  double crossings = 0;
+  for (const ContestCase& c : cases) {
+    crossings += geom::CurveCrossings(c.a, c.b, c.domain).size();
   }
   size_t i = 0;
-  const geom::Interval domain(0, 1000);
   for (auto _ : state) {
-    const auto& [a, b] = cases[i++ & 1023];
-    benchmark::DoNotOptimize(geom::CurveCrossings(a, b, domain));
+    const ContestCase& c = cases[i++ & 1023];
+    benchmark::DoNotOptimize(geom::CurveCrossings(c.a, c.b, c.domain));
   }
+  state.counters["crossings"] = crossings;
 }
 BENCHMARK(BM_CurveCrossings);
 
+// `crossings` counts winner changes (pieces - 1) over the 1024 cases.
 void BM_CompareCurves(benchmark::State& state) {
-  Rng rng(3);
-  const geom::SegmentFrame frame(geom::Segment({0, 0}, {1000, 0}));
-  std::vector<std::pair<geom::DistanceCurve, geom::DistanceCurve>> cases;
-  for (int i = 0; i < 1024; ++i) {
-    cases.emplace_back(
-        geom::DistanceCurve::FromControlPoint(
-            frame, {rng.Uniform(0, 1000), rng.Uniform(0, 300)},
-            rng.Uniform(0, 400)),
-        geom::DistanceCurve::FromControlPoint(
-            frame, {rng.Uniform(0, 1000), rng.Uniform(0, 300)},
-            rng.Uniform(0, 400)));
+  const std::vector<ContestCase> cases = ContestCases(3);
+  double crossings = 0;
+  for (const ContestCase& c : cases) {
+    crossings += geom::CompareCurves(c.a, c.b, c.domain).size() - 1;
   }
   size_t i = 0;
-  const geom::Interval domain(0, 1000);
   for (auto _ : state) {
-    const auto& [a, b] = cases[i++ & 1023];
-    benchmark::DoNotOptimize(geom::CompareCurves(a, b, domain));
+    const ContestCase& c = cases[i++ & 1023];
+    benchmark::DoNotOptimize(geom::CompareCurves(c.a, c.b, c.domain));
   }
+  state.counters["crossings"] = crossings;
 }
 BENCHMARK(BM_CompareCurves);
 

@@ -41,8 +41,7 @@ void KnnResultList::MergeAdjacent(const geom::SegmentFrame& frame) {
   for (CoknnTuple& t : tuples_) {
     if (!merged.empty()) {
       CoknnTuple& prev = merged.back();
-      const bool adjacent =
-          std::abs(prev.range.hi - t.range.lo) <= geom::kEpsParam;
+      const bool adjacent = geom::Adjacent(prev.range, t.range);
       // Absorb boundary slivers into the better-filled neighbor (an
       // eps-sized underfull leftover would pin RLMAX at +infinity).
       if (adjacent && t.range.Length() <= geom::kEpsSliver &&

@@ -27,8 +27,7 @@ void MergeAdjacent(ControlPointList* list) {
   for (const CplEntry& e : *list) {
     if (kept > 0) {
       CplEntry& prev = (*list)[kept - 1];
-      const bool adjacent =
-          std::abs(prev.range.hi - e.range.lo) <= geom::kEpsParam;
+      const bool adjacent = geom::Adjacent(prev.range, e.range);
       const bool same =
           prev.pid == e.pid &&
           (!e.has_value() || (prev.cp == e.cp && prev.offset == e.offset));

@@ -135,9 +135,9 @@ ControlPointList UnheldPieces(const geom::IntervalSet& domain);
 /// Then adjacent entries of one curve merge and eps-slivers are absorbed.
 /// Returns whether any entry was contested.  The merge pass runs either way
 /// (for empty \p regions, neither step runs); an uncontested list is one
-/// the pass has merged before, or a fresh partition of a domain within
-/// [0, len] whose pieces IntervalSet keeps more than kEpsParam apart, so it
-/// comes back unchanged and a cached CPLMAX stays valid.
+/// the pass has merged before, or a fresh partition whose pieces IntervalSet
+/// keeps apart by the same geom::Adjacent test, so it comes back unchanged
+/// and a cached CPLMAX stays valid.
 bool ContestEntries(ControlPointList* list, int64_t pid, geom::Vec2 cp,
                     double offset, const geom::IntervalSet& regions,
                     const geom::SegmentFrame& frame, bool use_lemma1_prune,

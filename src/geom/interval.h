@@ -67,6 +67,14 @@ struct Interval {
   }
 };
 
+/// True iff \p next starts no more than kEpsParam after \p prev ends: the
+/// one adjacency test of every ordered run of pieces (IntervalSet's
+/// coalescing, the control point list's and both result lists' merge
+/// passes), so no two of them disagree on whether two pieces touch.
+constexpr bool Adjacent(const Interval& prev, const Interval& next) {
+  return next.lo - prev.hi <= kEpsParam;
+}
+
 }  // namespace geom
 }  // namespace conn
 

@@ -25,7 +25,7 @@ void IntervalSet::Normalize() {
             [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
   std::vector<Interval> merged;
   for (const Interval& iv : intervals_) {
-    if (!merged.empty() && iv.lo <= merged.back().hi + kEpsParam) {
+    if (!merged.empty() && Adjacent(merged.back(), iv)) {
       merged.back().hi = std::max(merged.back().hi, iv.hi);
     } else {
       merged.push_back(iv);

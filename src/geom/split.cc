@@ -8,20 +8,16 @@
 namespace conn {
 namespace geom {
 
-std::vector<LabeledInterval> CompareCurves(const DistanceCurve& incumbent,
-                                           const DistanceCurve& challenger,
-                                           const Interval& domain) {
-  std::vector<LabeledInterval> out;
+CurvePartition CompareCurves(const DistanceCurve& incumbent,
+                             const DistanceCurve& challenger,
+                             const Interval& domain) {
+  CurvePartition out;
   if (domain.IsEmpty()) return out;
 
-  const std::vector<double> crossings =
-      CurveCrossings(incumbent, challenger, domain);
-
   // Breakpoints: domain endpoints plus interior crossings.
-  std::vector<double> breaks;
-  breaks.reserve(crossings.size() + 2);
+  BoundedList<double, 4> breaks;
   breaks.push_back(domain.lo);
-  for (double t : crossings) {
+  for (double t : CurveCrossings(incumbent, challenger, domain)) {
     if (t > breaks.back() + kEpsParam && t < domain.hi - kEpsParam) {
       breaks.push_back(t);
     }

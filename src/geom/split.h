@@ -4,7 +4,9 @@
 // over an interval) and of a challenger, the winner can change at most twice
 // along the query segment (Theorem 1).  CompareCurves computes the exact
 // partition of an interval into winner-labeled sub-intervals using the
-// robust crossing solver of curve.h.
+// robust crossing solver of curve.h, which polishes only the roots that can
+// be split points in that interval; so the partition has at most three
+// pieces, held in place.
 //
 // ClassifyPaperCase is a literal transcription of the paper's Case 1-4
 // analysis (valid under Figure 4's preconditions); it exists to cross-check
@@ -13,8 +15,6 @@
 
 #ifndef CONN_GEOM_SPLIT_H_
 #define CONN_GEOM_SPLIT_H_
-
-#include <vector>
 
 #include "geom/curve.h"
 #include "geom/interval.h"
@@ -31,12 +31,16 @@ struct LabeledInterval {
   CurveWinner winner;
 };
 
+/// A winner partition: at most three pieces, as two curves cross at most
+/// twice (Theorem 1).
+using CurvePartition = BoundedList<LabeledInterval, 3>;
+
 /// Partitions \p domain into maximal sub-intervals labeled by the lower
 /// curve.  The partition covers the domain exactly; adjacent intervals with
-/// the same winner are merged.  Empty domain yields an empty vector.
-std::vector<LabeledInterval> CompareCurves(const DistanceCurve& incumbent,
-                                           const DistanceCurve& challenger,
-                                           const Interval& domain);
+/// the same winner are merged.  Empty domain yields an empty partition.
+CurvePartition CompareCurves(const DistanceCurve& incumbent,
+                             const DistanceCurve& challenger,
+                             const Interval& domain);
 
 /// The paper's split-case taxonomy (Section 3, Cases 1-4).
 enum class SplitCase {

@@ -130,49 +130,56 @@ TEST(ResultListTest, AdjacentSamePointSameCurveMerges) {
   EXPECT_DOUBLE_EQ(rl.entries()[0].range.Length(), 100.0);
 }
 
-// The merge pass runs after every claim, even one that contests nothing.
-// That matters only for a list no pass has seen yet whose pieces the pass
-// calls adjacent although IntervalSet kept them apart: near t = 0 the two
-// tests round differently, so these pieces stay two with a gap below
-// kEpsParam.  Pins RLU's entries exactly for both orders of claims.
+// IntervalSet and the merge pass that runs after every claim share one
+// adjacency test (geom::Adjacent), so a fresh list never holds two pieces
+// the pass would call adjacent.  Near t = 0 the two tests once rounded
+// differently: the gap below was kept by IntervalSet and merged by the
+// pass, so the entries depended on the order of claims.  Now the pieces
+// are one from the start, pieces just over kEpsParam apart stay two, and
+// both orders of claims give the same entries.
 TEST(ResultListTest, PiecesWithinEpsMergeAfterAnyClaim) {
   const geom::SegmentFrame frame = TestFrame();
   const double gap_lo = -4.8798882384625784e-08;
   const double gap_hi = 5.1201117615374218e-08;
-  const geom::IntervalSet domain{
-      std::vector<geom::Interval>{{-1, gap_lo}, {gap_hi, 1}}};
-  ASSERT_EQ(domain.size(), 2u);
   ASSERT_LE(std::abs(gap_hi - gap_lo), geom::kEpsParam);
+  const double apart_hi = gap_lo + 2 * geom::kEpsParam;
   const ControlPointList beyond = {
       CplEntry{kThisPoint, {50, 10}, 0.0, geom::Interval(2, 3)}};
   const ControlPointList right_half = {
       CplEntry{kThisPoint, {0, 5}, 1.0, geom::Interval(0, 1)}};
 
-  // A claim beyond the domain contests nothing, and the pieces merge.
-  ResultList rl(domain);
-  rl.Update(3, beyond, frame, nullptr);
-  ASSERT_EQ(rl.entries().size(), 1u);
-  EXPECT_EQ(rl.entries()[0].pid, kNoPoint);
-  EXPECT_EQ(rl.entries()[0].range, geom::Interval(-1, 1));
-  // The next claim splits the merged piece at its own endpoint t = 0.
-  rl.Update(4, right_half, frame, nullptr);
-  ASSERT_EQ(rl.entries().size(), 2u);
-  EXPECT_EQ(rl.entries()[0].pid, kNoPoint);
-  EXPECT_EQ(rl.entries()[0].range, geom::Interval(-1, 0));
-  EXPECT_EQ(rl.entries()[1].pid, 4);
-  EXPECT_EQ(rl.entries()[1].cp, (geom::Vec2{0, 5}));
-  EXPECT_EQ(rl.entries()[1].offset, 1.0);
-  EXPECT_EQ(rl.entries()[1].range, geom::Interval(0, 1));
+  const geom::IntervalSet joined{
+      std::vector<geom::Interval>{{-1, gap_lo}, {gap_hi, 1}}};
+  ASSERT_EQ(joined.size(), 1u);
+  EXPECT_EQ(joined.intervals()[0], geom::Interval(-1, 1));
+  const geom::IntervalSet apart{
+      std::vector<geom::Interval>{{-1, gap_lo}, {apart_hi, 1}}};
+  ASSERT_EQ(apart.size(), 2u);
 
-  // Contested first, the claim meets the pieces still apart: it takes the
-  // right one whole, and the differently held pieces stay apart.
-  ResultList fresh(domain);
-  fresh.Update(4, right_half, frame, nullptr);
-  ASSERT_EQ(fresh.entries().size(), 2u);
-  EXPECT_EQ(fresh.entries()[0].pid, kNoPoint);
-  EXPECT_EQ(fresh.entries()[0].range, geom::Interval(-1, gap_lo));
-  EXPECT_EQ(fresh.entries()[1].pid, 4);
-  EXPECT_EQ(fresh.entries()[1].range, geom::Interval(gap_hi, 1));
+  for (const bool beyond_first : {true, false}) {
+    SCOPED_TRACE(beyond_first ? "beyond first" : "right half first");
+    ResultList one(joined);
+    ResultList two(apart);
+    for (ResultList* rl : {&one, &two}) {
+      if (beyond_first) rl->Update(3, beyond, frame, nullptr);
+      rl->Update(4, right_half, frame, nullptr);
+      if (!beyond_first) rl->Update(3, beyond, frame, nullptr);
+    }
+    // The claim splits the joined piece at its own endpoint t = 0.
+    ASSERT_EQ(one.entries().size(), 2u);
+    EXPECT_EQ(one.entries()[0].pid, kNoPoint);
+    EXPECT_EQ(one.entries()[0].range, geom::Interval(-1, 0));
+    EXPECT_EQ(one.entries()[1].pid, 4);
+    EXPECT_EQ(one.entries()[1].cp, (geom::Vec2{0, 5}));
+    EXPECT_EQ(one.entries()[1].offset, 1.0);
+    EXPECT_EQ(one.entries()[1].range, geom::Interval(0, 1));
+    // Apart, the claim takes the right piece whole and the left stays.
+    ASSERT_EQ(two.entries().size(), 2u);
+    EXPECT_EQ(two.entries()[0].pid, kNoPoint);
+    EXPECT_EQ(two.entries()[0].range, geom::Interval(-1, gap_lo));
+    EXPECT_EQ(two.entries()[1].pid, 4);
+    EXPECT_EQ(two.entries()[1].range, geom::Interval(apart_hi, 1));
+  }
 }
 
 }  // namespace

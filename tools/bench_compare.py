@@ -59,6 +59,7 @@ EXACT_COUNTERS = [
     "adopted",
     "splits",
     "l1_hits",
+    "crossings",
 ]
 
 
