@@ -1,10 +1,16 @@
 // Micro-benchmarks of the R*-tree: STR bulk load vs one-by-one insertion,
 // best-first stream consumption, and range queries — the access-path costs
 // under every CONN query.
+//
+// The best-first benchmarks report `pages`, the node pages one stream
+// fetches (the trees are unbuffered, so every fetch reads a page).  The
+// objects are seeded, so the count is exact on any machine and
+// tools/bench_compare.py gates it against baselines/BENCH_micro_rtree.json.
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "storage/pager.h"
 #include "datagen/datasets.h"
 #include "rtree/best_first.h"
 #include "rtree/rstar_tree.h"
@@ -12,6 +18,15 @@
 
 namespace conn {
 namespace {
+
+/// Sets the `pages` counter: page fetches of \p tree since \p faults0,
+/// per iteration of \p state.
+void ReportPagesPerIteration(benchmark::State& state,
+                             const rtree::RStarTree& tree, uint64_t faults0) {
+  state.counters["pages"] =
+      static_cast<double>(tree.pager().faults() - faults0) /
+      static_cast<double>(state.iterations());
+}
 
 std::vector<rtree::DataObject> MakeObjects(size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -52,6 +67,7 @@ void BM_BestFirstFullDrain(benchmark::State& state) {
   const auto objects = MakeObjects(state.range(0), 3);
   rtree::RStarTree tree = std::move(rtree::StrBulkLoad(objects)).value();
   const geom::Segment q({4000, 5000}, {6000, 5000});
+  const uint64_t faults0 = tree.pager().faults();
   for (auto _ : state) {
     rtree::BestFirstIterator it(tree, q);
     rtree::DataObject obj;
@@ -61,6 +77,7 @@ void BM_BestFirstFullDrain(benchmark::State& state) {
     benchmark::DoNotOptimize(count);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
+  ReportPagesPerIteration(state, tree, faults0);
 }
 BENCHMARK(BM_BestFirstFullDrain)->Arg(10000)->Arg(50000)
     ->Unit(benchmark::kMillisecond);
@@ -69,6 +86,7 @@ void BM_BestFirstTop100(benchmark::State& state) {
   const auto objects = MakeObjects(100000, 4);
   rtree::RStarTree tree = std::move(rtree::StrBulkLoad(objects)).value();
   const geom::Segment q({4000, 5000}, {6000, 5000});
+  const uint64_t faults0 = tree.pager().faults();
   for (auto _ : state) {
     rtree::BestFirstIterator it(tree, q);
     rtree::DataObject obj;
@@ -77,6 +95,7 @@ void BM_BestFirstTop100(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(dist);
   }
+  ReportPagesPerIteration(state, tree, faults0);
 }
 BENCHMARK(BM_BestFirstTop100)->Unit(benchmark::kMicrosecond);
 

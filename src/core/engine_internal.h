@@ -94,9 +94,11 @@ inline geom::IntervalSet ReachablePieces(const geom::IntervalSet& blocked,
 }
 
 /// Adds a fixed graph vertex at both endpoints of every reachable piece of
-/// the query segment; returns the vertex ids (the IOR targets).  The
-/// vertices are scoped to \p session: they disappear with it, leaving a
-/// shard-shared graph's obstacle state intact for the next query.
+/// the query segment; returns the vertex ids (the IOR targets), in pairs:
+/// the ids at 2i and 2i + 1 bound piece i, which IOR's admission bound
+/// reads (see IncrementalObstacleRetrieval).  The vertices are scoped to
+/// \p session: they disappear with it, leaving a shard-shared graph's
+/// obstacle state intact for the next query.
 inline std::vector<vis::VertexId> AddTargetVertices(
     vis::QuerySession* session, const geom::IntervalSet& reachable,
     const geom::Segment& q) {
@@ -329,7 +331,9 @@ class QueryScope {
   /// endpoint vertices, then CPLC computes the control point list over the
   /// pieces, sharing one visible-region cache across points.  Obstacles the
   /// unified point stream already loaded count as retrieved, so IOR skips a
-  /// wave they cover without touching the tree.
+  /// wave they cover without touching the tree.  IOR parks the obstacles it
+  /// streams but does not admit in the query's source, so a later point
+  /// re-tests them.
   ///
   /// With \p repair.log set, IOR waves a settlement-log capsule covers skip
   /// the obstacle stream, each point counts as carried or rescored, and
@@ -346,12 +350,15 @@ class QueryScope {
     // Repair mode: retrieval waves already proven covered by the
     // workspace's settlement log skip the obstacle stream (the guard
     // answers "nothing new within the bound", which the capsule makes
-    // literally true).
+    // literally true).  The capsule this query publishes claims the graph
+    // holds every obstacle within its radius, so IOR admits everything it
+    // streams.
     CoverageGuardedSource guarded(obstacles(), repair.log, q_,
                                   repair.client_tag, &stats_);
     ObstacleSource* source = obstacles();
     if (repair.log != nullptr) {
       source = &guarded;
+      guarded.AdmitAll();
       stats_.repairs_applied = 1;
     }
     VisibleRegionCache vr_cache;
@@ -386,9 +393,9 @@ class QueryScope {
     stats_.vr_cache_evictions += vr_cache.evictions();
     // Publish this query's proven coverage: after the loop, every obstacle
     // with mindist(o, q) <= retrieved is in the graph (streamed waves by
-    // the ascending source, covered waves by their proving capsule).  The
-    // next repair on this workspace reads it — same client or a shard
-    // sibling.
+    // the ascending source and AdmitAll, covered waves by their proving
+    // capsule).  The next repair on this workspace reads it — same client
+    // or a shard sibling.
     if (repair.log != nullptr) {
       repair.log->Publish(q_, retrieved, repair.client_tag);
     }
@@ -427,9 +434,10 @@ class QueryScope {
 
 /// IOR (Algorithm 1) anchored at one fixed vertex, added before any
 /// obstacle: obstructed distances from the anchor to successive points,
-/// with the graph's obstacles and the retrieval radius carried across
-/// calls.  Every distance the point queries and the joins compute comes
-/// from one of these.
+/// with the graph's obstacles, the retrieval radius and the source's
+/// parked obstacles carried across calls.  The one anchor target gives the
+/// admission bound U = d.  Every distance the point queries and the joins
+/// compute comes from one of these.
 struct AnchoredIor {
   vis::VisGraph* vg;
   std::vector<vis::VertexId> anchor;  ///< the one IOR target

@@ -4,6 +4,8 @@
 #include <limits>
 
 #include "common/check.h"
+#include "geom/distance.h"
+#include "geom/predicates.h"
 #include "vis/dijkstra.h"
 
 namespace conn {
@@ -11,6 +13,34 @@ namespace core {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Admission slack.  The exactness argument in odist.h compares exact
+// quantities: a local path of length L <= U and an obstacle it meets, with
+// mindist(p, o) + mindist(o, q) <= L.  IOR compares computed values.  A
+// Dijkstra distance sums at most n < |SVG| edge lengths, each a square
+// root correct to a few ulps, so it is off by at most about 4n·u·L
+// (u = 2^-53); U and the admission sum add a few roundings more, so both
+// sides together are off by at most about 8n·u·L.  For n up to 10^4 and L
+// up to five workspace sides (5e4) that is 8·1e4 · 1.1e-16 · 5e4 ≈ 4.4e-7,
+// below kEpsDist.  A larger slack only admits more.
+constexpr double kAdmissionSlack = geom::kEpsDist;
+
+/// U of the file comment in odist.h for the targets' current local
+/// distances; \p d is their maximum.
+double AdmissionBound(const vis::DijkstraScan& scan, const vis::VisGraph& vg,
+                      const std::vector<vis::VertexId>& targets, double d) {
+  if (targets.size() == 1) return d;  // one anchor
+  CONN_CHECK_MSG(targets.size() % 2 == 0,
+                 "IOR targets come in piece-endpoint pairs");
+  double u = d;
+  for (size_t i = 0; i < targets.size(); i += 2) {
+    const double piece =
+        geom::Dist(vg.VertexPos(targets[i]), vg.VertexPos(targets[i + 1]));
+    u = std::max(u, 0.5 * (scan.DistOf(targets[i]) +
+                           scan.DistOf(targets[i + 1]) + piece));
+  }
+  return u;
+}
 }  // namespace
 
 bool TreeObstacleSource::NextObstacleWithin(double bound,
@@ -114,34 +144,60 @@ double IncrementalObstacleRetrieval(
   };
   auto scan = make_scan();
   if (stats != nullptr) ++stats->dijkstra_runs;
+  std::vector<ParkedObstacle>& parked = source->parked();
   double d = 0.0;
   while (true) {
+    // 1. Local shortest paths to the targets (Algorithm 1 line 2).
     const size_t settled_before = scan->SettledCount();
     d = scan->SettleTargets(targets);
     if (stats != nullptr) {
       stats->dijkstra_settled += scan->SettledCount() - settled_before;
     }
+    const double u = source->admits_all()
+                         ? kInf
+                         : AdmissionBound(*scan, *vg, targets, d) +
+                               kAdmissionSlack;
+    auto admits = [&](const geom::Rect& rect, double dist) {
+      return geom::MinDistRectPoint(rect, p) + dist <= u;
+    };
+    // On a shard-shared graph an admitted obstacle may already be present
+    // (AddObstacle returns false); only a real insertion invalidates the
+    // scan and warrants another iteration.
+    bool admitted = false;
 
-    // Lemma 3: once every obstacle with mindist <= d is present and the
-    // recomputed paths do not lengthen, the paths are the true shortest
-    // paths and the search range SR(p, q) (Theorem 2) is covered.
-    if (d <= *retrieved_up_to) break;
-
-    bool fetched = false;
-    rtree::DataObject obstacle;
-    double obstacle_dist = 0.0;
-    while (source->NextObstacleWithin(d, &obstacle, &obstacle_dist)) {
-      // On a shard-shared graph the obstacle may already be present
-      // (AddObstacle returns false); only a real insertion invalidates the
-      // scan and warrants another Dijkstra iteration.
-      if (vg->AddObstacle(obstacle.rect, obstacle.id)) fetched = true;
+    // 2. Admit the parked obstacles U now reaches, before the new ones, so
+    // the graph grows in stream order.
+    size_t kept = 0;
+    for (size_t i = 0; i < parked.size(); ++i) {
+      if (admits(parked[i].rect, parked[i].dist)) {
+        if (vg->AddObstacle(parked[i].rect, parked[i].id)) admitted = true;
+      } else {
+        parked[kept++] = parked[i];
+      }
     }
-    // All obstacles with mindist <= d are now local (the source yields them
-    // in ascending order and refused only those beyond d).
-    *retrieved_up_to = std::max(*retrieved_up_to, d);
-    // Graph unchanged => d is final and the scan is still valid.
-    if (!fetched) break;
+    parked.resize(kept);
 
+    // 3. Stream the rest of the search range: every obstacle with mindist
+    // <= d is then admitted or parked (the source yields them in ascending
+    // order and refused only those beyond d).
+    if (d > *retrieved_up_to) {
+      rtree::DataObject obstacle;
+      double obstacle_dist = 0.0;
+      while (source->NextObstacleWithin(d, &obstacle, &obstacle_dist)) {
+        if (admits(obstacle.rect, obstacle_dist)) {
+          if (vg->AddObstacle(obstacle.rect, obstacle.id)) admitted = true;
+        } else {
+          parked.push_back({obstacle.rect, obstacle.id, obstacle_dist});
+        }
+      }
+      *retrieved_up_to = d;
+    }
+
+    // Lemma 3: with every obstacle within d streamed and every one within U
+    // admitted, an unchanged graph means the paths are final.
+    if (!admitted) break;
+
+    // 4. Bring the scan up to date with the grown graph.
     if (warm_restarts) {
       // Lemma-3 restart on the grown graph: roll back only the settlement
       // suffix the new obstacles can reach, keep the provably unaffected

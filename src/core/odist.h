@@ -1,17 +1,60 @@
 // Incremental Obstacle Retrieval (IOR) — Algorithm 1 of the paper — and the
 // obstacle-provisioning streams it consumes.
 //
-// IOR guarantees (Theorem 2 + Lemmas 3/4) that after it returns, the local
-// visibility graph contains every obstacle that can affect the obstructed
-// distance from the data point p to any point of the query segment, and
-// that the shortest-path distances from p to the segment's endpoint
-// vertices computed on the local graph equal the true obstructed distances.
+// IOR guarantees (Theorem 2 + Lemmas 3/4) that after it returns, the
+// shortest-path distances from the data point p computed on the local
+// visibility graph equal the true obstructed distances: to the query
+// segment's endpoint vertices, and to every point of its reachable pieces.
 //
 // Obstacles arrive in ascending order of their minimum Euclidean distance
 // to the query segment, either from a dedicated obstacle R-tree (2-tree
 // configuration) or interleaved with data points from one unified R-tree
 // (1-tree configuration, Section 4.5) — the ObstacleSource interface hides
-// the difference.
+// the difference.  IOR streams every obstacle with mindist(o, q) <= d, the
+// largest local distance from p to a target (the Theorem 2 search range),
+// exactly as Algorithm 1 does, but inserts into the graph only those that
+// can touch a path from p to q:
+//
+//   admitted  <=>  mindist(p, o) + mindist(o, q) <= U,
+//
+// where U bounds the local distance from p to every point of q's reachable
+// pieces.  The targets come in piece-endpoint pairs [a, b] (a single anchor
+// target for the point queries and joins), and with d_t the current local
+// distance of target t,
+//
+//   U = max( max_t d_t,  max_[a,b] (d_a + d_b + |ab|) / 2 )
+//
+// (U = d for a single anchor; U = +inf when a target is unreachable, which
+// admits everything).  The other streamed obstacles are parked in the
+// source and re-tested for every later point, whose own U may reach them.
+// So NOE counts admitted obstacles, fewer than Algorithm 1 inserts; the
+// obstacle stream, and with it every page read, is unchanged.
+//
+// Exactness.  Write L(p, s) for the local distance from p to a point s.
+//   1. Local distances never exceed true ones: the local graph holds a
+//      subset of the obstacles.
+//   2. Along a reachable piece [a, b], which no obstacle interior crosses,
+//      L(p, s) <= min(d_a + |as|, d_b + |sb|) <= (d_a + d_b + |ab|) / 2
+//      <= U, since |as| + |sb| = |ab|.
+//   3. A path of length L from p to s lies inside the ellipse
+//      {x : |px| + |xs| <= L}.  An obstacle that meets the local shortest
+//      path to s at some x therefore has mindist(p, o) + mindist(o, q) <=
+//      |px| + |xs| <= U: if it was streamed, it was admitted.  No local
+//      shortest path crosses an obstacle that was streamed but parked.
+//   4. When an iteration admits nothing, every obstacle with mindist(o, q)
+//      <= d has been streamed.  An obstacle meeting the local shortest path
+//      to a target t at x has mindist(o, q) <= |xt| <= d_t <= d, so it was
+//      streamed, and by 3 admitted: the paths to the targets are valid in
+//      the full scene (Lemma 3), and the d_t are exact.  The local
+//      shortest path to any s on a piece then avoids every obstacle within
+//      d (admitted ones as a graph path, parked ones by 3), and by 1 no
+//      path of the scene holding just those obstacles is shorter: L(p, s)
+//      is the distance in that scene, which Theorem 2 makes the true one,
+//      exactly as for Algorithm 1's graph.  So every distance CPLC reads
+//      is exact.
+// A query that publishes a settlement-log capsule (differential repair)
+// admits everything it streams (ObstacleSource::AdmitAll): the capsule
+// claims that the graph holds every obstacle within its radius.
 
 #ifndef CONN_CORE_ODIST_H_
 #define CONN_CORE_ODIST_H_
@@ -21,6 +64,7 @@
 #include <vector>
 
 #include "common/stats.h"
+#include "geom/box.h"
 #include "rtree/best_first.h"
 #include "vis/dijkstra.h"
 #include "vis/settlement_log.h"
@@ -39,16 +83,49 @@ enum class StreamOutcome {
   kExhausted,     ///< the underlying stream has no objects left
 };
 
-/// Ascending-mindist stream of obstacles.
+/// A streamed obstacle that IOR has not inserted into the graph yet.
+struct ParkedObstacle {
+  geom::Rect rect;
+  rtree::ObjectId id = 0;
+  double dist = 0.0;  ///< mindist(o, q), the stream key
+};
+
+/// Ascending-mindist stream of obstacles, plus the obstacles IOR streamed
+/// from it but parked (see the file comment).  Every source parks the same
+/// way; the parked list lives as long as the source, so it dies with the
+/// query.  On a shard-shared graph a later query re-streams those
+/// obstacles, and VisGraph::AddObstacle's id dedupe keeps one copy.
 class ObstacleSource {
  public:
+  ObstacleSource() = default;
   virtual ~ObstacleSource() = default;
+
+  ObstacleSource(const ObstacleSource&) = delete;
+  ObstacleSource& operator=(const ObstacleSource&) = delete;
 
   /// Pops the next obstacle whose mindist to the query segment is <= bound.
   /// Returns false — without advancing past the bound — when none remains
   /// within it.
   virtual bool NextObstacleWithin(double bound, rtree::DataObject* out,
                                   double* dist) = 0;
+
+  /// Obstacles streamed from this source and not yet inserted, in stream
+  /// order.  IOR owns the contents.
+  std::vector<ParkedObstacle>& parked() { return *parked_; }
+
+  /// Makes IOR insert every obstacle it streams from this source (U =
+  /// +inf), as Algorithm 1 does.
+  void AdmitAll() { admit_all_ = true; }
+  bool admits_all() const { return admit_all_; }
+
+ protected:
+  /// For decorators: parks in \p inner's list instead of an own one.
+  void ShareParkedWith(ObstacleSource* inner) { parked_ = inner->parked_; }
+
+ private:
+  std::vector<ParkedObstacle> own_parked_;
+  std::vector<ParkedObstacle>* parked_ = &own_parked_;
+  bool admit_all_ = false;
 };
 
 /// 2-tree configuration: obstacles stream from their own R-tree.
@@ -65,9 +142,10 @@ class TreeObstacleSource : public ObstacleSource {
   rtree::BestFirstIterator it_;
 };
 
-/// 1-tree configuration (Section 4.5): both sets share one R-tree.  Popped
-/// obstacles are inserted into the visibility graph immediately (as in the
-/// paper); popped data points are buffered for the main loop, preserving
+/// 1-tree configuration (Section 4.5): both sets share one R-tree.
+/// Obstacles the point stream pops are inserted into the visibility graph
+/// immediately (as in the paper); only IOR's own pulls are parked.  Data
+/// points popped by IOR's pulls are buffered for the main loop, preserving
 /// their ascending-distance order.
 class UnifiedStream : public ObstacleSource {
  public:
@@ -90,7 +168,7 @@ class UnifiedStream : public ObstacleSource {
                                 double* dist);
 
   /// Largest distance of any object popped from the underlying stream so
-  /// far: every obstacle with mindist below this is already in the graph.
+  /// far: every obstacle with mindist below this is in the graph or parked.
   double retrieved_up_to() const { return retrieved_up_to_; }
 
  private:
@@ -109,7 +187,8 @@ class UnifiedStream : public ObstacleSource {
 /// exit it takes when the stream yields only duplicates, and the inner
 /// cursor never advances past anything it would later need.  Exactness is
 /// the shard-sharing superset argument: the graph holds a superset of the
-/// wave's Theorem-2 obstacle set either way.
+/// wave's Theorem-2 obstacle set either way.  The guard parks in its inner
+/// source's list.
 class CoverageGuardedSource : public ObstacleSource {
  public:
   /// \p log may be null (guard disabled; pure pass-through).  \p client_tag
@@ -122,7 +201,9 @@ class CoverageGuardedSource : public ObstacleSource {
         log_(log),
         query_(q),
         client_tag_(client_tag),
-        stats_(stats) {}
+        stats_(stats) {
+    ShareParkedWith(inner);
+  }
 
   bool NextObstacleWithin(double bound, rtree::DataObject* out,
                           double* dist) override;
@@ -144,17 +225,24 @@ class CoverageGuardedSource : public ObstacleSource {
   bool memo_covered_ = false;
 };
 
-/// Runs IOR (Algorithm 1) for data point \p p: repeatedly computes local
-/// shortest paths from p to the \p targets vertices, fetches every obstacle
-/// with mindist(o, q) within the current path bound, and iterates until the
-/// bound stabilizes (Lemma 3).  \p retrieved_up_to carries the "previous
-/// search distance d" across data points so the obstacle set O is consumed
-/// at most once per query.
+/// Runs IOR (Algorithm 1) for data point \p p.  Each iteration settles the
+/// \p targets on the local graph (giving d and U), admits the parked
+/// obstacles within U, streams the obstacles up to d that earlier
+/// iterations and points have not streamed (admitting those within U and
+/// parking the rest), and revalidates the scan.  It stops when an
+/// iteration admits nothing (Lemma 3).  \p retrieved_up_to carries the
+/// "previous search distance d" across data points so the obstacle set O
+/// is streamed at most once per query.
+///
+/// \p targets is either one anchor vertex or the endpoint vertices of the
+/// query's reachable pieces in pairs, as internal::AddTargetVertices makes
+/// them: targets[2i] and targets[2i + 1] bound one piece.  U is derived
+/// from that pairing (see the file comment).
 ///
 /// Returns the (now exact) maximum obstructed distance from p to the
 /// targets — +infinity when some target is unreachable (in which case the
-/// entire source has been drained, so the local graph is complete and all
-/// later computations remain correct).
+/// entire source has been drained and admitted, so the local graph is
+/// complete and all later computations remain correct).
 ///
 /// When \p out_scan is non-null it receives the final Dijkstra scan from p
 /// (valid for the now-stable obstacle set) so CPLC can continue it instead

@@ -16,7 +16,11 @@ double ClosestParamOnSegment(Vec2 p, const Segment& s) {
 }
 
 double DistPointSegment(Vec2 p, const Segment& s) {
-  return Dist(p, s.At(ClosestParamOnSegment(p, s)));
+  // s.At(ClosestParamOnSegment(p, s)), with the length computed once.
+  const double len = s.Length();
+  if (len == 0.0) return Dist(p, s.a);
+  const double t = std::clamp((p - s.a).Dot(s.Delta()) / len, 0.0, len);
+  return Dist(p, s.a + s.Delta() * (t / len));
 }
 
 double DistSegmentSegment(const Segment& s1, const Segment& s2) {
@@ -35,12 +39,24 @@ double MinDistRectPoint(const Rect& r, Vec2 p) {
 double MinDistRectSegment(const Rect& r, const Segment& s) {
   if (SegmentIntersectsRect(s, r)) return 0.0;
   // Disjoint: the minimum is attained between the segment and one of the
-  // rectangle's edges (or corners, covered by edge endpoints).
+  // rectangle's edges, at a corner or at an endpoint of s.  An edge that
+  // touches s (the clip above can miss a touch by rounding) gives 0;
+  // otherwise each distinct corner-to-s and endpoint-to-edge term is
+  // evaluated once.  The result equals the minimum over the four edges of
+  // DistSegmentSegment(edge, s) bit for bit: min is exact and
+  // order-independent on these non-negative values.
   const auto c = r.Corners();
-  double best = DistPointSegment(s.a, Segment(c[0], c[1]));
+  for (int i = 0; i < 4; ++i) {
+    if (SegmentsIntersect(Segment(c[i], c[(i + 1) % 4]), s)) return 0.0;
+  }
+  double best = DistPointSegment(c[0], s);
+  for (int i = 1; i < 4; ++i) {
+    best = std::min(best, DistPointSegment(c[i], s));
+  }
   for (int i = 0; i < 4; ++i) {
     const Segment edge(c[i], c[(i + 1) % 4]);
-    best = std::min(best, DistSegmentSegment(edge, s));
+    best = std::min({best, DistPointSegment(s.a, edge),
+                     DistPointSegment(s.b, edge)});
   }
   return best;
 }

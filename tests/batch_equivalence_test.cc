@@ -326,7 +326,7 @@ TEST(BatchDeclinedTraffic, MixedSharingAndDeclinedShards) {
   for (int i = 0; i < 8; ++i) {
     const geom::Vec2 a{1000.0 + 20.0 * i, 1200.0 + 15.0 * i};
     batch.push_back(
-        BatchQuery::Coknn(geom::Segment(a, {a.x + 40.0, a.y + 30.0}), 2));
+        BatchQuery::Coknn(geom::Segment(a, {a.x + 200.0, a.y + 150.0}), 2));
   }
   for (int i = 0; i < 8; ++i) {
     const geom::Vec2 a{5500.0 + 550.0 * i, 800.0 + 1150.0 * i};

@@ -1,10 +1,15 @@
 // Unit tests for the Euclidean distance metrics, especially
 // MinDistRectSegment — the R-tree pruning metric mindist(N, q).
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "geom/distance.h"
+#include "geom/predicates.h"
 
 namespace conn {
 namespace geom {
@@ -96,6 +101,80 @@ TEST(MinDistRectSegmentTest, MatchesBruteForceSampling) {
     // Sampling can only overestimate the true minimum.
     EXPECT_LE(fast, brute + 1e-9);
     EXPECT_GE(fast, brute - 2.0);  // coarse lower sanity bound
+  }
+}
+
+// The expression MinDistRectSegment evaluated before it dropped its
+// repeated terms (17 point-segment distances, each computing the segment
+// length twice): the oracle of the bit-identity property below.
+double OldDistPointSegment(Vec2 p, const Segment& s) {
+  return Dist(p, s.At(ClosestParamOnSegment(p, s)));
+}
+
+double OldDistSegmentSegment(const Segment& s1, const Segment& s2) {
+  if (SegmentsIntersect(s1, s2)) return 0.0;
+  return std::min(
+      std::min(OldDistPointSegment(s1.a, s2), OldDistPointSegment(s1.b, s2)),
+      std::min(OldDistPointSegment(s2.a, s1), OldDistPointSegment(s2.b, s1)));
+}
+
+double OldMinDistRectSegment(const Rect& r, const Segment& s) {
+  if (SegmentIntersectsRect(s, r)) return 0.0;
+  const auto c = r.Corners();
+  double best = OldDistPointSegment(s.a, Segment(c[0], c[1]));
+  for (int i = 0; i < 4; ++i) {
+    const Segment edge(c[i], c[(i + 1) % 4]);
+    best = std::min(best, OldDistSegmentSegment(edge, s));
+  }
+  return best;
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// A random rectangle over [0, 1e4]^2 of one of the shapes that stress the
+/// corner and edge terms: ordinary, zero-width, zero-height, 1e-9 wide, or
+/// a point.
+Rect RandomRect(Rng* rng) {
+  const Vec2 lo{rng->Uniform(0, 10000), rng->Uniform(0, 10000)};
+  double w = rng->Uniform(0, 300);
+  double h = rng->Uniform(0, 300);
+  const uint64_t shape = rng->NextU64() % 6;
+  if (shape == 0 || shape == 3) w = 0.0;
+  if (shape == 1 || shape == 3) h = 0.0;
+  if (shape == 2) w = 1e-9;
+  return Rect(lo, {lo.x + w, lo.y + h});
+}
+
+/// A random segment near \p r: ordinary, zero-length, or with an endpoint
+/// on one of r's corners or on its top edge.
+Segment RandomSegmentNear(const Rect& r, Rng* rng) {
+  auto near = [&] {
+    return Vec2{r.lo.x + rng->Uniform(-400, 700),
+                r.lo.y + rng->Uniform(-400, 700)};
+  };
+  Vec2 a = near();
+  Vec2 b = near();
+  const auto c = r.Corners();
+  const uint64_t shape = rng->NextU64() % 6;
+  if (shape == 0) b = a;
+  if (shape == 1) a = c[rng->NextU64() % 4];
+  if (shape == 2) b = c[rng->NextU64() % 4];
+  if (shape == 3) a = {r.lo.x + rng->NextDouble() * r.Width(), r.hi.y};
+  return Segment(a, b);
+}
+
+TEST(MinDistRectSegmentTest, BitIdenticalToTheRepeatedTermExpression) {
+  Rng rng(2024);
+  for (int iter = 0; iter < 300000; ++iter) {
+    const Rect r = RandomRect(&rng);
+    const Segment s = RandomSegmentNear(r, &rng);
+    ASSERT_EQ(Bits(MinDistRectSegment(r, s)), Bits(OldMinDistRectSegment(r, s)))
+        << "iter " << iter << " rect [" << r.lo.x << ", " << r.hi.x << "] x ["
+        << r.lo.y << ", " << r.hi.y << "] segment (" << s.a.x << ", " << s.a.y
+        << ") - (" << s.b.x << ", " << s.b.y << ")";
+    ASSERT_EQ(Bits(DistPointSegment(s.a, Segment(r.lo, r.hi))),
+              Bits(OldDistPointSegment(s.a, Segment(r.lo, r.hi))))
+        << "iter " << iter;
   }
 }
 

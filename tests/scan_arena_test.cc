@@ -384,7 +384,7 @@ class ScanArenaEquivalence : public ::testing::TestWithParam<Config> {};
 
 TEST_P(ScanArenaEquivalence, WarmRestartsMatchFreshScanReference) {
   const Config cfg = GetParam();
-  const Workload w = MakeWorkload(cfg.seed, cfg.dist, 130, 80,
+  const Workload w = MakeWorkload(cfg.seed, cfg.dist, 130, 600,
                                   /*num_queries=*/8);
   core::ConnOptions warm;
   warm.use_warm_scan_restarts = true;

@@ -3,7 +3,7 @@
 
 Usage:
     bench_compare.py --baselines baselines --fresh build/release \
-        [--qps-slack 0.5]
+        [--qps-slack 0.5] [--summary]
 
 For every `BENCH_<harness>.json` present in both directories, benchmarks
 are matched by name and their counters split in two classes:
@@ -25,12 +25,20 @@ changing what an existing one computes.
 
 When anything failed, the last line tallies the failures per counter
 (e.g. `failures by counter: vis_tests=125`).
+
+With --summary, the per-benchmark FAIL lines give way to one line per
+baseline file and moved exact counter: how many of the file's benchmarks
+carrying the counter moved, and the median, minimum and maximum of
+fresh/baseline over those carrying it (a zero baseline is left out of the
+ratios).  A baseline regeneration states its moves with it.  The exit
+status is the same as without it.
 """
 
 import argparse
 import collections
 import json
 import pathlib
+import statistics
 import sys
 
 # Counter keys whose values must match the baseline bit-for-bit.  Keep in
@@ -72,6 +80,46 @@ def index_benchmarks(path):
         for b in doc.get("benchmarks", [])
         if b.get("run_type") != "aggregate" and not b.get("error_occurred")
     }
+
+
+def counter_moves(base_path, fresh_path):
+    """counter -> (moved, ratios) over the benchmarks both files carry it in.
+
+    Only counters that moved in at least one benchmark are listed; ratios
+    are fresh/baseline, skipping zero baselines."""
+    base = index_benchmarks(base_path)
+    fresh = index_benchmarks(fresh_path)
+    moves = {}
+    for counter in EXACT_COUNTERS:
+        moved = 0
+        ratios = []
+        for name in sorted(set(base) & set(fresh)):
+            b, f = base[name], fresh[name]
+            if counter not in b or counter not in f:
+                continue
+            if f[counter] != b[counter]:
+                moved += 1
+            if b[counter] != 0:
+                ratios.append(f[counter] / b[counter])
+        if moved:
+            moves[counter] = (moved, ratios)
+    return moves
+
+
+def summary_lines(base_path, fresh_path):
+    """One line per moved exact counter of one baseline/fresh file pair."""
+    lines = []
+    for counter, (moved, ratios) in counter_moves(base_path,
+                                                  fresh_path).items():
+        carried = len(ratios)
+        if ratios:
+            spread = (f"fresh/baseline median {statistics.median(ratios):.3f}"
+                      f" min {min(ratios):.3f} max {max(ratios):.3f}")
+        else:
+            spread = "no nonzero baseline"
+        lines.append(f"{base_path.name}: {counter}: {moved} moved; "
+                     f"{spread} over {carried} benchmark(s)")
+    return lines
 
 
 def compare_file(base_path, fresh_path, qps_slack):
@@ -129,10 +177,14 @@ def main():
     parser.add_argument("--qps-slack", type=float, default=0.5,
                         help="advisory qps tolerance as a fraction of the "
                              "baseline (default 0.5)")
+    parser.add_argument("--summary", action="store_true",
+                        help="print one line per file and moved exact "
+                             "counter instead of one per failure")
     args = parser.parse_args()
 
     failures = []
     warnings = []
+    summary = []
     compared = 0
     for base_path in sorted(args.baselines.glob("BENCH_*.json")):
         fresh_path = args.fresh / base_path.name
@@ -145,11 +197,17 @@ def main():
                                                     args.qps_slack)
         failures.extend(file_failures)
         warnings.extend(file_warnings)
+        if args.summary:
+            summary.extend(summary_lines(base_path, fresh_path))
 
     for line in warnings:
         print(f"WARNING: {line}")
-    for _, line in failures:
-        print(f"FAIL: {line}")
+    if args.summary:
+        for line in summary:
+            print(f"MOVED: {line}")
+    else:
+        for _, line in failures:
+            print(f"FAIL: {line}")
     if compared == 0:
         print("FAIL: no baseline file had a fresh counterpart")
         return 1
