@@ -242,7 +242,10 @@ Crossings CurveCrossings(const DistanceCurve& c1, const DistanceCurve& c2,
       const double db = (rb == 0.0) ? 0.0 : (r - m2) / rb;
       const double g_err =
           kGamma * (std::abs(c1.offset) + std::abs(c2.offset) + ra + rb);
-      if (gap > slack + e_root + (kNewtonStop + g_err) / std::abs(da - db)) {
+      // Equal slopes bound nothing (the quotient would be +inf).
+      const double slopes = std::abs(da - db);
+      if (slopes > 0.0 &&
+          gap > slack + e_root + (kNewtonStop + g_err) / slopes) {
         continue;
       }
     }

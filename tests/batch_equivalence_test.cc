@@ -338,8 +338,9 @@ TEST(BatchDeclinedTraffic, MixedSharingAndDeclinedShards) {
   BatchOptions opts;
   opts.target_shard_size = 8;
   // The guard's extent floor is 8 obstacle spacings (about 3980 here), so
-  // the cluster (cover 180 x 135) shares below 0.1 x 3980 and the
-  // dispersed group (cover 8250 wide) does not.
+  // the cluster (cover 340 x 255) shares below 0.1 x 3980 and the
+  // dispersed group (cover 8250 wide) does not.  The cluster's segments are
+  // long enough that IOR admits obstacles for them to share.
   opts.share_locality_factor = 0.1;
   std::vector<QueryStats> single_worker;
   for (const size_t threads : {size_t{1}, size_t{4}}) {

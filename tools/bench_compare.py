@@ -82,43 +82,26 @@ def index_benchmarks(path):
     }
 
 
-def counter_moves(base_path, fresh_path):
-    """counter -> (moved, ratios) over the benchmarks both files carry it in.
-
-    Only counters that moved in at least one benchmark are listed; ratios
-    are fresh/baseline, skipping zero baselines."""
+def summary_lines(base_path, fresh_path):
+    """One line per exact counter that moved in one baseline/fresh pair:
+    how many benchmarks moved, and fresh/baseline over every benchmark
+    carrying the counter (zero baselines left out)."""
     base = index_benchmarks(base_path)
     fresh = index_benchmarks(fresh_path)
-    moves = {}
-    for counter in EXACT_COUNTERS:
-        moved = 0
-        ratios = []
-        for name in sorted(set(base) & set(fresh)):
-            b, f = base[name], fresh[name]
-            if counter not in b or counter not in f:
-                continue
-            if f[counter] != b[counter]:
-                moved += 1
-            if b[counter] != 0:
-                ratios.append(f[counter] / b[counter])
-        if moved:
-            moves[counter] = (moved, ratios)
-    return moves
-
-
-def summary_lines(base_path, fresh_path):
-    """One line per moved exact counter of one baseline/fresh file pair."""
+    shared = sorted(set(base) & set(fresh))
     lines = []
-    for counter, (moved, ratios) in counter_moves(base_path,
-                                                  fresh_path).items():
-        carried = len(ratios)
-        if ratios:
-            spread = (f"fresh/baseline median {statistics.median(ratios):.3f}"
-                      f" min {min(ratios):.3f} max {max(ratios):.3f}")
-        else:
-            spread = "no nonzero baseline"
-        lines.append(f"{base_path.name}: {counter}: {moved} moved; "
-                     f"{spread} over {carried} benchmark(s)")
+    for counter in EXACT_COUNTERS:
+        pairs = [(base[n][counter], fresh[n][counter]) for n in shared
+                 if counter in base[n] and counter in fresh[n]]
+        moved = sum(1 for b, f in pairs if f != b)
+        if not moved:
+            continue
+        ratios = [f / b for b, f in pairs if b != 0]
+        spread = (f"fresh/baseline median {statistics.median(ratios):.3f} "
+                  f"min {min(ratios):.3f} max {max(ratios):.3f}"
+                  if ratios else "no nonzero baseline")
+        lines.append(f"{base_path.name}: {counter}: {moved} moved; {spread} "
+                     f"over {len(ratios)} benchmark(s)")
     return lines
 
 
