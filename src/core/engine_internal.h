@@ -95,8 +95,8 @@ inline geom::IntervalSet ReachablePieces(const geom::IntervalSet& blocked,
 
 /// Adds a fixed graph vertex at both endpoints of every reachable piece of
 /// the query segment; returns the vertex ids (the IOR targets), in pairs:
-/// the ids at 2i and 2i + 1 bound piece i, which IOR's admission bound
-/// reads (see IncrementalObstacleRetrieval).  The vertices are scoped to
+/// the ids at 2i and 2i + 1 bound piece i, which IOR's admission ellipses
+/// read (see IncrementalObstacleRetrieval).  The vertices are scoped to
 /// \p session: they disappear with it, leaving a shard-shared graph's
 /// obstacle state intact for the next query.
 inline std::vector<vis::VertexId> AddTargetVertices(
@@ -435,8 +435,8 @@ class QueryScope {
 /// IOR (Algorithm 1) anchored at one fixed vertex, added before any
 /// obstacle: obstructed distances from the anchor to successive points,
 /// with the graph's obstacles, the retrieval radius and the source's
-/// parked obstacles carried across calls.  The one anchor target gives the
-/// admission bound U = d.  Every distance the point queries and the joins
+/// parked obstacles carried across calls.  The one anchor target a gives
+/// the one admission ellipse with foci p and a and bound d.  Every distance the point queries and the joins
 /// compute comes from one of these.
 struct AnchoredIor {
   vis::VisGraph* vg;

@@ -15,33 +15,49 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Admission slack.  The exactness argument in odist.h compares exact
-// quantities: a local path of length L <= U and an obstacle it meets, with
-// mindist(p, o) + mindist(o, q) <= L.  IOR compares computed values.  A
-// Dijkstra distance sums at most n < |SVG| edge lengths, each a square
-// root correct to a few ulps, so it is off by at most about 4n·u·L
-// (u = 2^-53); U and the admission sum add a few roundings more, so both
-// sides together are off by at most about 8n·u·L.  For n up to 10^4 and L
-// up to five workspace sides (5e4) that is 8·1e4 · 1.1e-16 · 5e4 ≈ 4.4e-7,
-// below kEpsDist.  A larger slack only admits more.
+// quantities: a local path of length L(p, s) <= B(s) and an obstacle it
+// meets, so that the gap at s, and with it the gap at s*, is <= 0.  IOR
+// compares computed values.  A Dijkstra distance sums at most n < |SVG|
+// edge lengths, each a square root correct to a few ulps, so it is off by
+// at most about 4n·u·L (u = 2^-53); B*, the admission sum and the two
+// mindists add a few roundings more, so both sides together are off by at
+// most about 8n·u·L.  The computed s* lies within a few ulps of the
+// coordinates (about 1e-11 in the workspace) of the exact peak of the
+// computed t*, itself a few ulps of L from the exact t*; the gap is
+// 2-Lipschitz in t and the mindist 1-Lipschitz in s, so that adds below
+// 1e-10.  For n up to 10^4 and L up to five workspace sides (5e4) the
+// total is about 8·1e4 · 1.1e-16 · 5e4 + 1e-10 ≈ 4.5e-7, below kEpsDist.
+// A larger slack only admits more.
 constexpr double kAdmissionSlack = geom::kEpsDist;
 
-/// U of the file comment in odist.h for the targets' current local
-/// distances; \p d is their maximum.
-double AdmissionBound(const vis::DijkstraScan& scan, const vis::VisGraph& vg,
-                      const std::vector<vis::VertexId>& targets, double d) {
-  if (targets.size() == 1) return d;  // one anchor
-  CONN_CHECK_MSG(targets.size() % 2 == 0,
+/// The admission ellipses of the file comment for the targets' current
+/// (finite) local distances: one peak per piece, its bound widened by the
+/// slack.  A single anchor target is the zero-length piece [t, t].
+void AdmissionPeaks(const vis::DijkstraScan& scan, const vis::VisGraph& vg,
+                    const std::vector<vis::VertexId>& targets,
+                    std::vector<PiecePeak>* peaks) {
+  CONN_CHECK_MSG(targets.size() == 1 || targets.size() % 2 == 0,
                  "IOR targets come in piece-endpoint pairs");
-  double u = d;
+  peaks->clear();
   for (size_t i = 0; i < targets.size(); i += 2) {
-    const double piece =
-        geom::Dist(vg.VertexPos(targets[i]), vg.VertexPos(targets[i + 1]));
-    u = std::max(u, 0.5 * (scan.DistOf(targets[i]) +
-                           scan.DistOf(targets[i + 1]) + piece));
+    const vis::VertexId a = targets[i];
+    const vis::VertexId b = targets.size() == 1 ? a : targets[i + 1];
+    PiecePeak peak = PeakOfPiece(vg.VertexPos(a), vg.VertexPos(b),
+                                 scan.DistOf(a), scan.DistOf(b));
+    peak.bound += kAdmissionSlack;
+    peaks->push_back(peak);
   }
-  return u;
 }
 }  // namespace
+
+PiecePeak PeakOfPiece(geom::Vec2 a, geom::Vec2 b, double d_a, double d_b) {
+  const double len = geom::Dist(a, b);
+  // Exactly, |d_a - d_b| <= |ab| (a and b see each other along the piece),
+  // so the clamp only absorbs rounding.
+  const double t = std::clamp(0.5 * (len + d_b - d_a), 0.0, len);
+  const geom::Vec2 s = len > 0.0 ? a + (b - a) * (t / len) : a;
+  return {s, std::min(d_a + t, d_b + (len - t))};
+}
 
 bool TreeObstacleSource::NextObstacleWithin(double bound,
                                             rtree::DataObject* out,
@@ -145,6 +161,7 @@ double IncrementalObstacleRetrieval(
   auto scan = make_scan();
   if (stats != nullptr) ++stats->dijkstra_runs;
   std::vector<ParkedObstacle>& parked = source->parked();
+  std::vector<PiecePeak> peaks;
   double d = 0.0;
   while (true) {
     // 1. Local shortest paths to the targets (Algorithm 1 line 2).
@@ -153,23 +170,29 @@ double IncrementalObstacleRetrieval(
     if (stats != nullptr) {
       stats->dijkstra_settled += scan->SettledCount() - settled_before;
     }
-    const double u = source->admits_all()
-                         ? kInf
-                         : AdmissionBound(*scan, *vg, targets, d) +
-                               kAdmissionSlack;
-    auto admits = [&](const geom::Rect& rect, double dist) {
-      return geom::MinDistRectPoint(rect, p) + dist <= u;
+    // d is +inf when a target is unreachable: then everything is admitted.
+    const bool admit_all = source->admits_all() || d == kInf;
+    if (!admit_all) AdmissionPeaks(*scan, *vg, targets, &peaks);
+    auto admits = [&](const geom::Rect& rect) {
+      if (admit_all) return true;
+      const double to_p = geom::MinDistRectPoint(rect, p);
+      for (const PiecePeak& peak : peaks) {
+        if (to_p + geom::MinDistRectPoint(rect, peak.s) <= peak.bound) {
+          return true;
+        }
+      }
+      return false;
     };
     // On a shard-shared graph an admitted obstacle may already be present
     // (AddObstacle returns false); only a real insertion invalidates the
     // scan and warrants another iteration.
     bool admitted = false;
 
-    // 2. Admit the parked obstacles U now reaches, before the new ones, so
-    // the graph grows in stream order.
+    // 2. Admit the parked obstacles the peak ellipses now reach, before the
+    // new ones, so the graph grows in stream order.
     size_t kept = 0;
     for (size_t i = 0; i < parked.size(); ++i) {
-      if (admits(parked[i].rect, parked[i].dist)) {
+      if (admits(parked[i].rect)) {
         if (vg->AddObstacle(parked[i].rect, parked[i].id)) admitted = true;
       } else {
         parked[kept++] = parked[i];
@@ -184,17 +207,17 @@ double IncrementalObstacleRetrieval(
       rtree::DataObject obstacle;
       double obstacle_dist = 0.0;
       while (source->NextObstacleWithin(d, &obstacle, &obstacle_dist)) {
-        if (admits(obstacle.rect, obstacle_dist)) {
+        if (admits(obstacle.rect)) {
           if (vg->AddObstacle(obstacle.rect, obstacle.id)) admitted = true;
         } else {
-          parked.push_back({obstacle.rect, obstacle.id, obstacle_dist});
+          parked.push_back({obstacle.rect, obstacle.id});
         }
       }
       *retrieved_up_to = d;
     }
 
-    // Lemma 3: with every obstacle within d streamed and every one within U
-    // admitted, an unchanged graph means the paths are final.
+    // Lemma 3: with every obstacle within d streamed and every one in a
+    // peak ellipse admitted, an unchanged graph means the paths are final.
     if (!admitted) break;
 
     // 4. Bring the scan up to date with the grown graph.

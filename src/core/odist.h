@@ -13,41 +13,53 @@
 // the difference.  IOR streams every obstacle with mindist(o, q) <= d, the
 // largest local distance from p to a target (the Theorem 2 search range),
 // exactly as Algorithm 1 does, but inserts into the graph only those that
-// can touch a path from p to q:
+// can touch a path from p to a point of q's reachable pieces.
 //
-//   admitted  <=>  mindist(p, o) + mindist(o, q) <= U,
+// The targets come in piece-endpoint pairs [a, b] (a single anchor target
+// for the point queries and joins, which is the zero-length piece [a, a]).
+// With d_a, d_b the current local distances of the endpoints, len = |ab|
+// and s(t) = a + t·(b - a)/len, every point of the piece has the bound
 //
-// where U bounds the local distance from p to every point of q's reachable
-// pieces.  The targets come in piece-endpoint pairs [a, b] (a single anchor
-// target for the point queries and joins), and with d_t the current local
-// distance of target t,
+//   B(t) = min(d_a + t, d_b + len - t),
 //
-//   U = max( max_t d_t,  max_[a,b] (d_a + d_b + |ab|) / 2 )
+// whose peak is at t* = clamp((len + d_b - d_a) / 2, 0, len).  An obstacle
+// is admitted when it lies in the ellipse of some piece with foci p and
+// s* = s(t*) and bound B* = B(t*):
 //
-// (U = d for a single anchor; U = +inf when a target is unreachable, which
-// admits everything).  The other streamed obstacles are parked in the
-// source and re-tested for every later point, whose own U may reach them.
-// So NOE counts admitted obstacles, fewer than Algorithm 1 inserts; the
-// obstacle stream, and with it every page read, is unchanged.
+//   admitted  <=>  mindist(p, o) + mindist(o, s*) <= B*  for some piece
+//
+// (plus a rounding slack, odist.cc; a single anchor gives s* = a and
+// B* = d; an unreachable target, d = +inf, admits everything).  The other
+// streamed obstacles are parked in the source and re-tested for every later
+// point, whose own ellipses may reach them.  So NOE counts admitted
+// obstacles, fewer than Algorithm 1 inserts; the obstacle stream, and with
+// it every page read, is unchanged.
 //
 // Exactness.  Write L(p, s) for the local distance from p to a point s.
 //   1. Local distances never exceed true ones: the local graph holds a
 //      subset of the obstacles.
 //   2. Along a reachable piece [a, b], which no obstacle interior crosses,
-//      L(p, s) <= min(d_a + |as|, d_b + |sb|) <= (d_a + d_b + |ab|) / 2
-//      <= U, since |as| + |sb| = |ab|.
+//      a and b see every point of the piece, so L(p, s(t)) <= B(t) (and
+//      |d_a - d_b| <= len: exactly, t* needs no clamp).
 //   3. A path of length L from p to s lies inside the ellipse
-//      {x : |px| + |xs| <= L}.  An obstacle that meets the local shortest
-//      path to s at some x therefore has mindist(p, o) + mindist(o, q) <=
-//      |px| + |xs| <= U: if it was streamed, it was admitted.  No local
-//      shortest path crosses an obstacle that was streamed but parked.
-//   4. When an iteration admits nothing, every obstacle with mindist(o, q)
+//      {x : |px| + |xs| <= L}.  If the local shortest path to s(t) meets an
+//      obstacle o at x, the gap
+//        g(t) = mindist(p, o) + f(t) - B(t),  f(t) = mindist(o, s(t)),
+//      is <= |px| + |x s(t)| - B(t) <= L(p, s(t)) - B(t) <= 0.
+//   4. f is 1-Lipschitz in t, so f(t) - (d_a + t) is non-increasing and
+//      f(t) - (d_b + len - t) non-decreasing.  B(t) is the first bound for
+//      t <= t* and the second for t >= t*, so g is non-increasing up to t*
+//      and non-decreasing after it: g(t*) <= g(t) <= 0.  The obstacle lies
+//      in the piece's peak ellipse; if it was streamed, it was admitted.
+//      No local shortest path to a point of a piece, the targets included,
+//      crosses an obstacle that was streamed but parked.
+//   5. When an iteration admits nothing, every obstacle with mindist(o, q)
 //      <= d has been streamed.  An obstacle meeting the local shortest path
 //      to a target t at x has mindist(o, q) <= |xt| <= d_t <= d, so it was
-//      streamed, and by 3 admitted: the paths to the targets are valid in
+//      streamed, and by 4 admitted: the paths to the targets are valid in
 //      the full scene (Lemma 3), and the d_t are exact.  The local
 //      shortest path to any s on a piece then avoids every obstacle within
-//      d (admitted ones as a graph path, parked ones by 3), and by 1 no
+//      d (admitted ones as a graph path, parked ones by 4), and by 1 no
 //      path of the scene holding just those obstacles is shorter: L(p, s)
 //      is the distance in that scene, which Theorem 2 makes the true one,
 //      exactly as for Algorithm 1's graph.  So every distance CPLC reads
@@ -87,8 +99,19 @@ enum class StreamOutcome {
 struct ParkedObstacle {
   geom::Rect rect;
   rtree::ObjectId id = 0;
-  double dist = 0.0;  ///< mindist(o, q), the stream key
 };
+
+/// The peak of a reachable piece's local-distance bound (file comment):
+/// the point s* where an obstacle's admission gap is smallest, and B*.
+struct PiecePeak {
+  geom::Vec2 s;
+  double bound = 0.0;
+};
+
+/// s* and B* of the piece [a, b] whose endpoints have the finite local
+/// distances \p d_a and \p d_b.  A zero-length piece gives s* = a and
+/// B* = min(d_a, d_b).
+PiecePeak PeakOfPiece(geom::Vec2 a, geom::Vec2 b, double d_a, double d_b);
 
 /// Ascending-mindist stream of obstacles, plus the obstacles IOR streamed
 /// from it but parked (see the file comment).  Every source parks the same
@@ -113,8 +136,8 @@ class ObstacleSource {
   /// order.  IOR owns the contents.
   std::vector<ParkedObstacle>& parked() { return *parked_; }
 
-  /// Makes IOR insert every obstacle it streams from this source (U =
-  /// +inf), as Algorithm 1 does.
+  /// Makes IOR insert every obstacle it streams from this source, as
+  /// Algorithm 1 does.
   void AdmitAll() { admit_all_ = true; }
   bool admits_all() const { return admit_all_; }
 
@@ -226,18 +249,19 @@ class CoverageGuardedSource : public ObstacleSource {
 };
 
 /// Runs IOR (Algorithm 1) for data point \p p.  Each iteration settles the
-/// \p targets on the local graph (giving d and U), admits the parked
-/// obstacles within U, streams the obstacles up to d that earlier
-/// iterations and points have not streamed (admitting those within U and
-/// parking the rest), and revalidates the scan.  It stops when an
+/// \p targets on the local graph (giving d and each piece's peak
+/// ellipse), admits the parked obstacles in some peak ellipse, streams the
+/// obstacles up to d that earlier iterations and points have not streamed
+/// (admitting those in some peak ellipse and parking the rest), and
+/// revalidates the scan.  It stops when an
 /// iteration admits nothing (Lemma 3).  \p retrieved_up_to carries the
 /// "previous search distance d" across data points so the obstacle set O
 /// is streamed at most once per query.
 ///
 /// \p targets is either one anchor vertex or the endpoint vertices of the
 /// query's reachable pieces in pairs, as internal::AddTargetVertices makes
-/// them: targets[2i] and targets[2i + 1] bound one piece.  U is derived
-/// from that pairing (see the file comment).
+/// them: targets[2i] and targets[2i + 1] bound one piece.  The peak
+/// ellipses are derived from that pairing (see the file comment).
 ///
 /// Returns the (now exact) maximum obstructed distance from p to the
 /// targets — +infinity when some target is unreachable (in which case the

@@ -324,7 +324,7 @@ TEST(BatchDeclinedTraffic, MixedSharingAndDeclinedShards) {
       32, datagen::PointDistribution::kUniform, 140, 400, /*num_queries=*/0);
   std::vector<BatchQuery> batch;
   for (int i = 0; i < 8; ++i) {
-    const geom::Vec2 a{1000.0 + 20.0 * i, 1200.0 + 15.0 * i};
+    const geom::Vec2 a{2000.0 + 20.0 * i, 7000.0 + 15.0 * i};
     batch.push_back(
         BatchQuery::Coknn(geom::Segment(a, {a.x + 200.0, a.y + 150.0}), 2));
   }
@@ -339,8 +339,8 @@ TEST(BatchDeclinedTraffic, MixedSharingAndDeclinedShards) {
   opts.target_shard_size = 8;
   // The guard's extent floor is 8 obstacle spacings (about 3980 here), so
   // the cluster (cover 340 x 255) shares below 0.1 x 3980 and the
-  // dispersed group (cover 8250 wide) does not.  The cluster's segments are
-  // long enough that IOR admits obstacles for them to share.
+  // dispersed group (cover 8250 wide) does not.  The cluster sits where
+  // its segments' paths pass obstacles, so IOR admits some for it to share.
   opts.share_locality_factor = 0.1;
   std::vector<QueryStats> single_worker;
   for (const size_t threads : {size_t{1}, size_t{4}}) {

@@ -320,7 +320,7 @@ struct Workload {
 
 Workload MakeWorkload(uint64_t seed, datagen::PointDistribution dist,
                       size_t num_points, size_t num_obstacles,
-                      size_t num_queries) {
+                      size_t num_queries, double query_length = 450.0) {
   Workload w;
   w.pair = datagen::MakeDatasetPair(dist, num_points, num_obstacles, seed);
   w.tp = rtree::StrBulkLoad(datagen::ToPointObjects(w.pair.points)).value();
@@ -334,7 +334,7 @@ Workload MakeWorkload(uint64_t seed, datagen::PointDistribution dist,
   w.unified = rtree::StrBulkLoad(std::move(all)).value();
 
   datagen::WorkloadOptions wopts;
-  wopts.query_length = 450.0;
+  wopts.query_length = query_length;
   w.queries = datagen::MakeWorkload(num_queries, datagen::Workspace(), wopts,
                                     {}, seed ^ 0xA9E4A);
   return w;
@@ -384,8 +384,10 @@ class ScanArenaEquivalence : public ::testing::TestWithParam<Config> {};
 
 TEST_P(ScanArenaEquivalence, WarmRestartsMatchFreshScanReference) {
   const Config cfg = GetParam();
+  // Long queries admit more obstacles per data point, so in every config
+  // some warm restart keeps part of the scan.
   const Workload w = MakeWorkload(cfg.seed, cfg.dist, 130, 600,
-                                  /*num_queries=*/8);
+                                  /*num_queries=*/8, /*query_length=*/1500.0);
   core::ConnOptions warm;
   warm.use_warm_scan_restarts = true;
   core::ConnOptions cold;

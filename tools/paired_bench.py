@@ -16,15 +16,21 @@ engine between runs.
 
 Per workload and metric of BENCHMARK.json (its `end_to_end` metrics, or
 `per_layer` with --trace 1), it prints every pair, each side's median and
-quartiles, and the change's wins; ties count for neither side.  Last comes
+quartiles, and the change's wins; ties count for neither side.  Then comes
 the gain rule: the change wins at least 9 of every 10 pairs, and its median
 is better than the parent's by more than the parent's interquartile range
-(IQR, the distance between its first and third quartiles).  Each side's
-correctness flags and failed operations are summed at the end.
+(IQR, the distance between its first and third quartiles).  A metric with a
+`bound` (the end-to-end ones) also gets the no-regression rule: the
+change's median may be worse than the parent's by at most `bound` times the
+parent's median.  The rule is `unresolved` when the parent's own IQR
+exceeds `bound` times its median, unless every change run beats every
+parent run.  Each side's correctness flags and failed operations are
+summed at the end.
 """
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -69,6 +75,38 @@ def summarize(pairs, better):
     }
 
 
+def no_regression(pairs, better, bound):
+    """The no-regression rule of one metric over (parent, change) pairs.
+
+    `worse` is how much the change's median is worse than the parent's, as
+    a fraction of the parent's median (negative when it is better), and
+    `spread` the parent's IQR over its median.  The verdict is "holds",
+    "regression" (worse > bound) or "unresolved" (spread > bound and some
+    parent run is at least as good as some change run)."""
+    sign = 1.0 if better == "higher" else -1.0
+    parent = [p for p, _ in pairs]
+    change = [c for _, c in pairs]
+    q1, med, q3 = quartiles(parent)
+    loss = sign * (med - quartiles(change)[1])
+
+    def relative(x):
+        if med != 0:
+            return x / abs(med)
+        return math.copysign(math.inf, x) if x != 0 else 0.0
+
+    worse = relative(loss)
+    spread = relative(q3 - q1)
+    dominates = min(sign * c for c in change) > max(sign * p for p in parent)
+    if spread > bound and not dominates:
+        verdict = "unresolved"
+    elif worse > bound:
+        verdict = "regression"
+    else:
+        verdict = "holds"
+    return {"worse": worse, "spread": spread, "dominates": dominates,
+            "verdict": verdict}
+
+
 def run_once(checkout, target, workload, seed, seconds, trace):
     env = dict(os.environ, CARGO_TARGET_DIR=target)
     proc = subprocess.run(
@@ -89,6 +127,7 @@ def fmt(x):
 
 def report(workload, seeds, orders, records, spec_metrics):
     print(f"== {workload}: {len(seeds)} pairs")
+    verdicts = {}
     for metric in spec_metrics:
         name = metric["name"]
         pairs = [(records["parent"][i]["metrics"][name]["value"],
@@ -108,6 +147,17 @@ def report(workload, seeds, orders, records, spec_metrics):
         print(f"  change wins {s['wins']}/{len(pairs)} (losses {s['losses']}, "
               f"ties {s['ties']}); gain rule {verdict}: median gap "
               f"{fmt(s['gap'])} vs parent IQR {fmt(s['parent_iqr'])}")
+        if "bound" in metric:
+            r = no_regression(pairs, metric["better"], metric["bound"])
+            verdicts[name] = r["verdict"]
+            print(f"  no-regression rule {r['verdict']}: change median worse "
+                  f"by {r['worse']:+.1%} (bound {metric['bound']:.0%}); "
+                  f"parent IQR/median {r['spread']:.1%}")
+    if verdicts:
+        flagged = [f"{name} {v}" for name, v in verdicts.items()
+                   if v != "holds"]
+        print("  no-regression rule: " +
+              (", ".join(flagged) if flagged else "holds on every metric"))
     for side in SIDES:
         recs = records[side]
         print(f"  {side}: correct in {sum(1 for r in recs if r['correct'])}/"

@@ -2,9 +2,11 @@
 """Unit test for the statistics of tools/paired_bench.py, run via ctest.
 
 Checks the run order's alternation, the quartiles, the win count in both
-metric directions with ties counting for neither side, and both halves of
+metric directions with ties counting for neither side, both halves of
 the gain rule (at least 9 of 10 pairs won; a median gap wider than the
-parent's interquartile range).
+parent's interquartile range), and the no-regression rule (the change's
+median worse by at most the bound, unresolved when the parent's own
+spread exceeds it unless every change run beats every parent run).
 """
 
 import importlib.util
@@ -66,6 +68,42 @@ def main() -> int:
     s = pb.summarize(latency, "lower")
     expect(s["wins"] == 10 and s["gain"] and abs(s["gap"] - 5.0) < 1e-9,
            f"latency gain: {s}")
+
+    # No-regression rule, bound 25%.  Parent 100..104 (median 102, IQR 2).
+    parent = [100.0, 101.0, 102.0, 103.0, 104.0]
+    r = pb.no_regression([(p, p - 20.0) for p in parent], "higher", 0.25)
+    expect(r["verdict"] == "holds" and abs(r["worse"] - 20 / 102) < 1e-12,
+           f"20% worse inside a 25% bound holds: {r}")
+    r = pb.no_regression([(p, p - 30.0) for p in parent], "higher", 0.25)
+    expect(r["verdict"] == "regression", f"29% worse is a regression: {r}")
+    r = pb.no_regression([(p, p + 30.0) for p in parent], "lower", 0.25)
+    expect(r["verdict"] == "regression",
+           f"lower is better: a 29% rise is a regression: {r}")
+    r = pb.no_regression([(p, p - 30.0) for p in parent], "lower", 0.25)
+    expect(r["verdict"] == "holds" and r["worse"] < 0,
+           f"lower is better: a fall is no regression: {r}")
+
+    # A parent too noisy to tell (IQR 60 over median 100): unresolved,
+    # whichever way the medians lie ...
+    noisy = [40.0, 70.0, 100.0, 130.0, 160.0]
+    for shift in (-50.0, 0.0, 5.0):
+        r = pb.no_regression([(p, p + shift) for p in noisy], "higher", 0.25)
+        expect(r["verdict"] == "unresolved" and not r["dominates"],
+               f"a parent spread of 60% is unresolved (shift {shift}): {r}")
+    # ... unless every change run beats every parent run.
+    r = pb.no_regression([(p, 200.0 + p) for p in noisy], "higher", 0.25)
+    expect(r["verdict"] == "holds" and r["dominates"],
+           f"a change that beats every parent run holds: {r}")
+    r = pb.no_regression([(p, p / 10.0) for p in noisy], "lower", 0.25)
+    expect(r["verdict"] == "holds" and r["dominates"],
+           f"lower is better, every change run below every parent run: {r}")
+
+    # A parent median of 0 (a counter that reads 0): any loss is infinite.
+    zero = [(0.0, 0.0)] * 5
+    expect(pb.no_regression(zero, "lower", 0.12)["verdict"] == "holds",
+           "equal zeros hold")
+    r = pb.no_regression([(0.0, 1.0)] * 5, "lower", 0.12)
+    expect(r["verdict"] == "regression", f"0 -> 1 is a regression: {r}")
 
     if failures:
         print(f"paired_bench_test: {len(failures)} failure(s)")
