@@ -4,9 +4,9 @@
 // client one step and re-evaluates its COkNN.  Three variants:
 //
 //   BM_TicksWarm      — clustered fleet, incremental loop: carried
-//                       per-shard workspaces, differential repair and the
-//                       stationary-segment memo all engaged
-//                       (use_tick_warm_start on), sharing forced.
+//                       per-shard workspaces and the stationary-segment
+//                       memo both engaged (use_tick_warm_start on),
+//                       sharing forced.
 //   BM_TicksFresh     — the reference: same service and sharding
 //                       machinery, but every tick evaluated from scratch
 //                       (gate off).
@@ -80,7 +80,6 @@ exec::SubscriptionOptions TickOptions(bool warm) {
   // silently benchmark the per-query fallback instead.
   opts.batch.share_locality_factor = 0.0;
   opts.batch.query.use_tick_warm_start = warm;
-  opts.batch.query.use_differential_repair = warm;
   opts.reshard_period = 4;
   return opts;
 }
@@ -104,7 +103,6 @@ void RunTickBench(benchmark::State& state,
   std::vector<double> lat;
   size_t updates = 0;
   size_t shards = 0;
-  size_t adopted = 0;
   double elapsed = 0.0;
   for (auto _ : state) {
     exec::SubscriptionService service(*ds.tp, *ds.to, opts);
@@ -117,14 +115,12 @@ void RunTickBench(benchmark::State& state,
     lat.clear();
     updates = 0;
     shards = 0;
-    adopted = 0;
     for (uint64_t tick = 0; tick < kTicks; ++tick) {
       const exec::TickResult result = service.Tick();
       benchmark::DoNotOptimize(result.updates.data());
       elapsed += result.stats.wall_seconds;
       totals += result.stats.per_query_totals;
       shards += result.stats.shard_count;
-      adopted += result.stats.workspaces_adopted;
       updates += result.updates.size();
       for (const exec::ClientUpdate& u : result.updates) {
         if (u.result.has_value()) lat.push_back(u.result->stats.cpu_seconds);
@@ -140,13 +136,6 @@ void RunTickBench(benchmark::State& state,
       static_cast<double>(totals.tick_frontier_reuse);
   state.counters["store_hits"] =
       static_cast<double>(totals.cross_shard_store_hits);
-  // Differential repair (use_differential_repair) — zero in the fresh run.
-  state.counters["repairs"] = static_cast<double>(totals.repairs_applied);
-  state.counters["carried"] = static_cast<double>(totals.tuples_carried);
-  state.counters["rescored"] = static_cast<double>(totals.tuples_rescored);
-  state.counters["frontier_shares"] =
-      static_cast<double>(totals.frontier_shares);
-  state.counters["adopted"] = static_cast<double>(adopted);
   state.counters["NOE"] = static_cast<double>(totals.obstacles_evaluated);
   state.counters["SVG"] = static_cast<double>(totals.vis_graph_vertices);
   state.counters["shards"] = static_cast<double>(shards);
@@ -202,16 +191,13 @@ void RunOpenLoopBench(benchmark::State& state, bool warm) {
   const exec::SubscriptionOptions opts = TickOptions(warm);
 
   std::vector<double> sojourn;
-  QueryStats totals;
   size_t updates = 0;
   double span = 0.0;
   for (auto _ : state) {
     sojourn.clear();
-    totals = QueryStats{};
     updates = 0;
     span = 0.0;
     std::vector<std::vector<double>> thread_sojourn(kOpenLoopThreads);
-    std::vector<QueryStats> thread_totals(kOpenLoopThreads);
     std::vector<size_t> thread_updates(kOpenLoopThreads, 0);
     std::vector<double> thread_span(kOpenLoopThreads, 0.0);
     std::atomic<size_t> ready{0};
@@ -249,7 +235,6 @@ void RunOpenLoopBench(benchmark::State& state, bool warm) {
         const auto done = std::chrono::steady_clock::now();
         thread_sojourn[t].push_back(
             std::chrono::duration<double>(done - scheduled).count());
-        thread_totals[t] += result.stats.per_query_totals;
         thread_updates[t] += result.updates.size();
         thread_span[t] = std::chrono::duration<double>(done - start).count();
       }
@@ -262,7 +247,6 @@ void RunOpenLoopBench(benchmark::State& state, bool warm) {
     for (size_t t = 0; t < kOpenLoopThreads; ++t) {
       sojourn.insert(sojourn.end(), thread_sojourn[t].begin(),
                      thread_sojourn[t].end());
-      totals += thread_totals[t];
       updates += thread_updates[t];
       span = std::max(span, thread_span[t]);
     }
@@ -272,11 +256,6 @@ void RunOpenLoopBench(benchmark::State& state, bool warm) {
       benchmark::Counter(static_cast<double>(updates) / span);
   state.counters["sojourn_p50_ms"] = Percentile(&sojourn, 0.50) * 1e3;
   state.counters["sojourn_p99_ms"] = Percentile(&sojourn, 0.99) * 1e3;
-  state.counters["repairs"] = static_cast<double>(totals.repairs_applied);
-  state.counters["carried"] = static_cast<double>(totals.tuples_carried);
-  state.counters["rescored"] = static_cast<double>(totals.tuples_rescored);
-  state.counters["frontier_shares"] =
-      static_cast<double>(totals.frontier_shares);
 }
 
 void BM_TicksOpenLoopWarm(benchmark::State& state) {

@@ -49,19 +49,13 @@ struct QueryStats {
   /// tools that report it keep their output format.
   uint64_t cross_shard_store_hits = 0;
 
-  // --- differential tick repair (ConnOptions::use_differential_repair) ---
-  /// Queries that ran as a repair against a carried workspace (the
-  /// settlement log was live), rather than as a fresh evaluation.
+  // All four always 0.  They counted the work of differential tick repair,
+  // which cost more than it saved and was removed; kept because
+  // perfbench/conn_bench.cc:565-570 (AddCounterMetrics) reads them and
+  // perfbench/replay.cc:330-333 compares them.
   uint64_t repairs_applied = 0;
-  /// Evaluated data points whose Theorem-2 search range was fully covered
-  /// by the workspace's settlement log: their candidate contribution was
-  /// carried without touching the obstacle stream.
   uint64_t tuples_carried = 0;
-  /// Evaluated data points whose search range escaped the settlement log's
-  /// coverage and had to stream (re-score) obstacles from the tree.
   uint64_t tuples_rescored = 0;
-  /// Coverage waves served by a settlement-log capsule another client of
-  /// the shard published — the cross-client frontier-sharing wins.
   uint64_t frontier_shares = 0;
 
   uint64_t vr_cache_evictions = 0;   ///< visible regions dropped on epoch bump

@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "core/engine_internal.h"
-#include "core/workspace.h"
 
 namespace conn {
 namespace core {
@@ -268,14 +267,6 @@ CoknnResult TickMemoResult(const CoknnResult& prior) {
   return result;
 }
 
-/// Repair needs a carried workspace (its settlement log is the carried
-/// coverage) under both tick gates.  Every workspace the batch layer hands
-/// in is a shard workspace built under those same options.
-bool RepairApplies(const ConnOptions& opts, const QueryWorkspace* workspace) {
-  return opts.use_tick_warm_start && opts.use_differential_repair &&
-         workspace != nullptr;
-}
-
 }  // namespace
 
 CoknnResult CoknnQuery(const rtree::RStarTree& data_tree,
@@ -284,10 +275,6 @@ CoknnResult CoknnQuery(const rtree::RStarTree& data_tree,
                        const ConnOptions& opts, QueryWorkspace* workspace,
                        const TickWarmStart& warm) {
   if (TickMemoApplies(warm, q, k, opts)) return TickMemoResult(*warm.prior);
-  internal::RepairHooks repair;
-  if (RepairApplies(opts, workspace)) {
-    repair = {workspace->settlement_log(), warm.client_tag};
-  }
   internal::QueryScope scope(data_tree, obstacle_tree, q, workspace);
   CoknnResult result;
   result.query = q;
@@ -295,7 +282,7 @@ CoknnResult CoknnQuery(const rtree::RStarTree& data_tree,
   const geom::IntervalSet reachable = internal::ReachablePieces(
       scope.Blocked(), q.Length(), &result.unreachable);
   KnnResultList rl(reachable, k);
-  scope.RunAlgorithm4(reachable, opts, repair, &rl);
+  scope.RunAlgorithm4(reachable, opts, &rl);
   result.tuples = rl.tuples();
   result.stats = scope.Finish();
   return result;

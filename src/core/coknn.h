@@ -111,12 +111,6 @@ struct TickWarmStart {
   /// Last tick's result for this client (null on the client's first tick,
   /// or when the caller discarded it).  Must outlive the query call.
   const CoknnResult* prior = nullptr;
-
-  /// The client this tick belongs to (-1 = anonymous).  The differential
-  /// repair path tags the coverage capsules it publishes with this, so the
-  /// frontier_shares statistic can tell cross-client reuse from a client
-  /// re-reading its own frontier.
-  int64_t client_tag = -1;
 };
 
 /// COkNN: the k obstructed nearest neighbors of every point of \p q.
@@ -133,22 +127,12 @@ struct TickWarmStart {
 /// query's Theorem-2 obstacle set; per-query I/O and graph-size statistics
 /// then describe the shared state.
 ///
-/// Tick dispatch, under `opts.use_tick_warm_start`:
-///   * Stationary-segment memo.  When \p warm.prior holds a result for the
-///     identical (segment, k) query, that answer is re-reported without
-///     touching the trees: stats carry `tick_warm_starts = 1` and no
-///     retrieval work.
-///   * Differential repair.  With `opts.use_differential_repair` and a
-///     workspace, the query runs as a repair against the workspace's
-///     carried state (`repairs_applied = 1`).  Retrieval waves whose bound
-///     a capsule of the workspace's settlement log already covers skip the
-///     obstacle stream: such data points are carried (tuples_carried), and
-///     only boundary points whose range escapes coverage re-score through
-///     the stream (tuples_rescored).  The query's final search range is
-///     then published back to the log tagged with \p warm.client_tag, so
-///     clustered clients sharing the workspace repair off each other's
-///     frontiers (frontier_shares).
-/// Both paths return tuples bit-identical to a fresh evaluation.
+/// Stationary-segment memo, under `opts.use_tick_warm_start`: when
+/// \p warm.prior holds a result for the identical (segment, k) query, that
+/// answer is re-reported without touching the trees (stats carry
+/// `tick_warm_starts = 1` and no retrieval work); it is bit-identical to a
+/// fresh evaluation.  Any other query is evaluated in full, on a carried
+/// workspace exactly as on a fresh or shard-shared one.
 CoknnResult CoknnQuery(const rtree::RStarTree& data_tree,
                        const rtree::RStarTree& obstacle_tree,
                        const geom::Segment& q, size_t k,

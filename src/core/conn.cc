@@ -77,7 +77,7 @@ ConnResult ConnQuery(const rtree::RStarTree& data_tree,
     const geom::IntervalSet reachable = internal::ReachablePieces(
         scope.Blocked(), q.Length(), &result.unreachable);
     ResultList rl(reachable, opts.use_lemma1_prune);
-    scope.RunAlgorithm4(reachable, opts, internal::RepairHooks{}, &rl);
+    scope.RunAlgorithm4(reachable, opts, &rl);
     result.tuples = internal::ConnTuples(rl);
   }
   result.stats = scope.Finish();

@@ -33,7 +33,6 @@
 #include "rtree/best_first.h"
 #include "rtree/rstar_tree.h"
 #include "storage/pager.h"
-#include "vis/settlement_log.h"
 #include "vis/vis_graph.h"
 
 namespace conn {
@@ -264,14 +263,6 @@ void RunMainLoop(const geom::IntervalSet& reachable,
   }
 }
 
-/// Differential-repair wiring of one COkNN query: the carried workspace's
-/// settlement log (null = repair off, always for CONN) and the owner tag
-/// its published capsule carries.
-struct RepairHooks {
-  vis::SettlementLog* log = nullptr;
-  int64_t client_tag = -1;
-};
-
 /// Set-up and stats finish of one CONN, COkNN, ONN or range query (the
 /// point queries run on the zero-length segment [p, p]).  Passing the same
 /// tree as data and obstacle tree selects the unified traversal of Section
@@ -334,33 +325,14 @@ class QueryScope {
   /// wave they cover without touching the tree.  IOR parks the obstacles it
   /// streams but does not admit in the query's source, so a later point
   /// re-tests them.
-  ///
-  /// With \p repair.log set, IOR waves a settlement-log capsule covers skip
-  /// the obstacle stream, each point counts as carried or rescored, and
-  /// the query's final retrieval radius is published back to the log.
   template <typename List>
   void RunAlgorithm4(const geom::IntervalSet& reachable,
-                     const ConnOptions& opts, const RepairHooks& repair,
-                     List* rl) {
+                     const ConnOptions& opts, List* rl) {
     vis::VisGraph* vg = graph();
     const geom::SegmentFrame frame(q_);
     vis::QuerySession session(vg);
     const std::vector<vis::VertexId> targets =
         AddTargetVertices(&session, reachable, q_);
-    // Repair mode: retrieval waves already proven covered by the
-    // workspace's settlement log skip the obstacle stream (the guard
-    // answers "nothing new within the bound", which the capsule makes
-    // literally true).  The capsule this query publishes claims the graph
-    // holds every obstacle within its radius, so IOR admits everything it
-    // streams.
-    CoverageGuardedSource guarded(obstacles(), repair.log, q_,
-                                  repair.client_tag, &stats_);
-    ObstacleSource* source = obstacles();
-    if (repair.log != nullptr) {
-      source = &guarded;
-      guarded.AdmitAll();
-      stats_.repairs_applied = 1;
-    }
     VisibleRegionCache vr_cache;
     double retrieved = 0.0;
     auto next_point = [&](double bound, rtree::DataObject* out, double* dist) {
@@ -372,33 +344,15 @@ class QueryScope {
         retrieved = std::max(retrieved, unified_->retrieved_up_to());
       }
       std::unique_ptr<vis::DijkstraScan> scan;
-      const uint64_t yields_before = guarded.yields();
-      IncrementalObstacleRetrieval(source, vg, targets, p, &retrieved, &stats_,
-                                   &scan, arena(), opts.use_warm_scan_restarts);
-      if (repair.log != nullptr) {
-        // Carried vs re-scored at retrieval granularity: a point whose whole
-        // search range was served by carried coverage (or by earlier waves
-        // of this query) never touched the tree; a boundary point streamed.
-        if (guarded.yields() != yields_before) {
-          ++stats_.tuples_rescored;
-        } else {
-          ++stats_.tuples_carried;
-        }
-      }
+      IncrementalObstacleRetrieval(obstacles(), vg, targets, p, &retrieved,
+                                   &stats_, &scan, arena(),
+                                   opts.use_warm_scan_restarts);
       return ComputeControlPointList(vg, scan.get(), p, frame, reachable, opts,
                                      &stats_, &vr_cache);
     };
     RunMainLoop(reachable, frame, opts, &stats_, rl, next_point,
                 control_points);
     stats_.vr_cache_evictions += vr_cache.evictions();
-    // Publish this query's proven coverage: after the loop, every obstacle
-    // with mindist(o, q) <= retrieved is in the graph (streamed waves by
-    // the ascending source and AdmitAll, covered waves by their proving
-    // capsule).  The next repair on this workspace reads it — same client
-    // or a shard sibling.
-    if (repair.log != nullptr) {
-      repair.log->Publish(q_, retrieved, repair.client_tag);
-    }
   }
 
   /// Folds the graph size, the trees' I/O deltas and the elapsed time into

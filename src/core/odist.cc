@@ -124,27 +124,6 @@ StreamOutcome UnifiedStream::NextPointWithin(double bound,
   }
 }
 
-bool CoverageGuardedSource::NextObstacleWithin(double bound,
-                                               rtree::DataObject* out,
-                                               double* dist) {
-  if (log_ != nullptr) {
-    if (bound != memo_bound_) {
-      memo_bound_ = bound;
-      int64_t owner = -1;
-      memo_covered_ = log_->Covers(query_, bound, &owner);
-      if (memo_covered_ && stats_ != nullptr && owner != client_tag_) {
-        ++stats_->frontier_shares;
-      }
-    }
-    // Covered: every obstacle within the bound is already in the graph, so
-    // no *new* obstacle remains within it.  The inner cursor stays put.
-    if (memo_covered_) return false;
-  }
-  if (!inner_->NextObstacleWithin(bound, out, dist)) return false;
-  ++yields_;
-  return true;
-}
-
 double IncrementalObstacleRetrieval(
     ObstacleSource* source, vis::VisGraph* vg,
     const std::vector<vis::VertexId>& targets, geom::Vec2 p,
@@ -171,7 +150,7 @@ double IncrementalObstacleRetrieval(
       stats->dijkstra_settled += scan->SettledCount() - settled_before;
     }
     // d is +inf when a target is unreachable: then everything is admitted.
-    const bool admit_all = source->admits_all() || d == kInf;
+    const bool admit_all = d == kInf;
     if (!admit_all) AdmissionPeaks(*scan, *vg, targets, &peaks);
     auto admits = [&](const geom::Rect& rect) {
       if (admit_all) return true;

@@ -64,9 +64,9 @@
 //      is the distance in that scene, which Theorem 2 makes the true one,
 //      exactly as for Algorithm 1's graph.  So every distance CPLC reads
 //      is exact.
-// A query that publishes a settlement-log capsule (differential repair)
-// admits everything it streams (ObstacleSource::AdmitAll): the capsule
-// claims that the graph holds every obstacle within its radius.
+// A shard-shared or tick-carried graph also holds the obstacles earlier
+// queries admitted.  They are obstacles of the scene, so 1 still holds, and
+// every later step goes through unchanged.
 
 #ifndef CONN_CORE_ODIST_H_
 #define CONN_CORE_ODIST_H_
@@ -79,7 +79,6 @@
 #include "geom/box.h"
 #include "rtree/best_first.h"
 #include "vis/dijkstra.h"
-#include "vis/settlement_log.h"
 #include "vis/vis_graph.h"
 
 namespace conn {
@@ -134,21 +133,10 @@ class ObstacleSource {
 
   /// Obstacles streamed from this source and not yet inserted, in stream
   /// order.  IOR owns the contents.
-  std::vector<ParkedObstacle>& parked() { return *parked_; }
-
-  /// Makes IOR insert every obstacle it streams from this source, as
-  /// Algorithm 1 does.
-  void AdmitAll() { admit_all_ = true; }
-  bool admits_all() const { return admit_all_; }
-
- protected:
-  /// For decorators: parks in \p inner's list instead of an own one.
-  void ShareParkedWith(ObstacleSource* inner) { parked_ = inner->parked_; }
+  std::vector<ParkedObstacle>& parked() { return parked_; }
 
  private:
-  std::vector<ParkedObstacle> own_parked_;
-  std::vector<ParkedObstacle>* parked_ = &own_parked_;
-  bool admit_all_ = false;
+  std::vector<ParkedObstacle> parked_;
 };
 
 /// 2-tree configuration: obstacles stream from their own R-tree.
@@ -199,53 +187,6 @@ class UnifiedStream : public ObstacleSource {
   vis::VisGraph* vg_;
   std::deque<std::pair<rtree::DataObject, double>> pending_points_;
   double retrieved_up_to_ = 0.0;
-};
-
-/// Settlement-log coverage guard (differential tick repair): decorates an
-/// obstacle source so that a retrieval wave whose bound a published
-/// capsule covers is answered "none remains within the bound" without
-/// touching the inner stream.  That answer is literally true of the *new*
-/// obstacles IOR is looking for — the capsule proves every obstacle within
-/// the bound is already in the graph — so IOR takes the same no-new-work
-/// exit it takes when the stream yields only duplicates, and the inner
-/// cursor never advances past anything it would later need.  Exactness is
-/// the shard-sharing superset argument: the graph holds a superset of the
-/// wave's Theorem-2 obstacle set either way.  The guard parks in its inner
-/// source's list.
-class CoverageGuardedSource : public ObstacleSource {
- public:
-  /// \p log may be null (guard disabled; pure pass-through).  \p client_tag
-  /// identifies the querying client: a covered wave whose proving capsule
-  /// was published by a *different* client counts one frontier_shares.
-  CoverageGuardedSource(ObstacleSource* inner, const vis::SettlementLog* log,
-                        const geom::Segment& q, int64_t client_tag,
-                        QueryStats* stats)
-      : inner_(inner),
-        log_(log),
-        query_(q),
-        client_tag_(client_tag),
-        stats_(stats) {
-    ShareParkedWith(inner);
-  }
-
-  bool NextObstacleWithin(double bound, rtree::DataObject* out,
-                          double* dist) override;
-
-  /// Obstacles the inner source actually yielded through this guard — the
-  /// caller diffs it across a retrieval to classify carried vs re-scored.
-  uint64_t yields() const { return yields_; }
-
- private:
-  ObstacleSource* inner_;
-  const vis::SettlementLog* log_;
-  geom::Segment query_;
-  int64_t client_tag_;
-  QueryStats* stats_;
-  uint64_t yields_ = 0;
-  // Per-wave coverage memo: IOR drains one wave with a fixed bound, so the
-  // (linear-probe) capsule test runs once per wave, not once per obstacle.
-  double memo_bound_ = -1.0;
-  bool memo_covered_ = false;
 };
 
 /// Runs IOR (Algorithm 1) for data point \p p.  Each iteration settles the

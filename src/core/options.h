@@ -41,20 +41,9 @@ struct ConnOptions {
   /// reference path the subscription equivalence suite compares against.
   bool use_tick_warm_start = true;
 
-  /// Differential tick repair on top of the cross-tick warm path: carried
-  /// workspaces keep a per-shard settlement log of coverage capsules — one
-  /// entry per completed retrieval asserting "every obstacle within radius
-  /// r of segment s is already in this graph" — and survive reshards by
-  /// cover overlap.  Their visibility graphs keep eager adjacency, like
-  /// every other graph (see core::QueryWorkspace for the measurement).  A
-  /// later query (the same client's next tick, or a clustered sibling's)
-  /// whose Theorem-2 search range a capsule covers skips the obstacle
-  /// stream entirely; only boundary points whose range escapes coverage
-  /// re-score against the tree.  Results are bit-identical either way:
-  /// scans depend only on the graph's edge *sets* at use time (the heap
-  /// tie-breaks on (dist, vertex)), and a covered wave has the same
-  /// postcondition as streaming duplicates.  Requires
-  /// use_tick_warm_start; off selects the PR 8 warm path unchanged.
+  /// Has no effect.  It selected differential tick repair, which cost more
+  /// than it saved and was removed; kept because perfbench/conn_bench.cc:790
+  /// (StartEpisode) still sets it.
   bool use_differential_repair = false;
 };
 

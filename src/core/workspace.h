@@ -20,7 +20,6 @@
 #include "geom/box.h"
 #include "rtree/rstar_tree.h"
 #include "vis/dijkstra.h"
-#include "vis/settlement_log.h"
 #include "vis/vis_graph.h"
 
 namespace conn {
@@ -63,17 +62,10 @@ class QueryWorkspace {
   /// it serves remain inside the domain it was sized for.
   bool Covers(const geom::Rect& cover) const { return domain_.Contains(cover); }
 
-  /// Coverage capsules proven by retrievals that ran against this
-  /// workspace's graph (see vis/settlement_log.h) — the shared frontier
-  /// the differential-repair path reads and publishes.  Lives and dies
-  /// with the graph it describes, so its facts stay sound.
-  vis::SettlementLog* settlement_log() { return &settlement_log_; }
-
  private:
   geom::Rect domain_;
   vis::VisGraph vg_;
   vis::ScanArena scan_arena_;
-  vis::SettlementLog settlement_log_;
 };
 
 }  // namespace core

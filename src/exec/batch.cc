@@ -79,7 +79,6 @@ BatchResult BatchRunner::Run(const std::vector<BatchQuery>& queries) const {
 
 void BatchRunner::Reshard(const std::vector<BatchQuery>& queries,
                           BatchPlan* plan) const {
-  std::vector<BatchPlan::ShardState> old_states = std::move(plan->states_);
   plan->states_.clear();
   plan->query_count_ = queries.size();
 
@@ -91,36 +90,6 @@ void BatchRunner::Reshard(const std::vector<BatchQuery>& queries,
     BatchPlan::ShardState state;
     state.members = std::move(shard);
     plan->states_.push_back(std::move(state));
-  }
-
-  // Differential repair carries workspaces *through* the reshard: each
-  // rebuilt shard adopts the not-yet-taken old workspace whose last served
-  // cover overlaps its new cover the most (greedy in shard order, lowest
-  // old index on ties, no adoption without overlap).  Any match quality is
-  // exact — the adopted graph is a superset of whatever the new members
-  // need retrieved, and RunPlan's Covers() check still rebuilds when the
-  // new cover escapes the adopted domain.  Without the repair gate old
-  // workspaces are dropped and rebuilt shards retrieve from the tree.
-  if (opts_.query.use_tick_warm_start && opts_.query.use_differential_repair) {
-    for (BatchPlan::ShardState& state : plan->states_) {
-      const geom::Rect cover = ShardCover(segments, state.members);
-      size_t best = old_states.size();
-      double best_overlap = 0.0;
-      for (size_t i = 0; i < old_states.size(); ++i) {
-        if (old_states[i].workspace == nullptr) continue;
-        const double overlap = cover.OverlapArea(old_states[i].last_cover);
-        if (overlap > best_overlap) {
-          best_overlap = overlap;
-          best = i;
-        }
-      }
-      if (best == old_states.size()) continue;
-      state.workspace = std::move(old_states[best].workspace);
-      state.last_cover = old_states[best].last_cover;
-      state.reuse_hits_mark = old_states[best].reuse_hits_mark;
-      state.obstacles_mark = old_states[best].obstacles_mark;
-      ++plan->adopted_pending_;
-    }
   }
 }
 
@@ -135,8 +104,6 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
     Reshard(queries, plan);
   }
   result.stats.shard_count = plan->states_.size();
-  result.stats.workspaces_adopted = plan->adopted_pending_;
-  plan->adopted_pending_ = 0;
 
   std::vector<geom::Segment> segments;
   segments.reserve(queries.size());
@@ -208,7 +175,7 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
           core::ConnQuery(*data_, *obstacles_, q.segment, opts_.query, ws);
     } else {
       out.coknn = core::CoknnQuery(*data_, *obstacles_, q.segment, q.k,
-                                   opts_.query, ws, {q.prior, q.client_tag});
+                                   opts_.query, ws, {q.prior});
     }
     if (carried) {
       // The query ran on cross-run state: mark it (unless the
@@ -242,7 +209,6 @@ BatchResult BatchRunner::RunPlan(const std::vector<BatchQuery>& queries,
       state.reuse_hits_mark = 0;
       state.obstacles_mark = 0;
     }
-    state.last_cover = cover;
     for (size_t idx : state.members) {
       run_query(idx, state.workspace.get(), carried[item.shard] != 0);
     }

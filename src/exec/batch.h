@@ -59,11 +59,6 @@ struct BatchQuery {
   /// memo under ConnOptions::use_tick_warm_start.
   const core::CoknnResult* prior = nullptr;
 
-  /// Stable client identity for the differential-repair path (-1 =
-  /// anonymous): tags the coverage capsules this query publishes so
-  /// QueryStats::frontier_shares can tell cross-client reuse apart.
-  int64_t client_tag = -1;
-
   static BatchQuery Conn(const geom::Segment& q) {
     return BatchQuery{Kind::kConn, q, 1};
   }
@@ -71,9 +66,8 @@ struct BatchQuery {
     return BatchQuery{Kind::kCoknn, q, k};
   }
   static BatchQuery CoknnTick(const geom::Segment& q, size_t k,
-                              const core::CoknnResult* prior,
-                              int64_t client_tag = -1) {
-    return BatchQuery{Kind::kCoknn, q, k, prior, client_tag};
+                              const core::CoknnResult* prior) {
+    return BatchQuery{Kind::kCoknn, q, k, prior};
   }
 };
 
@@ -137,10 +131,9 @@ struct BatchStats {
   /// tools that report it keep their output format.
   uint64_t cross_shard_store_hits = 0;
 
-  /// RunPlan only, differential repair: workspaces a Reshard moved onto
-  /// the best-overlapping rebuilt shard instead of dropping — the repair
-  /// loop's defense against the periodic reshard discarding its carried
-  /// graphs (exact by the superset argument regardless of match quality).
+  /// Always 0.  Counted workspaces a Reshard carried onto a rebuilt shard
+  /// for differential tick repair, which cost more than it saved and was
+  /// removed; kept because perfbench/conn_bench.cc:904 reads it.
   size_t workspaces_adopted = 0;
 
   /// Batch-level pager deltas (single-threaded snapshots around the run).
@@ -199,11 +192,6 @@ class BatchPlan {
     /// locality guard declines).
     std::unique_ptr<core::QueryWorkspace> workspace;
 
-    /// Cover rectangle the carried workspace last served (empty until the
-    /// shard first shares).  Reshard's adoption pass matches rebuilt
-    /// shards to old workspaces by overlap with this.
-    geom::Rect last_cover = geom::Rect::Empty();
-
     // Watermarks making cross-run accounting incremental: a carried
     // workspace's counters accumulate for its lifetime, but each run must
     // report only its own growth.
@@ -213,10 +201,6 @@ class BatchPlan {
 
   std::vector<ShardState> states_;
   size_t query_count_ = 0;
-
-  /// Workspaces the last Reshard adopted onto rebuilt shards; folded into
-  /// BatchStats::workspaces_adopted by the next RunPlan.
-  size_t adopted_pending_ = 0;
 };
 
 /// Executes batches of CONN/COkNN queries against one tree configuration.
@@ -235,11 +219,10 @@ class BatchRunner {
   BatchResult Run(const std::vector<BatchQuery>& queries) const;
 
   /// Re-derives \p plan's sticky sharding from the queries' current
-  /// segments.  Under differential repair each rebuilt shard adopts the
-  /// best-overlapping carried workspace; otherwise carried workspaces are
-  /// dropped and the rebuilt shards retrieve from the tree.  Tick-loop
-  /// callers invoke this when batch membership changes and periodically
-  /// as routes drift away from the assignment they were sharded under.
+  /// segments.  Carried workspaces are dropped, so the rebuilt shards
+  /// retrieve from the tree.  Tick-loop callers invoke this when batch
+  /// membership changes and periodically as routes drift away from the
+  /// assignment they were sharded under.
   void Reshard(const std::vector<BatchQuery>& queries, BatchPlan* plan) const;
 
   /// Runs \p queries under \p plan's sticky sharding, carrying per-shard

@@ -135,7 +135,7 @@ TickResult SubscriptionService::Tick() {
     }
     batched_ids.push_back(u.client);
     queries.push_back(BatchQuery::CoknnTick(
-        u.segment, c.k, c.prior.has_value() ? &*c.prior : nullptr, u.client));
+        u.segment, c.k, c.prior.has_value() ? &*c.prior : nullptr));
   }
 
   // Sticky-assignment maintenance: reshard when membership changed (a

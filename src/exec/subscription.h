@@ -62,10 +62,9 @@ struct SubscriptionOptions {
   /// assignment (and with it the carried per-shard workspaces) persists
   /// between refreshes; routes drift apart over time, degrading the
   /// locality the assignment was derived for, so it is periodically
-  /// re-derived from current positions.  Under differential repair the
-  /// rebuilt shards adopt the best-overlapping old workspaces; otherwise
-  /// they start empty.  0 disables periodic resharding (membership
-  /// changes still reshard).
+  /// re-derived from current positions; the rebuilt shards start with
+  /// empty workspaces.  0 disables periodic resharding (membership changes
+  /// still reshard).
   uint64_t reshard_period = 8;
 
   /// Test seam: invoked for every live client on every tick before its

@@ -192,48 +192,61 @@ TEST_P(IorAdmission, ObstacleNearAnEndpointOutsideThePeakEllipseStaysOut) {
   }
 }
 
-// COkNN in repair mode publishes a settlement-log capsule claiming that the
-// graph holds every obstacle within its radius, so it admits everything it
-// streams — including the obstacle a plain query parks.
-TEST_P(IorAdmission, RepairQueryGraphHoldsEveryStreamedObstacle) {
+// A tick query on a carried workspace admits by the peak ellipses like any
+// other query.  Two ticks of one client run on one workspace: q0 as above,
+// then q1 = [(20, 0), (120, 0)], with d_a ≈ 36.1, d_b ≈ 72.8,
+// s* ≈ (88.4, 0) and B* ≈ 104.4.  Obstacle K above p is inside the first
+// tick's ellipse, so it is admitted and carried into the second.  Obstacle
+// F is within d of both slices, so both ticks stream it, but its key
+// exceeds both peak bounds: it stays parked, and the carried graph never
+// holds it.
+TEST_P(IorAdmission, CarriedWorkspaceTickQueryParksOutsideEveryEllipse) {
   testutil::Scene scene;
-  scene.points = {{50, 20}, {60, 200}};
-  scene.obstacles = {Rect({-50, -30}, {-40, -20}), Rect({30, 8}, {70, 10})};
-  scene.query = Segment({0, 0}, {100, 0});
-  const Trees trees(scene, GetParam());
-
-  QueryWorkspace plain_ws(&trees.data(), &trees.obstacles(),
-                          scene.query.Bounds());
-  const CoknnResult plain = CoknnQuery(trees.data(), trees.obstacles(),
-                                       scene.query, 1, {}, &plain_ws);
-  EXPECT_FALSE(GraphHolds(*plain_ws.graph(), 0));
-
-  ConnOptions repair;
-  repair.use_tick_warm_start = true;
-  repair.use_differential_repair = true;
-  QueryWorkspace ws(&trees.data(), &trees.obstacles(), scene.query.Bounds());
-  const CoknnResult got = CoknnQuery(trees.data(), trees.obstacles(),
-                                     scene.query, 1, repair, &ws,
-                                     TickWarmStart{nullptr, /*client_tag=*/7});
-  EXPECT_EQ(got.stats.repairs_applied, 1u);
-  ASSERT_EQ(ws.settlement_log()->size(), 1u);
-  const double radius = ws.settlement_log()->capsules()[0].radius;
-  for (size_t i = 0; i < scene.obstacles.size(); ++i) {
-    if (geom::MinDistRectSegment(scene.obstacles[i], scene.query) <= radius) {
-      EXPECT_TRUE(GraphHolds(*ws.graph(), i)) << "obstacle " << i;
-    }
+  scene.points = {{50, 20}};
+  const Rect kept({48, 25}, {52, 27});
+  const Rect far_side({-50, -30}, {-40, -20});
+  scene.obstacles = {kept, far_side};
+  const Segment ticks[2] = {Segment({0, 0}, {100, 0}),
+                            Segment({20, 0}, {120, 0})};
+  const Vec2 p = scene.points[0];
+  for (const Segment& q : ticks) {
+    const double d_a = geom::Dist(p, q.a);
+    const double d_b = geom::Dist(p, q.b);
+    const PiecePeak peak = PeakOfPiece(q.a, q.b, d_a, d_b);
+    ASSERT_LE(geom::MinDistRectSegment(far_side, q), std::max(d_a, d_b));
+    ASSERT_GT(EllipseKey(p, far_side, peak.s), peak.bound + 50.0);
   }
-  EXPECT_TRUE(GraphHolds(*ws.graph(), 0));
+  const PiecePeak first = PeakOfPiece(ticks[0].a, ticks[0].b,
+                                      geom::Dist(p, ticks[0].a),
+                                      geom::Dist(p, ticks[0].b));
+  ASSERT_LE(EllipseKey(p, kept, first.s), first.bound);
 
-  // Admission changes no answer: both runs agree with the oracle.
+  const Trees trees(scene, GetParam());
+  QueryWorkspace ws(&trees.data(), &trees.obstacles(),
+                    Rect({0, 0}, {120, 0}));
+  ConnOptions opts;
+  opts.use_tick_warm_start = true;
   const NaiveOracle oracle(scene.points, scene.obstacles);
-  for (const CoknnResult* r : {&plain, &got}) {
+  CoknnResult prior;
+  for (size_t tick = 0; tick < 2; ++tick) {
+    SCOPED_TRACE("tick " + std::to_string(tick));
+    const Segment& q = ticks[tick];
+    const CoknnResult got =
+        CoknnQuery(trees.data(), trees.obstacles(), q, 1, opts, &ws,
+                   TickWarmStart{tick > 0 ? &prior : nullptr});
+    EXPECT_EQ(got.stats.tick_warm_starts, 0u);  // evaluated, not the memo
+    EXPECT_EQ(got.stats.points_evaluated, 1u);
+    // K enters at the first tick and is carried into the second.
+    EXPECT_EQ(got.stats.obstacles_evaluated, tick == 0 ? 1u : 0u);
+    EXPECT_TRUE(GraphHolds(*ws.graph(), 0));
+    EXPECT_FALSE(GraphHolds(*ws.graph(), 1));
     for (int i = 0; i <= 100; ++i) {
-      const double t = scene.query.Length() * i / 100.0;
-      const auto truth = oracle.OnnAt(scene.query.At(t), 1);
+      const double t = q.Length() * i / 100.0;
+      const auto truth = oracle.OnnAt(q.At(t), 1);
       ASSERT_FALSE(truth.empty());
-      EXPECT_NEAR(r->OdistAt(t, 0), truth[0].second, 1e-6) << "t=" << t;
+      EXPECT_NEAR(got.OdistAt(t, 0), truth[0].second, 1e-6) << "t=" << t;
     }
+    prior = got;
   }
 }
 

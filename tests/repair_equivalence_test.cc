@@ -1,21 +1,23 @@
-// Repair-vs-fresh bit-identity: the differential tick-repair path
-// (ConnOptions::use_differential_repair — settlement-log coverage guard,
-// capsule publish-back, reshard workspace adoption) must reproduce an
-// independent per-tick COkNN evaluation bit-identically: tuples, candidate
-// sets (pid, control point, offset), and unreachable intervals.  The
-// repair path's whole claim is "less work, same bits"; stats are not
-// compared (doing less work is the point), but the repair counters are
-// asserted non-vacuous so a silently disengaged repair path cannot pass.
+// Carried-workspace tick loop vs fresh bit-identity: the subscription
+// service's warm path (ConnOptions::use_tick_warm_start: per-shard
+// workspaces carried from tick to tick, retired at every reshard, and the
+// stationary-segment memo) must reproduce an independent per-tick COkNN
+// evaluation bit-identically: tuples, candidate sets (pid, control point,
+// offset), and unreachable intervals.  A carried graph holds the obstacles
+// earlier ticks admitted as well as this query's own, the superset
+// argument of core/workspace.h.  Stats are not compared (doing less work
+// is the point), but the carry counters are asserted non-vacuous so a
+// silently disengaged warm path cannot pass.
 //
 // Coverage matrix: uniform + Zipf points, k in {1, 3, 5}, both tree
 // configurations, 1 and 4 worker threads, with mid-run membership churn
-// (subscribe + unsubscribe triggers a reshard whose adoption pass must
-// stay exact) and a quarantined client mid-stream (failure injection must
-// not poison shared capsules for the survivors).
+// (subscribe + unsubscribe triggers a reshard, which must carry no shard)
+// and a quarantined client mid-stream (failure injection must not poison
+// the carried graphs the survivors run on).
 //
 // The DispatchRules suite pins how core::CoknnQuery / core::ConnQuery
 // choose their path from their arguments alone: the tick memo, fresh
-// evaluation, differential repair, and the 1-tree traversal selected by
+// evaluation, a carried workspace, and the 1-tree traversal selected by
 // passing the same tree twice.
 
 #include <algorithm>
@@ -68,7 +70,7 @@ Scene MakeScene(uint64_t seed, datagen::PointDistribution dist,
   for (datagen::FleetRoute& r : datagen::MakeFleetRoutes(
            num_clients, datagen::Workspace(), fopts, seed ^ 0x5E77)) {
     // Every fourth client is stationary (a completed route): the memo path
-    // must coexist with repair dispatch.
+    // must coexist with carried workspaces.
     if (s.routes.size() % 4 == 3) r.waypoints.resize(1);
     s.routes.push_back(RouteSpec{std::move(r.waypoints), r.speed});
   }
@@ -105,16 +107,20 @@ void ExpectCoknnEqual(const core::CoknnResult& got,
   }
 }
 
-SubscriptionOptions RepairOptions(size_t threads) {
+SubscriptionOptions WarmOptions(size_t threads) {
   SubscriptionOptions opts;
   opts.batch.num_threads = threads;
   opts.batch.target_shard_size = 3;
   opts.batch.share_locality_factor = 0.0;  // force sharing: exactness bar
   opts.batch.query.use_tick_warm_start = true;
-  opts.batch.query.use_differential_repair = true;
-  opts.reshard_period = 3;  // small: adoption participates mid-run
+  opts.reshard_period = 3;  // small: resharding participates mid-run
   return opts;
 }
+
+/// The ticks of the six-tick loops below that reshard: membership changes
+/// at tick 0 (first tick) and tick 2 (churn or quarantine), and the period
+/// of 3 then falls due at tick 5.
+bool ReshardTick(uint64_t tick) { return tick == 0 || tick == 2 || tick == 5; }
 
 struct Config {
   uint64_t seed;
@@ -131,7 +137,7 @@ TEST_P(RepairEquivalence, RepairLoopMatchesIndependentEvaluation) {
   const Scene scene =
       MakeScene(cfg.seed, cfg.dist, 140, 70, /*num_clients=*/8);
 
-  const SubscriptionOptions opts = RepairOptions(cfg.threads);
+  const SubscriptionOptions opts = WarmOptions(cfg.threads);
   const rtree::RStarTree& data = cfg.one_tree ? scene.unified : scene.tp;
   const rtree::RStarTree& obstacles = cfg.one_tree ? scene.unified : scene.to;
   SubscriptionService service(data, obstacles, opts);
@@ -140,12 +146,11 @@ TEST_P(RepairEquivalence, RepairLoopMatchesIndependentEvaluation) {
     ids.push_back(service.Subscribe(r, cfg.k).value());
   }
 
-  uint64_t repairs = 0;
-  uint64_t carried = 0;
-  uint64_t rescored = 0;
+  size_t carried = 0;
+  uint64_t frontier_reuse = 0;
   for (uint64_t tick = 0; tick < 6; ++tick) {
-    // Mid-run membership churn: the reshard it forces must adopt (or
-    // rebuild) workspaces without disturbing exactness.
+    // Mid-run membership churn: the reshard it forces retires every
+    // carried workspace without disturbing exactness.
     if (tick == 2) {
       ASSERT_TRUE(service.Unsubscribe(ids[1]).ok());
       ids.push_back(service.Subscribe(scene.routes[1], cfg.k).value());
@@ -154,9 +159,11 @@ TEST_P(RepairEquivalence, RepairLoopMatchesIndependentEvaluation) {
     const TickResult result = service.Tick();
     ASSERT_EQ(result.updates.size(), size_t{8});
     EXPECT_EQ(result.quarantined_now, size_t{0});
-    repairs += result.stats.per_query_totals.repairs_applied;
-    carried += result.stats.per_query_totals.tuples_carried;
-    rescored += result.stats.per_query_totals.tuples_rescored;
+    if (ReshardTick(tick)) {
+      EXPECT_EQ(result.stats.shards_carried, 0u) << "tick " << tick;
+    }
+    carried += result.stats.shards_carried;
+    frontier_reuse += result.stats.per_query_totals.tick_frontier_reuse;
 
     for (const ClientUpdate& u : result.updates) {
       SCOPED_TRACE("tick " + std::to_string(tick) + " client " +
@@ -169,8 +176,8 @@ TEST_P(RepairEquivalence, RepairLoopMatchesIndependentEvaluation) {
       ExpectCoknnEqual(*u.result, want);
     }
   }
-  EXPECT_GT(repairs, 0u) << "repair path never engaged; test is vacuous";
-  EXPECT_GT(carried + rescored, 0u) << "no point was ever classified";
+  EXPECT_GT(carried, 0u) << "no shard was ever carried; test is vacuous";
+  EXPECT_GT(frontier_reuse, 0u) << "no scan ran on a carried arena";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -194,14 +201,14 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(RepairEquivalence, QuarantinedClientDoesNotPoisonSharedFrontier) {
-  // One client fails at tick 2 and is quarantined.  Its capsules may
-  // remain in the shard's settlement log — they are coverage facts about
-  // the graph, true regardless of who proved them — so the survivors must
-  // keep producing bit-identical answers after the victim vanishes.
+  // One client fails at tick 2 and is quarantined.  The obstacles its
+  // earlier ticks admitted may remain in a carried graph — they are real
+  // obstacles, whoever retrieved them — so the survivors must keep
+  // producing bit-identical answers after the victim vanishes.
   const Scene scene =
       MakeScene(49, datagen::PointDistribution::kUniform, 140, 70, 8);
 
-  SubscriptionOptions faulty = RepairOptions(/*threads=*/1);
+  SubscriptionOptions faulty = WarmOptions(/*threads=*/1);
   SubscriptionService probe(scene.tp, scene.to, faulty);
   std::vector<int64_t> ids;
   for (const RouteSpec& r : scene.routes) {
@@ -222,11 +229,14 @@ TEST(RepairEquivalence, QuarantinedClientDoesNotPoisonSharedFrontier) {
   }
   ASSERT_EQ(got_ids, ids);
 
-  uint64_t repairs = 0;
+  size_t carried = 0;
   for (uint64_t tick = 0; tick < 6; ++tick) {
     SCOPED_TRACE("tick " + std::to_string(tick));
     const TickResult result = service.Tick();
-    repairs += result.stats.per_query_totals.repairs_applied;
+    if (ReshardTick(tick)) {
+      EXPECT_EQ(result.stats.shards_carried, 0u);
+    }
+    carried += result.stats.shards_carried;
     ASSERT_EQ(result.updates.size(), tick <= 2 ? size_t{8} : size_t{7});
     EXPECT_EQ(result.quarantined_now, tick == 2 ? size_t{1} : size_t{0});
     for (const ClientUpdate& u : result.updates) {
@@ -244,7 +254,7 @@ TEST(RepairEquivalence, QuarantinedClientDoesNotPoisonSharedFrontier) {
     }
   }
   EXPECT_EQ(service.quarantined_clients(), size_t{1});
-  EXPECT_GT(repairs, 0u) << "repair path never engaged; test is vacuous";
+  EXPECT_GT(carried, 0u) << "no shard was ever carried; test is vacuous";
 }
 
 void ExpectConnEqual(const core::ConnResult& got,
@@ -278,8 +288,8 @@ class DispatchRules : public ::testing::TestWithParam<bool> {
     return GetParam() ? scene_.unified : scene_.to;
   }
 
-  // Two abutting arc slices of one street: the second repairs off the
-  // coverage the first publishes.
+  // Two abutting arc slices of one street: the second runs on the graph
+  // the first leaves in a carried workspace.
   const geom::Segment steps_[2] = {{{4000.0, 5000.0}, {4250.0, 5040.0}},
                                    {{4250.0, 5040.0}, {4500.0, 5080.0}}};
   const Scene scene_;
@@ -289,7 +299,7 @@ TEST_P(DispatchRules, PriorForTheSameQueryIsReturnedAsTheMemo) {
   const core::CoknnResult prior =
       core::CoknnQuery(data(), obstacles(), steps_[0], 3);
   const core::CoknnResult memo = core::CoknnQuery(
-      data(), obstacles(), steps_[0], 3, {}, nullptr, {&prior, 1});
+      data(), obstacles(), steps_[0], 3, {}, nullptr, {&prior});
   EXPECT_EQ(memo.stats.tick_warm_starts, 1u);
   EXPECT_EQ(memo.stats.obstacles_evaluated, 0u);
   EXPECT_EQ(memo.stats.points_evaluated, 0u);
@@ -303,7 +313,7 @@ TEST_P(DispatchRules, PriorForAnotherQueryRunsFresh) {
   const core::CoknnResult prior =
       core::CoknnQuery(data(), obstacles(), steps_[0], 3);
   const core::CoknnResult got = core::CoknnQuery(
-      data(), obstacles(), steps_[1], 3, {}, nullptr, {&prior, 1});
+      data(), obstacles(), steps_[1], 3, {}, nullptr, {&prior});
   const core::CoknnResult fresh =
       core::CoknnQuery(data(), obstacles(), steps_[1], 3);
   EXPECT_EQ(got.stats.tick_warm_starts, 0u);
@@ -313,23 +323,6 @@ TEST_P(DispatchRules, PriorForAnotherQueryRunsFresh) {
   ExpectCoknnEqual(got, fresh);
 }
 
-TEST_P(DispatchRules, WorkspaceWithRepairOptionsRepairs) {
-  core::ConnOptions opts;
-  opts.use_tick_warm_start = true;
-  opts.use_differential_repair = true;
-  core::QueryWorkspace ws(&data(), &obstacles(), steps_[0].Bounds());
-  uint64_t carried = 0;
-  for (const geom::Segment& q : steps_) {
-    const core::CoknnResult got =
-        core::CoknnQuery(data(), obstacles(), q, 3, opts, &ws, {nullptr, 1});
-    EXPECT_EQ(got.stats.repairs_applied, 1u);
-    carried += got.stats.tuples_carried;
-    ExpectCoknnEqual(got, core::CoknnQuery(data(), obstacles(), q, 3));
-  }
-  EXPECT_GT(ws.settlement_log()->size(), 0u);
-  EXPECT_GT(carried, 0u) << "the second slice never read carried coverage";
-}
-
 TEST_P(DispatchRules, WorkspaceWithoutRepairOptionRunsWarmNotRepaired) {
   core::ConnOptions opts;
   opts.use_tick_warm_start = true;
@@ -337,12 +330,11 @@ TEST_P(DispatchRules, WorkspaceWithoutRepairOptionRunsWarmNotRepaired) {
   core::QueryWorkspace ws(&data(), &obstacles(), steps_[0].Bounds());
   for (const geom::Segment& q : steps_) {
     const core::CoknnResult got =
-        core::CoknnQuery(data(), obstacles(), q, 3, opts, &ws, {nullptr, 1});
+        core::CoknnQuery(data(), obstacles(), q, 3, opts, &ws);
     EXPECT_EQ(got.stats.repairs_applied, 0u);
     EXPECT_EQ(got.stats.tuples_carried + got.stats.tuples_rescored, 0u);
     ExpectCoknnEqual(got, core::CoknnQuery(data(), obstacles(), q, 3));
   }
-  EXPECT_EQ(ws.settlement_log()->size(), 0u);
 }
 
 TEST_P(DispatchRules, SameTreeTwiceChargesOneTreeAndMatchesTwoTrees) {

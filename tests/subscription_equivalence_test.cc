@@ -13,7 +13,8 @@
 // so resharding and the memo both participate.
 //
 // SubscriptionFold checks the tick's accounting instead of its answers: the
-// stats a tick folds are the same at 1 and 4 worker threads.
+// stats a tick folds are the same at 1 and 4 worker threads, and with
+// ConnOptions::use_differential_repair on and off.
 
 #include <cstdint>
 #include <limits>
@@ -271,7 +272,6 @@ TEST(SubscriptionFold, StatsAreTheSameAtOneAndFourThreads) {
   // cluster (cover at most 140 wide) shares below 0.1 x 4000, and the
   // dispersed group (about 8080 wide) does not.
   opts.batch.share_locality_factor = 0.1;
-  opts.batch.query.use_differential_repair = true;
   opts.reshard_period = 0;
 
   std::vector<TickResult> single_worker;
@@ -313,6 +313,62 @@ TEST(SubscriptionFold, StatsAreTheSameAtOneAndFourThreads) {
                 IntegerFields(want.stats.per_query_totals));
     }
     EXPECT_GT(shards_carried, 0u) << "the clustered shard never carried";
+  }
+}
+
+TEST(SubscriptionFold, DifferentialRepairFlagChangesNothing) {
+  // use_differential_repair is kept only so the tools that set it still
+  // build: the same warm tick loop (forced sharing, churn at tick 2,
+  // reshards, stationary clients) must give bit-identical answers and
+  // equal integer stats with it on and off, in both tree configurations.
+  // The trees are unbuffered and one worker runs the ticks, so every
+  // counter is deterministic.
+  const Scene scene =
+      MakeScene(29, datagen::PointDistribution::kZipf, 140, 70, 8);
+  for (const bool one_tree : {false, true}) {
+    const rtree::RStarTree& data = one_tree ? scene.unified : scene.tp;
+    const rtree::RStarTree& obstacles = one_tree ? scene.unified : scene.to;
+    std::vector<TickResult> runs[2];
+    for (const bool flag : {false, true}) {
+      SubscriptionOptions opts;
+      opts.batch.num_threads = 1;
+      opts.batch.target_shard_size = 3;
+      opts.batch.share_locality_factor = 0.0;
+      opts.batch.query.use_tick_warm_start = true;
+      opts.batch.query.use_differential_repair = flag;
+      opts.reshard_period = 3;
+      SubscriptionService service(data, obstacles, opts);
+      std::vector<int64_t> ids;
+      for (const RouteSpec& r : scene.routes) {
+        ids.push_back(service.Subscribe(r, 3).value());
+      }
+      for (uint64_t tick = 0; tick < 6; ++tick) {
+        if (tick == 2) {
+          ASSERT_TRUE(service.Unsubscribe(ids[1]).ok());
+          ids.push_back(service.Subscribe(scene.routes[1], 3).value());
+        }
+        runs[flag].push_back(service.Tick());
+      }
+    }
+    size_t carried = 0;
+    for (uint64_t tick = 0; tick < 6; ++tick) {
+      SCOPED_TRACE(std::string(one_tree ? "one tree" : "two trees") +
+                   ", tick " + std::to_string(tick));
+      const TickResult& off = runs[0][tick];
+      const TickResult& on = runs[1][tick];
+      EXPECT_EQ(IntegerFields(on.stats), IntegerFields(off.stats));
+      EXPECT_EQ(IntegerFields(on.stats.per_query_totals),
+                IntegerFields(off.stats.per_query_totals));
+      carried += off.stats.shards_carried;
+      ASSERT_EQ(on.updates.size(), off.updates.size());
+      for (size_t i = 0; i < on.updates.size(); ++i) {
+        ASSERT_EQ(on.updates[i].client, off.updates[i].client);
+        ASSERT_TRUE(on.updates[i].result.has_value());
+        ASSERT_TRUE(off.updates[i].result.has_value());
+        ExpectCoknnEqual(*on.updates[i].result, *off.updates[i].result);
+      }
+    }
+    EXPECT_GT(carried, 0u) << "no shard was ever carried; test is vacuous";
   }
 }
 

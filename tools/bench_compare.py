@@ -60,11 +60,6 @@ EXACT_COUNTERS = [
     "tick_warm",
     "tick_frontier",
     "store_hits",
-    "repairs",
-    "carried",
-    "rescored",
-    "frontier_shares",
-    "adopted",
     "splits",
     "l1_hits",
     "crossings",

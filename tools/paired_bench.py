@@ -24,8 +24,10 @@ is better than the parent's by more than the parent's interquartile range
 change's median may be worse than the parent's by at most `bound` times the
 parent's median.  The rule is `unresolved` when the parent's own IQR
 exceeds `bound` times its median, unless every change run beats every
-parent run.  Each side's correctness flags and failed operations are
-summed at the end.
+parent run.  A metric on which the change is worse in at least 9 of every
+10 pairs gets a `consistent move` note, even where it stays inside its
+bound: a small but steady cost is a move to report, not "unchanged".
+Each side's correctness flags and failed operations are summed at the end.
 """
 
 import argparse
@@ -72,6 +74,7 @@ def summarize(pairs, better):
         "gap": gap,
         "parent_iqr": iqr,
         "gain": 10 * wins >= 9 * len(pairs) and gap > iqr,
+        "against": losses > 0 and 10 * losses >= 9 * len(pairs),
     }
 
 
@@ -128,6 +131,7 @@ def fmt(x):
 def report(workload, seeds, orders, records, spec_metrics):
     print(f"== {workload}: {len(seeds)} pairs")
     verdicts = {}
+    moved = []
     for metric in spec_metrics:
         name = metric["name"]
         pairs = [(records["parent"][i]["metrics"][name]["value"],
@@ -147,6 +151,11 @@ def report(workload, seeds, orders, records, spec_metrics):
         print(f"  change wins {s['wins']}/{len(pairs)} (losses {s['losses']}, "
               f"ties {s['ties']}); gain rule {verdict}: median gap "
               f"{fmt(s['gap'])} vs parent IQR {fmt(s['parent_iqr'])}")
+        if s["against"]:
+            moved.append(name)
+            print(f"  consistent move: the change is worse in "
+                  f"{s['losses']}/{len(pairs)} pairs, median gap "
+                  f"{fmt(s['gap'])}")
         if "bound" in metric:
             r = no_regression(pairs, metric["better"], metric["bound"])
             verdicts[name] = r["verdict"]
@@ -158,6 +167,8 @@ def report(workload, seeds, orders, records, spec_metrics):
                    if v != "holds"]
         print("  no-regression rule: " +
               (", ".join(flagged) if flagged else "holds on every metric"))
+    if moved:
+        print("  consistent moves against the change: " + ", ".join(moved))
     for side in SIDES:
         recs = records[side]
         print(f"  {side}: correct in {sum(1 for r in recs if r['correct'])}/"

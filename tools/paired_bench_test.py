@@ -4,9 +4,11 @@
 Checks the run order's alternation, the quartiles, the win count in both
 metric directions with ties counting for neither side, both halves of
 the gain rule (at least 9 of 10 pairs won; a median gap wider than the
-parent's interquartile range), and the no-regression rule (the change's
+parent's interquartile range), the no-regression rule (the change's
 median worse by at most the bound, unresolved when the parent's own
-spread exceeds it unless every change run beats every parent run).
+spread exceeds it unless every change run beats every parent run), and
+the consistent-move note (the change worse in at least 9 of 10 pairs,
+inside the bound or not).
 """
 
 import importlib.util
@@ -104,6 +106,27 @@ def main() -> int:
            "equal zeros hold")
     r = pb.no_regression([(0.0, 1.0)] * 5, "lower", 0.12)
     expect(r["verdict"] == "regression", f"0 -> 1 is a regression: {r}")
+
+    # Consistent move: worse in every pair by ~7%, inside a 12% bound.
+    faults = [(1.03 + 0.001 * i, 1.105 + 0.001 * i) for i in range(6)]
+    s = pb.summarize(faults, "lower")
+    r = pb.no_regression(faults, "lower", 0.12)
+    expect(s["against"] and s["losses"] == 6 and r["verdict"] == "holds",
+           f"6/6 worse inside the bound is a consistent move that holds: "
+           f"{s} {r}")
+    # Nine of ten pairs worse is a consistent move; eight is not.
+    nine_worse = [(10.0, 9.0)] * 9 + [(10.0, 11.0)]
+    expect(pb.summarize(nine_worse, "higher")["against"],
+           "9/10 worse is a consistent move")
+    eight_worse = [(10.0, 9.0)] * 8 + [(10.0, 10.0), (10.0, 11.0)]
+    expect(not pb.summarize(eight_worse, "higher")["against"],
+           "8/10 worse (one tie) is no consistent move")
+    # Ties count for neither side: all equal is no move.
+    expect(not pb.summarize([(5.0, 5.0)] * 10, "lower")["against"],
+           "equal runs are no consistent move")
+    # A change that wins every pair is no move against it.
+    expect(not pb.summarize(latency, "lower")["against"],
+           "a latency gain is no consistent move against the change")
 
     if failures:
         print(f"paired_bench_test: {len(failures)} failure(s)")
