@@ -86,8 +86,6 @@ void ReportBatch(benchmark::State& state, const exec::BatchStats& stats,
       static_cast<double>(stats.per_query_totals.visibility_tests);
   state.counters["seed_tests"] =
       static_cast<double>(stats.per_query_totals.seed_tests);
-  state.counters["warm_restarts"] =
-      static_cast<double>(stats.per_query_totals.scan_warm_restarts);
   state.counters["settled"] =
       static_cast<double>(stats.per_query_totals.dijkstra_settled);
   state.counters["NOE"] =
@@ -138,8 +136,6 @@ void RunSequentialBench(benchmark::State& state,
       timer.ElapsedSeconds());
   state.counters["vis_tests"] = static_cast<double>(totals.visibility_tests);
   state.counters["seed_tests"] = static_cast<double>(totals.seed_tests);
-  state.counters["warm_restarts"] =
-      static_cast<double>(totals.scan_warm_restarts);
   state.counters["settled"] = static_cast<double>(totals.dijkstra_settled);
   state.counters["NOE"] = static_cast<double>(totals.obstacles_evaluated);
 }

@@ -180,8 +180,6 @@ void ReportStats(benchmark::State& state, const QueryStats& avg,
   state.counters["vis_tests"] = static_cast<double>(avg.visibility_tests);
   state.counters["seed_tests"] = static_cast<double>(avg.seed_tests);
   state.counters["settled"] = static_cast<double>(avg.dijkstra_settled);
-  state.counters["warm_restarts"] =
-      static_cast<double>(avg.scan_warm_restarts);
   state.counters["tick_warm"] = static_cast<double>(avg.tick_warm_starts);
   state.counters["tick_frontier"] =
       static_cast<double>(avg.tick_frontier_reuse);

@@ -37,7 +37,10 @@ struct QueryStats {
   uint64_t dijkstra_settled = 0;     ///< total vertices settled across runs
   uint64_t visibility_tests = 0;     ///< segment-vs-obstacle interior tests
   uint64_t seed_tests = 0;           ///< source->vertex seed sight-line tests
-  uint64_t scan_warm_restarts = 0;   ///< IOR waves absorbed by Revalidate()
+  /// Always 0.  Counted IOR waves absorbed by warm scan restarts, which
+  /// were removed; kept because perfbench/conn_bench.cc:557
+  /// (AddCounterMetrics) reads it and perfbench/replay.cc:326 compares it.
+  uint64_t scan_warm_restarts = 0;
 
   // --- tick-loop (subscription service) reuse ---
   /// Queries served via cross-tick state (carried workspace or memo).

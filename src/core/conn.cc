@@ -69,7 +69,7 @@ ConnResult ConnQuery(const rtree::RStarTree& data_tree,
   if (q.Length() <= 0.0) {
     // Degenerate zero-length query: the ONN point query with k = 1 (no
     // interval computation); the control point is the query point itself.
-    for (const OnnNeighbor& n : internal::NearestByOdist(&scope, 1, opts)) {
+    for (const OnnNeighbor& n : internal::NearestByOdist(&scope, 1)) {
       result.tuples.push_back(
           ConnTuple{n.pid, q.a, n.odist, geom::Interval(0.0, 0.0)});
     }

@@ -345,8 +345,7 @@ class QueryScope {
       }
       std::unique_ptr<vis::DijkstraScan> scan;
       IncrementalObstacleRetrieval(obstacles(), vg, targets, p, &retrieved,
-                                   &stats_, &scan, arena(),
-                                   opts.use_warm_scan_restarts);
+                                   &stats_, &scan, arena());
       return ComputeControlPointList(vg, scan.get(), p, frame, reachable, opts,
                                      &stats_, &vr_cache);
     };
@@ -398,13 +397,11 @@ struct AnchoredIor {
   ObstacleSource* obstacles;
   vis::ScanArena* arena;
   QueryStats* stats;
-  bool warm_restarts;  ///< ConnOptions::use_warm_scan_restarts
   double retrieved = 0.0;
 
   double Odist(geom::Vec2 p) {
     return IncrementalObstacleRetrieval(obstacles, vg, anchor, p, &retrieved,
-                                        stats, /*out_scan=*/nullptr, arena,
-                                        warm_restarts);
+                                        stats, /*out_scan=*/nullptr, arena);
   }
 };
 
@@ -414,12 +411,10 @@ struct AnchoredIor {
 /// points come from their own iterator; in the 1-tree configuration it
 /// skips obstacles, which reach the graph through the unified stream.
 template <typename Within, typename Visit>
-void ForEachPointByOdist(QueryScope* scope, const ConnOptions& opts,
-                         Within within, Visit visit) {
+void ForEachPointByOdist(QueryScope* scope, Within within, Visit visit) {
   vis::QuerySession session(scope->graph());
   AnchoredIor ior{scope->graph(), {session.AddFixedVertex(scope->query().a)},
-                  scope->obstacles(), scope->arena(), scope->stats(),
-                  opts.use_warm_scan_restarts};
+                  scope->obstacles(), scope->arena(), scope->stats()};
   rtree::BestFirstIterator points(scope->data_tree(), scope->query());
   rtree::DataObject obj;
   double dist = 0.0;
@@ -464,10 +459,9 @@ inline bool NearerFirst(const OnnNeighbor& a, const OnnNeighbor& b) {
 
 /// The k data points nearest to the anchor of \p scope's zero-length
 /// query by obstructed distance: ONN, and the zero-length CONN (k = 1).
-inline std::vector<OnnNeighbor> NearestByOdist(QueryScope* scope, size_t k,
-                                               const ConnOptions& opts) {
+inline std::vector<OnnNeighbor> NearestByOdist(QueryScope* scope, size_t k) {
   return KNearest<OnnNeighbor>(k, NearerFirst, [&](auto within, auto visit) {
-    ForEachPointByOdist(scope, opts, within, visit);
+    ForEachPointByOdist(scope, within, visit);
   });
 }
 

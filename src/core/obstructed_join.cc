@@ -19,12 +19,10 @@ namespace {
 /// across all right partners of a (IOR reuse).
 struct LeftContext {
   LeftContext(const geom::Rect& domain, geom::Vec2 a,
-              const rtree::RStarTree& obstacle_tree, QueryStats* stats,
-              const ConnOptions& opts)
+              const rtree::RStarTree& obstacle_tree, QueryStats* stats)
       : vg(domain, stats),
         source(obstacle_tree, geom::Segment(a, a)),
-        ior{&vg, {vg.AddFixedVertex(a)}, &source, &arena, stats,
-            opts.use_warm_scan_restarts} {}
+        ior{&vg, {vg.AddFixedVertex(a)}, &source, &arena, stats} {}
 
   vis::VisGraph vg;
   vis::ScanArena arena;
@@ -37,11 +35,10 @@ struct LeftContext {
 class JoinScope {
  public:
   JoinScope(const rtree::RStarTree& tree_a, const rtree::RStarTree& tree_b,
-            const rtree::RStarTree& obstacle_tree, const ConnOptions& opts)
+            const rtree::RStarTree& obstacle_tree)
       : tree_a_(tree_a),
         tree_b_(tree_b),
         obstacle_tree_(obstacle_tree),
-        opts_(opts),
         a_io_(tree_a.pager()),
         b_io_(tree_b.pager()),
         o_io_(obstacle_tree.pager()) {}
@@ -68,7 +65,7 @@ class JoinScope {
                                       geom::Rect::FromPoint(pos))
                 .ExpandedToCover(tree_b_.Bounds());
         it = contexts_
-                 .try_emplace(id, domain, pos, obstacle_tree_, &stats_, opts_)
+                 .try_emplace(id, domain, pos, obstacle_tree_, &stats_)
                  .first;
       }
       visit(JoinPair{id, static_cast<int64_t>(b.id),
@@ -96,7 +93,6 @@ class JoinScope {
   const rtree::RStarTree& tree_a_;
   const rtree::RStarTree& tree_b_;
   const rtree::RStarTree& obstacle_tree_;
-  const ConnOptions& opts_;
   internal::PagerDelta a_io_;
   internal::PagerDelta b_io_;
   internal::PagerDelta o_io_;
@@ -115,9 +111,9 @@ bool NearerPairFirst(const JoinPair& x, const JoinPair& y) {
 JoinResult ObstructedEDistanceJoin(const rtree::RStarTree& tree_a,
                                    const rtree::RStarTree& tree_b,
                                    const rtree::RStarTree& obstacle_tree,
-                                   double e, const ConnOptions& opts) {
+                                   double e, const ConnOptions& /*opts*/) {
   CONN_CHECK_MSG(e >= 0.0, "join radius must be non-negative");
-  JoinScope scope(tree_a, tree_b, obstacle_tree, opts);
+  JoinScope scope(tree_a, tree_b, obstacle_tree);
   JoinResult result;
   scope.ForEachPairByOdist([&](double euclid) { return euclid <= e; },
                            [&](const JoinPair& p) {
@@ -131,9 +127,9 @@ JoinResult ObstructedEDistanceJoin(const rtree::RStarTree& tree_a,
 JoinResult ObstructedClosestPairs(const rtree::RStarTree& tree_a,
                                   const rtree::RStarTree& tree_b,
                                   const rtree::RStarTree& obstacle_tree,
-                                  size_t k, const ConnOptions& opts) {
+                                  size_t k, const ConnOptions& /*opts*/) {
   CONN_CHECK_MSG(k >= 1, "closest pairs requires k >= 1");
-  JoinScope scope(tree_a, tree_b, obstacle_tree, opts);
+  JoinScope scope(tree_a, tree_b, obstacle_tree);
   JoinResult result;
   auto pair_stream = [&](auto within, auto visit) {
     scope.ForEachPairByOdist(within, visit);
@@ -147,7 +143,7 @@ JoinResult ObstructedSemiJoin(const rtree::RStarTree& tree_a,
                               const rtree::RStarTree& tree_b,
                               const rtree::RStarTree& obstacle_tree,
                               const ConnOptions& opts) {
-  JoinScope scope(tree_a, tree_b, obstacle_tree, opts);
+  JoinScope scope(tree_a, tree_b, obstacle_tree);
   JoinResult result;
   std::vector<rtree::DataObject> lefts;
   CONN_CHECK(tree_a.RangeQuery(tree_a.Bounds(), &lefts).ok());

@@ -9,8 +9,7 @@
 // current k-th best (closest pairs).  Exact obstructed distances come from
 // IOR over per-left-object local visibility graphs that are reused across
 // all right-side partners of the same left object.  IOR runs as it does
-// for ONN, so the ConnOptions of every join are honoured
-// (use_warm_scan_restarts = false selects the paper-literal fresh scan).
+// for ONN, and as for ONN no ConnOptions knob affects the joins.
 
 #ifndef CONN_CORE_OBSTRUCTED_JOIN_H_
 #define CONN_CORE_OBSTRUCTED_JOIN_H_

@@ -37,7 +37,7 @@ struct ObstructedRangeResult {
 /// \p data_tree must then hold points only.  Passing the *same* tree as
 /// both arguments selects the 1-tree configuration of Section 4.5: the
 /// unified tree serves both data points and obstacles, and all I/O is
-/// charged to data_page_reads.
+/// charged to data_page_reads.  As for ONN, \p opts has no effect.
 ObstructedRangeResult ObstructedRangeQuery(
     const rtree::RStarTree& data_tree, const rtree::RStarTree& obstacle_tree,
     geom::Vec2 query_point, double radius, const ConnOptions& opts = {});

@@ -129,7 +129,7 @@ double IncrementalObstacleRetrieval(
     const std::vector<vis::VertexId>& targets, geom::Vec2 p,
     double* retrieved_up_to, QueryStats* stats,
     std::unique_ptr<vis::DijkstraScan>* out_scan, vis::ScanArena* arena,
-    bool warm_restarts) {
+    bool /*unused*/) {
   CONN_CHECK_MSG(!targets.empty(), "IOR requires at least one target vertex");
   // Local shortest paths on the current graph (Algorithm 1 line 2).
   auto make_scan = [&] {
@@ -199,20 +199,12 @@ double IncrementalObstacleRetrieval(
     // peak ellipse admitted, an unchanged graph means the paths are final.
     if (!admitted) break;
 
-    // 4. Bring the scan up to date with the grown graph.
-    if (warm_restarts) {
-      // Lemma-3 restart on the grown graph: roll back only the settlement
-      // suffix the new obstacles can reach, keep the provably unaffected
-      // prefix.
-      scan->Revalidate();
-      if (stats != nullptr) ++stats->scan_warm_restarts;
-    } else {
-      // Reference path: recompute from scratch (destroy first — the arena
-      // admits one live scan at a time).
-      scan.reset();
-      scan = make_scan();
-      if (stats != nullptr) ++stats->dijkstra_runs;
-    }
+    // 4. Recompute the local shortest paths on the grown graph (Lemma 3):
+    // a fresh scan on the same arena (destroy first — the arena admits one
+    // live scan at a time).
+    scan.reset();
+    scan = make_scan();
+    if (stats != nullptr) ++stats->dijkstra_runs;
   }
   if (out_scan != nullptr) *out_scan = std::move(scan);
   return d;

@@ -194,7 +194,7 @@ class UnifiedStream : public ObstacleSource {
 /// ellipse), admits the parked obstacles in some peak ellipse, streams the
 /// obstacles up to d that earlier iterations and points have not streamed
 /// (admitting those in some peak ellipse and parking the rest), and
-/// revalidates the scan.  It stops when an
+/// starts a new scan on the grown graph.  It stops when an
 /// iteration admits nothing (Lemma 3).  \p retrieved_up_to carries the
 /// "previous search distance d" across data points so the obstacle set O
 /// is streamed at most once per query.
@@ -214,19 +214,19 @@ class UnifiedStream : public ObstacleSource {
 /// of re-seeding — the scan's settlement log already covers the search
 /// range of Theorem 2.
 ///
-/// \p arena (optional) backs the scan with pooled epoch-stamped state; a
+/// \p arena (optional) backs the scans with pooled epoch-stamped state; a
 /// query (or a batch shard) passes one arena so consecutive scans skip the
-/// per-scan O(V) initialization.  With \p warm_restarts (the default) an
-/// obstacle wave revalidates and extends the previous scan
-/// (DijkstraScan::Revalidate) instead of recomputing it from scratch;
-/// disabling it forces the paper-literal fresh scan per Lemma-3 iteration
-/// — the reference path the equivalence suite compares against.
+/// per-scan O(V) initialization.
+///
+/// The trailing bool has no effect.  It selected warm scan restarts, which
+/// saved nothing once admission was ellipse-bounded and were removed; kept
+/// because perfbench/replay.cc:140-142 (ReplayBody) still passes it.
 double IncrementalObstacleRetrieval(
     ObstacleSource* source, vis::VisGraph* vg,
     const std::vector<vis::VertexId>& targets, geom::Vec2 p,
     double* retrieved_up_to, QueryStats* stats,
     std::unique_ptr<vis::DijkstraScan>* out_scan = nullptr,
-    vis::ScanArena* arena = nullptr, bool warm_restarts = true);
+    vis::ScanArena* arena = nullptr, bool /*unused*/ = true);
 
 }  // namespace core
 }  // namespace conn

@@ -45,7 +45,8 @@ struct OnnResult {
 /// \p data_tree must then hold points only.  Passing the *same* tree as
 /// both arguments selects the 1-tree configuration of Section 4.5: the
 /// unified tree serves both data points and obstacles, and all I/O is
-/// charged to data_page_reads.
+/// charged to data_page_reads.  No ConnOptions knob affects ONN; \p opts
+/// is accepted so every query of the family takes the same options.
 OnnResult OnnQuery(const rtree::RStarTree& data_tree,
                    const rtree::RStarTree& obstacle_tree,
                    geom::Vec2 query_point, size_t k,

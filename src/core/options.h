@@ -23,12 +23,10 @@ struct ConnOptions {
   /// forces evaluation of every data point (for the ablation only).
   bool use_rlmax_terminate = true;
 
-  /// Warm IOR restarts: an obstacle wave revalidates and extends the
-  /// previous Dijkstra scan (rolling back only the settlement suffix the
-  /// new obstacles can reach) instead of recomputing it from scratch.
-  /// Results are bit-identical either way; disabling selects the
-  /// paper-literal fresh-scan-per-Lemma-3-iteration reference path that
-  /// the scan-arena equivalence suite compares against.
+  /// Has no effect.  It selected warm IOR scan restarts, which saved
+  /// nothing once admission was ellipse-bounded and were removed: every
+  /// Lemma-3 wave starts a new scan.  Kept because
+  /// perfbench/conn_bench.cc:633 (RunUlSingle) still sets it.
   bool use_warm_scan_restarts = true;
 
   /// Cross-tick warm starts for moving-query subscriptions: successive

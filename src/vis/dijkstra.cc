@@ -34,13 +34,11 @@ void DijkstraScan::Begin() {
   arena_->EnsureCapacity(graph_->VertexCount());
   arena_->heap_.clear();
   arena_->pending_.clear();
-  arena_->seed_log_.clear();
   arena_->log_.clear();
   settled_count_ = 0;
   next_cursor_ = 0;
   rings_done_ = 0;
   graph_epoch_ = graph_->epoch();
-  obstacle_watermark_ = graph_->obstacles().size();
 }
 
 double DijkstraScan::NextSeedLowerBound() const {
@@ -75,20 +73,16 @@ void DijkstraScan::ExpandRingsUpTo(double bound) {
   }
 }
 
-bool DijkstraScan::TrySeed(VertexId v, double euclid) {
+void DijkstraScan::TrySeed(VertexId v, double euclid) {
   if (euclid <= geom::kEpsDist) {
     // Source coincides with the vertex: trivially reachable.
     Push(v, euclid, kPredSource);
-    return true;
+    return;
   }
   const geom::Vec2 pos = graph_->VertexPos(v);
-  if (graph_->DirectionEntersCorner(v, source_ - pos)) return false;
+  if (graph_->DirectionEntersCorner(v, source_ - pos)) return;
   if (QueryStats* stats = graph_->stats()) ++stats->seed_tests;
-  if (graph_->Visible(source_, pos)) {
-    Push(v, euclid, kPredSource);
-    return true;
-  }
-  return false;
+  if (graph_->Visible(source_, pos)) Push(v, euclid, kPredSource);
 }
 
 void DijkstraScan::SeedUpTo(double bound) {
@@ -98,8 +92,7 @@ void DijkstraScan::SeedUpTo(double bound) {
     const ScanArena::SeedCand cand = pending.front();
     std::pop_heap(pending.begin(), pending.end(), std::greater<>());
     pending.pop_back();
-    const bool pushed = TrySeed(cand.v, cand.euclid);
-    arena_->seed_log_.push_back({cand.euclid, cand.v, pushed});
+    TrySeed(cand.v, cand.euclid);
   }
 }
 
@@ -116,7 +109,7 @@ void DijkstraScan::Push(VertexId v, double dist, int32_t pred) {
 
 bool DijkstraScan::PrepareTop() {
   CONN_CHECK_MSG(graph_->epoch() == graph_epoch_,
-                 "graph gained obstacles mid-scan; call Revalidate() first");
+                 "graph gained obstacles mid-scan; start a new scan");
   // Fixed vertices patched in mid-scan don't bump the epoch; make sure the
   // per-vertex arrays cover them before relaxation touches their slots.
   arena_->EnsureCapacity(graph_->VertexCount());
@@ -214,80 +207,6 @@ double DijkstraScan::SettleTargets(const std::vector<VertexId>& targets) {
     max_dist = std::max(max_dist, DistOf(t));
   }
   return max_dist;
-}
-
-void DijkstraScan::Revalidate() {
-  if (graph_->epoch() == graph_epoch_) return;
-  graph_epoch_ = graph_->epoch();
-  const ObstacleSet& obs = graph_->obstacles();
-  double m = kInf;
-  for (size_t i = obstacle_watermark_; i < obs.size(); ++i) {
-    m = std::min(m, geom::MinDistRectPoint(obs.rect(i), source_));
-  }
-  obstacle_watermark_ = obs.size();
-
-  // Anything settled or seeded strictly below the cut provably kept its
-  // shortest path: a path of length L stays inside the L-disk around the
-  // source, so it cannot touch an obstacle at distance >= m, and any new
-  // path through a fresh corner first pays >= m to reach it.  The eps
-  // backs the cut off that boundary so predicate tolerances cannot flip a
-  // grazing sight-line.
-  const double cut = m - geom::kEpsDist;
-
-  auto& log = arena_->log_;
-  auto& seed_log = arena_->seed_log_;
-  size_t keep_log = 0;
-  while (keep_log < log.size() && log[keep_log].dist < cut) ++keep_log;
-  size_t keep_seed = 0;
-  while (keep_seed < seed_log.size() && seed_log[keep_seed].euclid < cut) {
-    ++keep_seed;
-  }
-  log.resize(keep_log);
-  seed_log.resize(keep_seed);
-  settled_count_ = keep_log;
-  next_cursor_ = std::min(next_cursor_, keep_log);
-
-  // Fresh epoch: O(1) wholesale invalidation of the per-vertex arrays.
-  epoch_ = ++arena_->epoch_;
-  arena_->EnsureCapacity(graph_->VertexCount());
-  arena_->heap_.clear();
-  arena_->pending_.clear();
-
-  // Re-mark the kept seeds, then refill the pending pool by re-walking the
-  // already-expanded rings.  Corner vertices the new obstacles added land
-  // in the pool automatically when their cell was already visited; cells
-  // beyond rings_done_ pick them up on the normal lazy path.
-  for (const ScanArena::SeedLogEntry& s : seed_log) {
-    arena_->seeded_stamp_[s.v] = epoch_;
-  }
-  const int rings = rings_done_;
-  for (int r = 0; r < rings; ++r) EmitRing(r);
-
-  // Replay the kept prefix in the original operation order (seeds with
-  // euclid <= D flush before the settlement at D), so exact distance ties
-  // resolve identically to an uninterrupted scan.  Seed visibility tests
-  // are NOT re-run — the kept outcomes are provably unchanged.
-  size_t si = 0;
-  for (size_t li = 0; li < keep_log; ++li) {
-    const ScanSettled entry = log[li];
-    while (si < keep_seed && seed_log[si].euclid <= entry.dist) {
-      const ScanArena::SeedLogEntry s = seed_log[si++];
-      if (s.pushed) Push(s.v, s.euclid, kPredSource);
-    }
-    arena_->dist_[entry.v] = entry.dist;
-    arena_->pred_[entry.v] = entry.pred;
-    arena_->dist_stamp_[entry.v] = epoch_;
-    arena_->settled_stamp_[entry.v] = epoch_;
-    for (const VisEdge& e : graph_->Neighbors(entry.v)) {
-      if (arena_->settled_stamp_[e.to] != epoch_) {
-        Push(e.to, entry.dist + e.length, static_cast<int32_t>(entry.v));
-      }
-    }
-  }
-  while (si < keep_seed) {
-    const ScanArena::SeedLogEntry s = seed_log[si++];
-    if (s.pushed) Push(s.v, s.euclid, kPredSource);
-  }
 }
 
 }  // namespace vis

@@ -80,14 +80,6 @@ class ScanArena {
     }
   };
 
-  /// One processed seed candidate: whether its direct source sight-line
-  /// passed keeps warm revalidation from re-running the visibility test.
-  struct SeedLogEntry {
-    double euclid;
-    VertexId v;
-    bool pushed;
-  };
-
   void EnsureCapacity(size_t n) {
     if (dist_.size() < n) {
       dist_.resize(n);
@@ -114,8 +106,7 @@ class ScanArena {
   // Reusable buffers (cleared per scan, capacity retained).
   std::vector<HeapItem> heap_;      ///< binary min-heap (std::*_heap)
   std::vector<SeedCand> pending_;   ///< binary min-heap of unseeded cands
-  std::vector<SeedLogEntry> seed_log_;  ///< processed seeds, ascending
-  std::vector<ScanSettled> log_;        ///< settlement log, ascending
+  std::vector<ScanSettled> log_;    ///< settlement log, ascending
 };
 
 /// Incremental single-source shortest-path scan.
@@ -133,8 +124,9 @@ class DijkstraScan {
   DijkstraScan(VisGraph* graph, geom::Vec2 source);
 
   /// Starts a scan from \p source over \p graph on \p arena.  The arena
-  /// admits one live scan at a time and must outlive it.  Obstacles may be
-  /// added to the graph while the scan is alive ONLY via Revalidate().
+  /// admits one live scan at a time and must outlive it.  A scan reads
+  /// the graph as it was when the scan started: once obstacles are added,
+  /// the scan must not advance — destroy it and start a new one.
   DijkstraScan(VisGraph* graph, geom::Vec2 source, ScanArena* arena);
 
   ~DijkstraScan();
@@ -182,17 +174,6 @@ class DijkstraScan {
   /// Number of vertices settled so far.
   size_t SettledCount() const { return settled_count_; }
 
-  /// Warm restart (Lemma 3 outer iterations of IOR): brings the scan back
-  /// in sync with a graph that gained obstacles since the scan started or
-  /// was last revalidated.  Conservative and exact: with m the minimum
-  /// distance from the source to any newly added obstacle, every logged
-  /// settlement (and seeded source edge) of distance < m provably cannot
-  /// have changed — those are kept and replayed against the patched
-  /// adjacency; everything at >= m is rolled back and recomputed on
-  /// demand.  After the call the scan behaves exactly like a fresh scan
-  /// over the grown graph.
-  void Revalidate();
-
  private:
   static constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -215,8 +196,8 @@ class DijkstraScan {
   void SeedUpTo(double bound);
 
   /// Tests the direct source sight-line of \p v and pushes the seed edge
-  /// when visible.  Returns whether the edge was pushed.
-  bool TrySeed(VertexId v, double euclid);
+  /// when visible.
+  void TrySeed(VertexId v, double euclid);
 
   /// Moves every live, not-yet-pending vertex of grid ring \p ring into
   /// the pending seed pool.
@@ -226,7 +207,7 @@ class DijkstraScan {
   void ExpandRingsUpTo(double bound);
 
   /// Lower bound on the Euclidean distance of any vertex that has not yet
-  /// entered the seed log (+infinity when seeding is exhausted).
+  /// been seeded (+infinity when seeding is exhausted).
   double NextSeedLowerBound() const;
 
   VisGraph* graph_;
@@ -239,9 +220,7 @@ class DijkstraScan {
   size_t next_cursor_ = 0;  // read position of Next() within the log
   int rings_done_ = 0;      // grid rings already emitted into pending
 
-  // Graph-growth watermarks for Revalidate().
-  uint64_t graph_epoch_ = 0;
-  size_t obstacle_watermark_ = 0;
+  uint64_t graph_epoch_ = 0;  // graph epoch the scan started on
 };
 
 }  // namespace vis

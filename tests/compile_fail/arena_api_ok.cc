@@ -13,17 +13,20 @@ struct GuardedLog {
   double furthest GUARDED_BY(mu) = 0.0;
 };
 
-// A fresh scan (or a warm Revalidate) is how epochs move — never by
-// touching the stamp arrays.
+// A new scan on the arena, once the previous one has gone out of scope, is
+// how epochs move — never by touching the stamp arrays.
 double FurthestSettled(conn::vis::VisGraph* graph, GuardedLog* out) {
   conn::vis::ScanArena arena;
-  conn::vis::DijkstraScan scan(graph, {0.0, 0.0}, &arena);
   conn::vis::VertexId v = 0;
   double dist = 0.0;
   int32_t pred = 0;
   double last = 0.0;
-  while (scan.Next(&v, &dist, &pred)) last = dist;
-  scan.Revalidate();
+  {
+    conn::vis::DijkstraScan scan(graph, {0.0, 0.0}, &arena);
+    while (scan.Next(&v, &dist, &pred)) last = dist;
+  }
+  conn::vis::DijkstraScan rescan(graph, {0.0, 0.0}, &arena);
+  while (rescan.Next(&v, &dist, &pred)) last = dist;
   conn::MutexLock lock(out->mu);
   out->furthest = last;
   return last;

@@ -1,13 +1,17 @@
-// Shared helpers for the test suite: deterministic random scene generation
-// and tree construction.
+// Shared helpers for the test suite: deterministic random scene generation,
+// tree construction, and QueryStats comparison.
 
 #ifndef CONN_TESTS_TEST_UTIL_H_
 #define CONN_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "datagen/datasets.h"
 #include "geom/box.h"
 #include "geom/segment.h"
@@ -79,6 +83,39 @@ inline rtree::RStarTree MakeUnifiedTree(const Scene& s) {
   }
   auto result = rtree::StrBulkLoad(std::move(all));
   return std::move(result).value();
+}
+
+/// Every integer field of QueryStats, by name.  A query's I/O fields count
+/// only its own thread's page fetches; the prefetch_* fields are process-
+/// wide but stay 0 without readahead.
+inline std::vector<std::pair<std::string, uint64_t>> IntegerFields(
+    const QueryStats& s) {
+  return {{"data_page_reads", s.data_page_reads},
+          {"obstacle_page_reads", s.obstacle_page_reads},
+          {"buffer_hits", s.buffer_hits},
+          {"prefetch_issued", s.prefetch_issued},
+          {"prefetch_hits", s.prefetch_hits},
+          {"prefetch_wasted", s.prefetch_wasted},
+          {"points_evaluated", s.points_evaluated},
+          {"obstacles_evaluated", s.obstacles_evaluated},
+          {"vis_graph_vertices", s.vis_graph_vertices},
+          {"dijkstra_runs", s.dijkstra_runs},
+          {"dijkstra_settled", s.dijkstra_settled},
+          {"visibility_tests", s.visibility_tests},
+          {"seed_tests", s.seed_tests},
+          {"scan_warm_restarts", s.scan_warm_restarts},
+          {"tick_warm_starts", s.tick_warm_starts},
+          {"tick_frontier_reuse", s.tick_frontier_reuse},
+          {"cross_shard_store_hits", s.cross_shard_store_hits},
+          {"repairs_applied", s.repairs_applied},
+          {"tuples_carried", s.tuples_carried},
+          {"tuples_rescored", s.tuples_rescored},
+          {"frontier_shares", s.frontier_shares},
+          {"vr_cache_evictions", s.vr_cache_evictions},
+          {"split_evaluations", s.split_evaluations},
+          {"lemma1_prunes", s.lemma1_prunes},
+          {"lemma7_terminations", s.lemma7_terminations},
+          {"lemma2_terminations", s.lemma2_terminations}};
 }
 
 }  // namespace testutil

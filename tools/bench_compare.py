@@ -54,7 +54,6 @@ EXACT_COUNTERS = [
     "vis_tests",
     "seed_tests",
     "settled",
-    "warm_restarts",
     "reuse_hits",
     "shards",
     "tick_warm",

@@ -69,8 +69,8 @@ void ArenaEpochResetCheck::check(const MatchFinder::MatchResult& result) {
       result.SourceManager->getFileLoc(write->getBeginLoc());
   diag(loc,
        "epoch-stamp array %0 written outside the ScanArena API; scan state "
-       "is reset by bumping the epoch (a fresh DijkstraScan or "
-       "Revalidate()), never by writing the arrays directly")
+       "is reset by bumping the epoch (a fresh DijkstraScan), never by "
+       "writing the arrays directly")
       << stamp->getMemberDecl()->getName();
 }
 
