@@ -97,36 +97,15 @@ const Dataset& GetDataset(datagen::PointDistribution dist, size_t num_points,
   return *pos->second;
 }
 
-storage::EvictionPolicy BenchBufferPolicy() {
-  static const storage::EvictionPolicy policy = [] {
-    const char* env = std::getenv("CONN_BUFFER_POLICY");
-    if (env == nullptr || std::string(env) == "2q") {
-      return storage::EvictionPolicy::kTwoQueue;
-    }
-    // A typo here would silently publish baselines under the wrong policy.
-    CONN_CHECK_MSG(std::string(env) == "exact-lru",
-                   "CONN_BUFFER_POLICY must be \"2q\" or \"exact-lru\"");
-    return storage::EvictionPolicy::kExactLru;
-  }();
-  return policy;
-}
-
-const char* PolicyName(storage::EvictionPolicy policy) {
-  return policy == storage::EvictionPolicy::kExactLru ? "exact-lru" : "2q";
-}
-
 QueryStats RunCoknnWorkload(const Dataset& ds, const RunConfig& cfg) {
   const size_t queries = cfg.queries == 0 ? BenchQueries() : cfg.queries;
 
   // Configure buffers ("% of the tree size", Figure 12) and zero the
   // counters: the workload below charges its warm-up half separately.
   auto set_buffer = [&](rtree::RStarTree& tree) {
-    const size_t pages = static_cast<size_t>(
-        tree.PageCount() * cfg.buffer_percent / 100.0);
-    storage::BufferOptions opts = tree.pager().buffer_pool().options();
-    opts.capacity_pages = pages;
-    opts.policy = cfg.buffer_policy;
-    tree.pager().ConfigureBuffer(opts);  // also drops stale cached pages
+    // Also drops stale cached pages.
+    tree.pager().SetBufferCapacity(static_cast<size_t>(
+        tree.PageCount() * cfg.buffer_percent / 100.0));
     tree.pager().ResetCounters();
   };
   set_buffer(*ds.tp);
@@ -140,11 +119,11 @@ QueryStats RunCoknnWorkload(const Dataset& ds, const RunConfig& cfg) {
   const std::vector<geom::Segment> workload = datagen::MakeWorkload(
       queries, datagen::Workspace(), wopts, {}, cfg.seed);
 
-  // Warm half: primes the buffer pool (and 2Q's reference history) but is
-  // excluded from the reported averages.  Per-query stats are computed
-  // from counter deltas, so the warm half cannot leak into the measured
-  // half; resetting here additionally keeps the pagers' cumulative
-  // counters equal to the measured half alone, which is what the faults /
+  // Warm half: primes the buffer pool but is excluded from the reported
+  // averages.  Per-query stats are computed from counter deltas, so the
+  // warm half cannot leak into the measured half; resetting here
+  // additionally keeps the pagers' cumulative counters equal to the
+  // measured half alone, which is what the faults /
   // hits counters in the published JSON summarize.
   const rtree::RStarTree& data_tree = cfg.one_tree ? *ds.unified : *ds.tp;
   const rtree::RStarTree& obstacle_tree = cfg.one_tree ? *ds.unified : *ds.to;

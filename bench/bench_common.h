@@ -55,13 +55,6 @@ struct Dataset {
 const Dataset& GetDataset(datagen::PointDistribution dist, size_t num_points,
                           size_t num_obstacles);
 
-/// Buffer eviction policy from $CONN_BUFFER_POLICY ("2q" — the default —
-/// or "exact-lru", the seed-compatible strict LRU).
-storage::EvictionPolicy BenchBufferPolicy();
-
-/// Human-readable name of a policy (benchmark labels).
-const char* PolicyName(storage::EvictionPolicy policy);
-
 /// Workload/measurement knobs for one benchmark configuration.
 struct RunConfig {
   double ql_percent = 4.5;
@@ -69,7 +62,6 @@ struct RunConfig {
   size_t queries = 0;          ///< 0 => BenchQueries()
   bool one_tree = false;       ///< Section 4.5 unified-tree variant
   double buffer_percent = 0.0; ///< buffer capacity as % of tree pages
-  storage::EvictionPolicy buffer_policy = storage::EvictionPolicy::kTwoQueue;
   size_t warmup_queries = 0;   ///< extra queries to warm the buffer
   core::ConnOptions options;
   uint64_t seed = 7777;

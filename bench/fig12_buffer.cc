@@ -10,10 +10,10 @@
 // CPU time, NPE, NOE, and |SVG| stay flat — "non-zero buffer can only
 // improve I/O performance, but not others".
 //
-// The eviction policy comes from $CONN_BUFFER_POLICY: the default "2q"
-// (scan-resistant) or "exact-lru", which reproduces the seed LRU buffer's
-// fault counts bit-for-bit.  The JSON carries both "faults" and "hits" per
-// configuration, so the whole I/O curve is machine-readable.
+// The buffer is the paper's LRU (storage/buffer_pool.h), which reproduces
+// the seed LRU buffer's fault counts bit-for-bit.  The JSON carries both
+// "faults" and "hits" per configuration, so the whole I/O curve is
+// machine-readable.
 
 #include <benchmark/benchmark.h>
 
@@ -33,15 +33,13 @@ void RunBuffer(benchmark::State& state, datagen::PointDistribution dist,
     cfg.ql_percent = 4.5;
     cfg.k = 5;
     cfg.buffer_percent = bs;
-    cfg.buffer_policy = BenchBufferPolicy();
     cfg.warmup_queries = BenchQueries();  // paper: 50 warm-up of 100
     avg = RunCoknnWorkload(ds, cfg);
   }
   ReportStats(state, avg, ds.pair.obstacles.size());
   state.counters["hits"] = static_cast<double>(avg.buffer_hits);
   state.SetLabel(std::string(name) + ", k=5, ql=4.5%, bs=" +
-                 std::to_string(static_cast<int>(bs)) + "%, policy=" +
-                 PolicyName(BenchBufferPolicy()));
+                 std::to_string(static_cast<int>(bs)) + "%");
 }
 
 void BM_Fig12_CL(benchmark::State& state) {

@@ -1,9 +1,11 @@
 // Storage-layer microbenchmarks: buffer-pool hit latency, miss/eviction
 // churn, pin/unpin latch contention across threads, the decoded-node cache
-// on the tree read path, and STR sibling readahead.  Wired into the
-// bench_smoke CTest label so the pool's fast paths stay runnable; absolute
-// numbers are hardware-dependent, shapes (hit << miss, contention scaling)
-// are what to watch.
+// on the tree read path, STR sibling readahead, and the LRU pool's faults
+// on a fixed skewed trace.  Wired into the bench_smoke CTest label so the
+// pool's fast paths stay runnable; absolute numbers are hardware-dependent,
+// shapes (hit << miss, contention scaling) are what to watch.  The trace
+// replay's `faults` and `hits` are deterministic and gated by
+// baselines/BENCH_micro_storage.json.
 
 #include <benchmark/benchmark.h>
 
@@ -16,14 +18,12 @@
 #include "rtree/str_bulk_load.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
-#include "storage/pool_tuning.h"
 
 namespace conn {
 namespace bench {
 namespace {
 
 using storage::BufferOptions;
-using storage::EvictionPolicy;
 using storage::Page;
 using storage::PageId;
 using storage::Pager;
@@ -31,12 +31,7 @@ using storage::PinnedPage;
 
 constexpr size_t kFilePages = 2048;
 
-EvictionPolicy PolicyArg(int64_t arg) {
-  return arg == 0 ? EvictionPolicy::kTwoQueue : EvictionPolicy::kExactLru;
-}
-
-std::unique_ptr<Pager> MakePager(size_t capacity, EvictionPolicy policy,
-                                 size_t readahead = 0) {
+std::unique_ptr<Pager> MakePager(size_t capacity, size_t readahead = 0) {
   auto pager = std::make_unique<Pager>();
   Page p;
   for (size_t i = 0; i < kFilePages; ++i) {
@@ -46,7 +41,6 @@ std::unique_ptr<Pager> MakePager(size_t capacity, EvictionPolicy policy,
   }
   BufferOptions opts;
   opts.capacity_pages = capacity;
-  opts.policy = policy;
   opts.readahead_pages = readahead;
   pager->ConfigureBuffer(opts);
   return pager;
@@ -54,7 +48,7 @@ std::unique_ptr<Pager> MakePager(size_t capacity, EvictionPolicy policy,
 
 /// Hit path: working set fits, every fetch pins a resident frame.
 void BM_BufferHit(benchmark::State& state) {
-  auto pager = MakePager(/*capacity=*/128, PolicyArg(state.range(0)));
+  auto pager = MakePager(/*capacity=*/128);
   for (PageId id = 0; id < 64; ++id) CONN_CHECK(pager->Fetch(id).ok());
   pager->ResetCounters();  // exclude the priming faults from hit_rate
   PageId id = 0;
@@ -67,11 +61,11 @@ void BM_BufferHit(benchmark::State& state) {
       static_cast<double>(pager->hits()) /
       static_cast<double>(pager->hits() + pager->faults());
 }
-BENCHMARK(BM_BufferHit)->Arg(0)->Arg(1);
+BENCHMARK(BM_BufferHit);
 
 /// Miss path: capacity far below the scan, every fetch evicts and reloads.
 void BM_BufferMissChurn(benchmark::State& state) {
-  auto pager = MakePager(/*capacity=*/16, PolicyArg(state.range(0)));
+  auto pager = MakePager(/*capacity=*/16);
   PageId id = 0;
   for (auto _ : state) {
     StatusOr<PinnedPage> view = pager->Fetch(id);
@@ -82,11 +76,11 @@ void BM_BufferMissChurn(benchmark::State& state) {
       static_cast<double>(pager->faults()) /
       static_cast<double>(pager->hits() + pager->faults());
 }
-BENCHMARK(BM_BufferMissChurn)->Arg(0)->Arg(1);
+BENCHMARK(BM_BufferMissChurn);
 
 /// Unbuffered baseline: direct file views (the paper's bs = 0 default).
 void BM_UnbufferedFetch(benchmark::State& state) {
-  auto pager = MakePager(/*capacity=*/0, EvictionPolicy::kTwoQueue);
+  auto pager = MakePager(/*capacity=*/0);
   PageId id = 0;
   for (auto _ : state) {
     StatusOr<PinnedPage> view = pager->Fetch(id);
@@ -96,24 +90,16 @@ void BM_UnbufferedFetch(benchmark::State& state) {
 }
 BENCHMARK(BM_UnbufferedFetch);
 
-/// Pin/unpin contention: all threads hammer one hot set through the
-/// per-shard latches.  Throughput per thread should degrade gently, not
-/// collapse, as threads are added.  Pool and hot-set sizes derive from the
-/// pool's own sharding constants (storage/pool_tuning.h): the pool spans
-/// the full kMaxShards fan-out (32 shards / 1024 frames under the current
-/// tuning) with the hot set striped across every latch, so a future
-/// shard-cap change moves this watchpoint with it.
+/// Pin/unpin contention: all threads hammer one 1,024-page hot set, all
+/// resident in a 1,024-frame pool, through the pool's one latch.
+/// Throughput per thread should degrade gently, not collapse, as threads
+/// are added.
 void BM_PinContention(benchmark::State& state) {
-  static Pager* shared = [] {
-    return MakePager(/*capacity=*/storage::kMaxShards *
-                         storage::kFramesPerShard,
-                     EvictionPolicy::kTwoQueue)
-        .release();
-  }();
+  constexpr size_t kFrames = 1024;
+  static Pager* shared = MakePager(/*capacity=*/kFrames).release();
   Rng rng(0x900D + static_cast<uint64_t>(state.thread_index()));
   for (auto _ : state) {
-    const PageId id = static_cast<PageId>(
-        rng.UniformU64(storage::kMaxShards * storage::kFramesPerShard));
+    const PageId id = static_cast<PageId>(rng.UniformU64(kFrames));
     StatusOr<PinnedPage> view = shared->Fetch(id);
     benchmark::DoNotOptimize(view.value().page().data());
   }
@@ -125,8 +111,7 @@ BENCHMARK(BM_PinContention)->Threads(1)->Threads(2)->Threads(4)
 /// prefetching; the fault counter stays demand-only either way.
 void BM_ReadaheadScan(benchmark::State& state) {
   const size_t readahead = static_cast<size_t>(state.range(0));
-  auto pager =
-      MakePager(/*capacity=*/64, EvictionPolicy::kTwoQueue, readahead);
+  auto pager = MakePager(/*capacity=*/64, readahead);
   PageId id = 0;
   for (auto _ : state) {
     StatusOr<PinnedPage> view = pager->Fetch(id);
@@ -139,6 +124,38 @@ void BM_ReadaheadScan(benchmark::State& state) {
       static_cast<double>(pager->faults()) / total;
 }
 BENCHMARK(BM_ReadaheadScan)->Arg(0)->Arg(8);
+
+/// LRU replay: each iteration builds a fresh 64-frame pool and replays one
+/// fixed seeded trace of 4,096 fetches over the file, half of them on a
+/// 16-page hot set.  `faults` and `hits` are per pass and deterministic.
+void BM_LruTraceReplay(benchmark::State& state) {
+  constexpr size_t kFetches = 4096;
+  constexpr uint64_t kHotPages = 16;
+  std::vector<PageId> trace;
+  trace.reserve(kFetches);
+  Rng rng(0x7ACE);
+  for (size_t i = 0; i < kFetches; ++i) {
+    trace.push_back(static_cast<PageId>(
+        rng.Bernoulli(0.5) ? rng.UniformU64(kHotPages)
+                           : rng.UniformU64(kFilePages)));
+  }
+  uint64_t faults = 0;
+  uint64_t hits = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto pager = MakePager(/*capacity=*/64);
+    state.ResumeTiming();
+    for (const PageId id : trace) {
+      StatusOr<PinnedPage> view = pager->Fetch(id);
+      benchmark::DoNotOptimize(view.value().page().data());
+    }
+    faults = pager->faults();
+    hits = pager->hits();
+  }
+  state.counters["faults"] = static_cast<double>(faults);
+  state.counters["hits"] = static_cast<double>(hits);
+}
+BENCHMARK(BM_LruTraceReplay)->Unit(benchmark::kMicrosecond);
 
 /// Tree read path: hot-node fetches against the decoded-node cache
 /// (buffered) vs per-read parsing (unbuffered).

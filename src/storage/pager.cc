@@ -72,8 +72,8 @@ StatusOr<PinnedPage> Pager::Fetch(PageId id) {
 
   // Optional readahead: stage the immediately following ids (STR bulk
   // loading lays a level's siblings out contiguously).  Staged pages count
-  // device reads, not faults; a later demand access counts a hit as the
-  // page's *first* reference (no scan-resistance bypass).
+  // device reads, not faults; a later demand access counts a hit and one
+  // prefetch hit.
   const size_t ra = pool_.options().readahead_pages;
   for (size_t i = 1; i <= ra; ++i) {
     const PageId next = id + static_cast<PageId>(i);

@@ -17,10 +17,10 @@
 // inline after the demand page is pinned and feeds the prefetch_* counters.
 //
 // Concurrent Fetch()es from several query threads (the batch executor's
-// shards) are safe: counters are atomic and the pool takes per-shard
-// latches.  The counters are process-wide; a ThreadFetchCounter counts
-// only its own thread's faults and hits, which is one query's I/O when
-// queries run one per thread.  Structural mutation (Allocate / Write /
+// shards) are safe: counters are atomic and the pool takes one latch.
+// The counters are process-wide; a ThreadFetchCounter counts only its own
+// thread's faults and hits, which is one query's I/O when queries run one
+// per thread.  Structural mutation (Allocate / Write /
 // ConfigureBuffer) is a single-threaded operation: trees are built before
 // queries run against them.  A Pager is pinned in place (non-copyable,
 // non-movable) — owners hold it behind a stable handle (see RStarTree) so
@@ -90,25 +90,24 @@ class Pager {
   /// Writes page \p id through to the file and refreshes the pool.
   Status Write(PageId id, const Page& page);
 
-  /// Reconfigures the buffer pool (capacity, eviction policy, readahead),
-  /// dropping all cached pages.  Not thread-safe against in-flight reads;
-  /// requires that no pins are live.
+  /// Reconfigures the buffer pool (capacity, readahead), dropping all
+  /// cached pages.  Not thread-safe against in-flight reads; requires that
+  /// no pins are live.
   void ConfigureBuffer(const BufferOptions& options) {
     pool_.Configure(options);
   }
 
   /// Sets the buffer capacity in pages (0 disables buffering, the default
-  /// configuration of the paper's experiments), keeping the current policy
-  /// and readahead settings.  Drops cached pages; see
-  /// ConfigureBuffer().
+  /// configuration of the paper's experiments), keeping the readahead
+  /// setting.  Drops cached pages; see ConfigureBuffer().
   void SetBufferCapacity(size_t pages) {
     BufferOptions opts = pool_.options();
     opts.capacity_pages = pages;
     ConfigureBuffer(opts);
   }
 
-  /// Drops buffered pages (and 2Q ghost history) without changing the
-  /// configuration.  Requires that no pins are live.
+  /// Drops buffered pages without changing the configuration.  Requires
+  /// that no pins are live.
   void ClearBuffer() { pool_.Clear(); }
 
   /// Zeroes the fault/hit/prefetch counters — warm-up phases call this so

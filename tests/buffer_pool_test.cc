@@ -1,9 +1,9 @@
 // Property tests for the pin/unpin buffer pool:
 //   * pinned frames are never evicted (and their bytes never move/change),
-//   * the exact-LRU mode replays randomized read/write traces with the same
-//     hit/miss sequence and resident set as the seed LruBuffer (which is
-//     what makes the committed Fig. 12 fault counts reproducible),
-//   * the default 2Q policy is scan-resistant where plain LRU is not,
+//   * the pool replays randomized read/write traces with the same hit/miss
+//     sequence and resident set as the seed LruBuffer (which is what makes
+//     the committed Fig. 12 fault counts reproducible),
+//   * readahead-staged pages count prefetch hits and wasted prefetches,
 //   * tree-level FetchNode caching serves identical nodes without re-parsing
 //     and stays coherent across structural updates.
 
@@ -40,7 +40,6 @@ std::unique_ptr<Pager> MakePager(size_t pages, const BufferOptions& opts) {
 TEST(BufferPoolTest, PinnedFramesAreNeverEvicted) {
   BufferOptions opts;
   opts.capacity_pages = 4;
-  opts.policy = EvictionPolicy::kExactLru;
   auto pager = MakePager(/*pages=*/32, opts);
 
   // Pin two pages and remember their frame addresses.
@@ -74,7 +73,6 @@ TEST(BufferPoolTest, PinnedFramesAreNeverEvicted) {
 TEST(BufferPoolTest, FullyPinnedPoolServesOverflowCopies) {
   BufferOptions opts;
   opts.capacity_pages = 3;
-  opts.policy = EvictionPolicy::kTwoQueue;
   auto pager = MakePager(/*pages=*/8, opts);
 
   std::vector<PinnedPage> pins;
@@ -96,8 +94,8 @@ TEST(BufferPoolTest, FullyPinnedPoolServesOverflowCopies) {
   EXPECT_EQ(pager->faults(), 4u);
 }
 
-// Replays a randomized read/write trace against the new pool in exact-LRU
-// mode and against the seed LruBuffer wrapped in the seed Pager::Read logic,
+// Replays a randomized read/write trace against the default pool and
+// against the seed LruBuffer wrapped in the seed Pager::Read logic,
 // asserting the hit/miss outcome of every operation and the resident set
 // after it agree exactly.
 TEST(BufferPoolTest, ExactLruMatchesSeedLruBufferOnRandomizedTraces) {
@@ -106,8 +104,7 @@ TEST(BufferPoolTest, ExactLruMatchesSeedLruBufferOnRandomizedTraces) {
   for (const size_t capacity : {1u, 2u, 3u, 5u, 8u, 16u}) {
     BufferOptions opts;
     opts.capacity_pages = capacity;
-    opts.policy = EvictionPolicy::kExactLru;
-    auto pager = MakePager(kPages, opts);
+      auto pager = MakePager(kPages, opts);
 
     LruBuffer model(capacity);  // the seed buffer manager
     uint64_t model_faults = 0, model_hits = 0;
@@ -145,65 +142,9 @@ TEST(BufferPoolTest, ExactLruMatchesSeedLruBufferOnRandomizedTraces) {
   }
 }
 
-TEST(BufferPoolTest, TwoQueueIsScanResistantWhereLruIsNot) {
-  // Hot working set of 4 pages touched twice per round (the R-tree pattern:
-  // roots/internals are re-referenced within one query), interleaved with a
-  // long scan of single-touch cold pages.  2Q promotes the double-touched
-  // hot set into its protected queue; plain LRU lets every scan wash it out
-  // and re-faults the hot set each round.
-  constexpr uint64_t kHot = 4;
-  constexpr uint64_t kCold = 64;
-  constexpr uint64_t kRounds = 20;
-  auto run = [&](EvictionPolicy policy) {
-    BufferOptions opts;
-    opts.capacity_pages = 8;
-    opts.policy = policy;
-    auto pager = MakePager(kHot + kCold, opts);
-    for (uint64_t round = 0; round < kRounds; ++round) {
-      for (int touch = 0; touch < 2; ++touch) {
-        for (PageId id = 0; id < kHot; ++id) {
-          CONN_CHECK(pager->Fetch(id).ok());
-        }
-      }
-      for (PageId id = 0; id < kCold; ++id) {
-        CONN_CHECK(pager->Fetch(static_cast<PageId>(kHot + id)).ok());
-      }
-    }
-    return pager->faults();
-  };
-  const uint64_t lru_faults = run(EvictionPolicy::kExactLru);
-  const uint64_t two_queue_faults = run(EvictionPolicy::kTwoQueue);
-  // LRU re-faults the whole hot set every round (only the immediate second
-  // touch hits): (hot + cold) faults per round.
-  EXPECT_EQ(lru_faults, kRounds * (kHot + kCold));
-  // 2Q faults the hot set only in round one; afterwards it lives in Am.
-  EXPECT_EQ(two_queue_faults, kHot + kRounds * kCold);
-}
-
-TEST(BufferPoolTest, GhostHitPromotesReloadedPageToProtected) {
-  BufferOptions opts;
-  opts.capacity_pages = 4;  // A1in target = 1, ghost history = 16 ids
-  opts.policy = EvictionPolicy::kTwoQueue;
-  auto pager = MakePager(/*pages=*/16, opts);
-
-  for (PageId id = 0; id < 5; ++id) ASSERT_TRUE(pager->Fetch(id).ok());
-  // Page 0 was FIFO-evicted into the ghost queue.
-  EXPECT_FALSE(pager->buffer_pool().Resident(0));
-  // Re-loading it is a fault, but the ghost hit places it in Am...
-  ASSERT_TRUE(pager->Fetch(0).ok());
-  const uint64_t faults_after_reload = pager->faults();
-  // ...so a long single-touch scan cannot evict it again.
-  for (PageId id = 5; id < 16; ++id) ASSERT_TRUE(pager->Fetch(id).ok());
-  EXPECT_TRUE(pager->buffer_pool().Resident(0));
-  ASSERT_TRUE(pager->Fetch(0).ok());
-  EXPECT_EQ(pager->faults(), faults_after_reload + 11);
-  EXPECT_EQ(pager->hits(), 1u);
-}
-
 TEST(BufferPoolTest, TwoQueueNeverExceedsCapacity) {
   BufferOptions opts;
   opts.capacity_pages = 6;
-  opts.policy = EvictionPolicy::kTwoQueue;
   auto pager = MakePager(/*pages=*/40, opts);
   Rng rng(99);
   for (size_t op = 0; op < 2000; ++op) {
@@ -215,58 +156,34 @@ TEST(BufferPoolTest, TwoQueueNeverExceedsCapacity) {
 }
 
 TEST(BufferPoolTest, ReadaheadStagingDoesNotCountAsAFirstReference) {
-  // A page staged by readahead and then demand-read once must behave like
-  // any other single-touch page: it stays probationary and FIFO-evicts.
-  // Otherwise a readahead-assisted sequential scan would promote every
-  // cold page into the protected queue.
+  // Staging a page is not a reference: its first demand hit counts one
+  // prefetch hit and is an ordinary LRU touch, and a staged page evicted
+  // before any demand reference counts one wasted prefetch.
   BufferOptions opts;
-  opts.capacity_pages = 4;  // A1in target = 1
-  opts.policy = EvictionPolicy::kTwoQueue;
+  opts.capacity_pages = 4;
   opts.readahead_pages = 2;
   auto pager = MakePager(/*pages=*/16, opts);
+  const BufferPool& pool = pager->buffer_pool();
 
-  ASSERT_TRUE(pager->Fetch(0).ok());  // demand 0, stages 1 and 2
+  ASSERT_TRUE(pager->Fetch(0).ok());  // demand 0, stages 1 then 2
   EXPECT_TRUE(pager->buffer_pool().Resident(1));
-  ASSERT_TRUE(pager->Fetch(1).ok());  // FIRST demand touch of staged page
+  ASSERT_TRUE(pager->Fetch(1).ok());  // first demand touch of staged page 1
   EXPECT_EQ(pager->hits(), 1u);
-  ASSERT_TRUE(pager->Fetch(0).ok());  // SECOND demand touch: protected
+  EXPECT_EQ(pool.prefetch_hits(), 1u);
+  EXPECT_EQ(pool.prefetch_wasted(), 0u);
 
-  // Churn the probationary queue.
+  // Demand 5 takes the free frame; staging 6 and 7 evicts the two LRU
+  // pages.  Page 1's touch moved it ahead of page 2, so the victims are
+  // page 0 (demand-referenced) and page 2 (staged, never referenced).
   ASSERT_TRUE(pager->Fetch(5).ok());
-  ASSERT_TRUE(pager->Fetch(9).ok());
-  // The once-demand-touched staged page washed out with the scan...
-  EXPECT_FALSE(pager->buffer_pool().Resident(1));
-  // ...while the twice-touched page is protected in Am.
-  EXPECT_TRUE(pager->buffer_pool().Resident(0));
+  EXPECT_TRUE(pager->buffer_pool().Resident(1));
+  EXPECT_FALSE(pager->buffer_pool().Resident(0));
+  EXPECT_FALSE(pager->buffer_pool().Resident(2));
+  EXPECT_EQ(pool.prefetch_hits(), 1u);
+  EXPECT_EQ(pool.prefetch_wasted(), 1u);
 }
 
-TEST(BufferPoolTest, EvictedPrefetchedPagesLeaveNoGhostHistory) {
-  // A readahead-staged page evicted before any demand reference has no
-  // reuse history: when demand finally arrives it must enter the
-  // probationary queue (no ghost-hit shortcut into Am), while a page with
-  // a real demand reference before its eviction does earn the promotion.
-  BufferOptions opts;
-  opts.capacity_pages = 4;  // A1in target = 1
-  opts.policy = EvictionPolicy::kTwoQueue;
-  opts.readahead_pages = 2;
-  auto pager = MakePager(/*pages=*/16, opts);
-
-  ASSERT_TRUE(pager->Fetch(0).ok());  // demand 0; stages 1 and 2
-  // Fill the pool; readahead churn FIFO-evicts pages 0..2.  Page 0 had a
-  // demand reference, pages 1 and 2 were prefetched-only.
-  ASSERT_TRUE(pager->Fetch(6).ok());
-  EXPECT_FALSE(pager->buffer_pool().Resident(1));
-  // First demand access of the evicted prefetched page: probationary.
-  ASSERT_TRUE(pager->Fetch(1).ok());
-  // Demand re-load of the demand-referenced page: ghost hit, protected.
-  ASSERT_TRUE(pager->Fetch(0).ok());
-  // A single-touch scan washes page 1 out of the FIFO but leaves page 0.
-  ASSERT_TRUE(pager->Fetch(10).ok());
-  EXPECT_FALSE(pager->buffer_pool().Resident(1));
-  EXPECT_TRUE(pager->buffer_pool().Resident(0));
-}
-
-TEST(BufferPoolTest, ConfigureDropsContentsAndGhostHistory) {
+TEST(BufferPoolTest, ConfigureDropsContentsAndHistory) {
   BufferOptions opts;
   opts.capacity_pages = 4;
   auto pager = MakePager(/*pages=*/8, opts);

@@ -1,6 +1,6 @@
 // MUST NOT COMPILE (Clang, -Werror=thread-safety): calls a REQUIRES(mu)
 // method without holding mu.  This is the annotation BufferPool's private
-// helpers rely on ("must be called under the frame's shard latch").
+// helpers rely on ("must be called under the pool's latch").
 
 #include "common/mutex.h"
 

@@ -1,7 +1,8 @@
 // Fault parity guard for the synchronous fetch path: replaying the Fig. 12
 // benchmark recipe (bench/fig12_buffer.cc at the smoke scale its committed
-// baseline was recorded under) must reproduce the baseline's exact-LRU
-// fault counts — the numbers published in baselines/README.md — exactly.
+// baseline was recorded under) on the default pool must reproduce the
+// seed LRU buffer's fault counts — the numbers published in
+// baselines/README.md — exactly.
 // A drift of even one fault here means a change to the pager, the buffer
 // pool or a traversal altered which pages a query reads.
 
@@ -30,7 +31,7 @@ constexpr uint64_t kSeed = 7777;
 
 struct BaselinePoint {
   double buffer_percent;
-  uint64_t faults;  // baselines/README.md, CL exact-lru curve
+  uint64_t faults;  // baselines/README.md, CL curve
 };
 
 TEST(Fig12Parity, SyncPathReproducesCommittedExactLruFaults) {
@@ -61,7 +62,6 @@ TEST(Fig12Parity, SyncPathReproducesCommittedExactLruFaults) {
       storage::BufferOptions opts = tree->pager().buffer_pool().options();
       opts.capacity_pages = static_cast<size_t>(
           tree->PageCount() * point.buffer_percent / 100.0);
-      opts.policy = storage::EvictionPolicy::kExactLru;
       tree->pager().ConfigureBuffer(opts);
       tree->pager().ResetCounters();
     }

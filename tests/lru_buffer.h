@@ -1,5 +1,5 @@
 // LRU page buffer — the seed buffer manager, kept as the *reference model*
-// for the buffer pool's exact-LRU mode.  Test-only: the production read
+// for the buffer pool's eviction order.  Test-only: the production read
 // path lives in storage/buffer_pool.h / storage/pager.h; this class is only
 // used by property tests that replay randomized traces against both
 // implementations and assert the hit/miss sequence and resident set match

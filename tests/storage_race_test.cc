@@ -15,16 +15,13 @@
 #include "rtree/str_bulk_load.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
-#include "storage/pool_tuning.h"
 #include "storage_test_util.h"
 
 namespace conn {
 namespace storage {
 namespace {
 
-void RunChurn(EvictionPolicy policy,
-              size_t capacity_pages = kFramesPerShard / kA1inTargetDivisor,
-              size_t pages = 64) {
+void RunChurn(size_t capacity_pages = 8, size_t pages = 64) {
   const size_t kPages = pages;
   constexpr size_t kThreads = 4;
   constexpr size_t kOpsPerThread = 1500;
@@ -35,13 +32,10 @@ void RunChurn(EvictionPolicy policy,
     ASSERT_TRUE(pager.Write(id, StampedPage(id)).ok());
   }
   BufferOptions opts;
-  // Default capacity is a quarter of one latch shard's frame budget
-  // (pool_tuning.h): a single-shard pool far below the working set, so
-  // eviction churns constantly and stays churning if the shard sizing
-  // ever changes.  The fan-out variant below overrides it to span many
-  // shards of the kMaxShards cap.
+  // The default 8 frames sit far below the 64-page working set, so
+  // eviction churns constantly.  The large-pool variant below overrides
+  // both.
   opts.capacity_pages = capacity_pages;
-  opts.policy = policy;
   pager.ConfigureBuffer(opts);
   pager.ResetCounters();
 
@@ -91,20 +85,12 @@ void RunChurn(EvictionPolicy policy,
   EXPECT_EQ(pager.faults() + pager.hits(), kThreads * kOpsPerThread);
 }
 
-TEST(StorageRaceTest, ConcurrentFetchPinUnpinChurnTwoQueue) {
-  RunChurn(EvictionPolicy::kTwoQueue);
-}
+TEST(StorageRaceTest, ConcurrentFetchPinUnpinChurnExactLru) { RunChurn(); }
 
-TEST(StorageRaceTest, ConcurrentFetchPinUnpinChurnExactLru) {
-  RunChurn(EvictionPolicy::kExactLru);
-}
-
-// Churn across a pool spanning many latch shards of the kMaxShards cap
-// (pool_tuning.h): evictions, inserts and pin traffic spread over eight
-// latches instead of one.
+// Churn on a 256-frame pool over 1,024 pages: evictions, inserts and pin
+// traffic spread over many more frames, all under the pool's one latch.
 TEST(StorageRaceTest, ConcurrentChurnAcrossLiftedShardFanout) {
-  RunChurn(EvictionPolicy::kTwoQueue,
-           /*capacity_pages=*/8 * kFramesPerShard, /*pages=*/1024);
+  RunChurn(/*capacity_pages=*/256, /*pages=*/1024);
 }
 
 TEST(StorageRaceTest, ConcurrentTreeTraversalsShareOnePool) {
@@ -121,7 +107,7 @@ TEST(StorageRaceTest, ConcurrentTreeTraversalsShareOnePool) {
   }
   rtree::RStarTree tree =
       std::move(rtree::StrBulkLoad(std::move(objs)).value());
-  tree.pager().SetBufferCapacity(kFramesPerShard / kA1inTargetDivisor);
+  tree.pager().SetBufferCapacity(8);
 
   // Single-threaded reference counts per window.
   std::vector<geom::Rect> windows;

@@ -117,23 +117,13 @@ TEST(PagerTest, FetchOutOfRangeIsNotFound) {
     Pager empty;
     EXPECT_EQ(empty.Fetch(3).status().code(), StatusCode::kNotFound);
   }
-  // Unbuffered, 2Q and exact-LRU: an unallocated id fails before any
-  // counter moves, and leaves no pin behind.
-  struct Config {
-    const char* name;
-    size_t capacity;
-    EvictionPolicy policy;
-  };
-  for (const Config& c : {Config{"unbuffered", 0, EvictionPolicy::kTwoQueue},
-                          Config{"2q", 8, EvictionPolicy::kTwoQueue},
-                          Config{"exact-lru", 8, EvictionPolicy::kExactLru}}) {
-    SCOPED_TRACE(c.name);
+  // Unbuffered and buffered: an unallocated id fails before any counter
+  // moves, and leaves no pin behind.
+  for (const size_t capacity : {0u, 8u}) {
+    SCOPED_TRACE(capacity);
     Pager pager;
     for (int i = 0; i < 4; ++i) pager.Allocate();
-    BufferOptions opts;
-    opts.capacity_pages = c.capacity;
-    opts.policy = c.policy;
-    pager.ConfigureBuffer(opts);
+    pager.SetBufferCapacity(capacity);
     const PageId bad = static_cast<PageId>(pager.PageCount() + 100);
     EXPECT_EQ(pager.Fetch(bad).status().code(), StatusCode::kNotFound);
     EXPECT_EQ(pager.faults(), 0u);
@@ -143,25 +133,19 @@ TEST(PagerTest, FetchOutOfRangeIsNotFound) {
 }
 
 // A buffered Fetch of an unallocated id fails with the very status the
-// unbuffered one returns: same code, same message, for both policies.
+// unbuffered one returns: same code, same message.
 TEST(PageRequestTest, UnallocatedPageFailsLikeSyncFetch) {
-  auto fetch_bad = [](size_t capacity, EvictionPolicy policy) {
+  auto fetch_bad = [](size_t capacity) {
     Pager pager;
     for (int i = 0; i < 4; ++i) pager.Allocate();
-    BufferOptions opts;
-    opts.capacity_pages = capacity;
-    opts.policy = policy;
-    pager.ConfigureBuffer(opts);
+    pager.SetBufferCapacity(capacity);
     return pager.Fetch(static_cast<PageId>(pager.PageCount() + 100)).status();
   };
-  const Status sync_status = fetch_bad(0, EvictionPolicy::kTwoQueue);
+  const Status sync_status = fetch_bad(0);
   ASSERT_EQ(sync_status.code(), StatusCode::kNotFound);
-  for (EvictionPolicy policy :
-       {EvictionPolicy::kTwoQueue, EvictionPolicy::kExactLru}) {
-    const Status got = fetch_bad(8, policy);
-    EXPECT_EQ(got.code(), sync_status.code());
-    EXPECT_EQ(got.message(), sync_status.message());
-  }
+  const Status got = fetch_bad(8);
+  EXPECT_EQ(got.code(), sync_status.code());
+  EXPECT_EQ(got.message(), sync_status.message());
 }
 
 TEST(PagerTest, BufferedRepeatFetchesHit) {
