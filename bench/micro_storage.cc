@@ -91,9 +91,8 @@ void BM_UnbufferedFetch(benchmark::State& state) {
 BENCHMARK(BM_UnbufferedFetch);
 
 /// Pin/unpin contention: all threads hammer one 1,024-page hot set, all
-/// resident in a 1,024-frame pool, through the pool's one latch.
-/// Throughput per thread should degrade gently, not collapse, as threads
-/// are added.
+/// resident in a 1,024-frame pool.  Every fetch takes the pool's one
+/// latch, so the thread curve shows what that serialization costs.
 void BM_PinContention(benchmark::State& state) {
   constexpr size_t kFrames = 1024;
   static Pager* shared = MakePager(/*capacity=*/kFrames).release();
